@@ -16,6 +16,7 @@
 #include "bench_util.h"
 #include "common/cpu_features.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/executor.h"
 #include "models/model.h"
 #include "ops/elementwise.h"
@@ -40,36 +41,53 @@ tierFromArg(benchmark::State& state, int64_t arg, KernelIsa* isa)
     return true;
 }
 
+/** FC at m x n x k (args m, n, k, tier), one intra-op thread. */
 void
 BM_FCKernel(benchmark::State& state)
 {
     const int64_t m = state.range(0);
-    const int64_t nk = state.range(1);
+    const int64_t n = state.range(1);
+    const int64_t k = state.range(2);
     KernelIsa isa;
-    if (!tierFromArg(state, state.range(2), &isa)) {
+    if (!tierFromArg(state, state.range(3), &isa)) {
         return;
     }
     IsaScope tier(isa);
+    IntraOpScope width(1);
     Workspace ws;
-    ws.set("x", Tensor({m, nk}));
-    ws.set("w", Tensor({nk, nk}));
-    ws.set("b", Tensor({nk}));
+    ws.set("x", Tensor({m, k}));
+    ws.set("w", Tensor({n, k}));
+    ws.set("b", Tensor({n}));
     FCOp fc("fc", "x", "w", "b", "y");
     fc.inferShapes(ws);
     for (auto _ : state) {
         fc.run(ws);
         benchmark::DoNotOptimize(ws.get("y").data<float>());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * 2 * m * nk * nk);
+    const int64_t flops = 2 * m * n * k;
+    state.SetItemsProcessed(state.iterations() * flops);
+    state.counters["GFLOP/s"] = benchmark::Counter(
+        1e-9 * static_cast<double>(flops),
+        benchmark::Counter::kIsIterationInvariantRate);
     state.SetLabel(kernelIsaName(isa));
 }
 BENCHMARK(BM_FCKernel)
-    ->Args({16, 64, 0})
-    ->Args({16, 64, 1})
-    ->Args({16, 256, 0})
-    ->Args({16, 256, 1})
-    ->Args({64, 256, 0})
-    ->Args({64, 256, 1});
+    ->Args({16, 64, 64, 0})
+    ->Args({16, 64, 64, 1})
+    ->Args({16, 256, 256, 0})
+    ->Args({16, 256, 256, 1})
+    ->Args({64, 256, 256, 0})
+    ->Args({64, 256, 256, 1})
+    // The shapes that dominate batch-256 inference, none of which is
+    // square: WnD's first layer (5.4 MB of W, beyond L2), a DIN
+    // attention FC and a DIEN GRU gate matmul.
+    ->Args({256, 1024, 1330, 0})
+    ->Args({256, 1024, 1330, 1})
+    ->Args({256, 36, 256, 0})
+    ->Args({256, 36, 256, 1})
+    ->Args({256, 192, 64, 0})
+    ->Args({256, 192, 64, 1});
 
 void
 BM_SparseLengthsSum(benchmark::State& state)

@@ -127,7 +127,7 @@ Executor::run(CompiledNet& net, Workspace& ws, Arena& arena, int64_t batch,
     NetExecResult result;
     result.records.reserve(net.opCount());
     if (numerics) {
-        RECSTACK_SPAN("executor.plan_bind", {{"batch", batch}});
+        RECSTACK_SPAN("executor.bind", {{"batch", batch}});
         net.bind(ws, arena, *plan);
     }
     const auto net_start = Clock::now();

@@ -1,8 +1,11 @@
 #include "ops/fused.h"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/thread_pool.h"
+#include "ops/gru.h"
 #include "ops/kernels.h"
 #include "ops/op_costs.h"
 
@@ -132,11 +135,11 @@ FusedFCOp::run(Workspace& ws)
     // Row-blocked exactly like FCOp, running the same fcRows kernel so
     // every output element matches FC over a materialized concat row
     // bit-for-bit on every ISA tier: with one X block the kernel reads
-    // the block directly; with several, each chunk gathers the blocks
-    // into a scratch concat row first (a pure copy — the multiply-add
-    // sequence is untouched), then runs the identical kernel. The
-    // fused activation maps the float accumulator exactly as the
-    // standalone elementwise op would.
+    // the block directly; with several, each chunk gathers up to
+    // kern::kFcRowTile concat rows into scratch (a pure copy — the
+    // multiply-add sequence is untouched) and runs the identical
+    // kernel once per row tile. The fused activation maps the float
+    // accumulator exactly as the standalone elementwise op would.
     const KernelIsa isa = activeKernelIsa();
     const kern::FcAct fc_act = toFcAct(act);
     parallelFor(0, m, grainForCost(static_cast<uint64_t>(n * k)),
@@ -145,16 +148,20 @@ FusedFCOp::run(Workspace& ws)
             kern::fcRows(isa, xs[0], w, b, y, lo, hi, n, k, fc_act);
             return;
         }
-        std::vector<float> xcat(static_cast<size_t>(k));
-        for (int64_t i = lo; i < hi; ++i) {
-            int64_t col = 0;
-            for (size_t s = 0; s < nx; ++s) {
-                kern::rowCopy(isa, xcat.data() + col,
-                              xs[s] + i * ks[s], ks[s]);
-                col += ks[s];
+        const int64_t tile = std::min(kern::kFcRowTile, hi - lo);
+        std::vector<float> xcat(static_cast<size_t>(tile * k));
+        for (int64_t i0 = lo; i0 < hi; i0 += tile) {
+            const int64_t rows = std::min(tile, hi - i0);
+            for (int64_t r = 0; r < rows; ++r) {
+                float* dst = xcat.data() + r * k;
+                for (size_t s = 0; s < nx; ++s) {
+                    kern::rowCopy(isa, dst, xs[s] + (i0 + r) * ks[s],
+                                  ks[s]);
+                    dst += ks[s];
+                }
             }
-            kern::fcRows(isa, xcat.data(), w, b, y + i * n, 0, 1, n, k,
-                         fc_act);
+            kern::fcRows(isa, xcat.data(), w, b, y + i0 * n, 0, rows, n,
+                         k, fc_act);
         }
     });
 }
@@ -286,50 +293,38 @@ GRUStepOp::run(Workspace& ws)
     const float* att = attentional() ? in(ws, 6).data<float>() : nullptr;
     float* y = yt.data<float>();
 
-    // Batch rows are independent; per-chunk gate scratch keeps the
-    // accumulation order of the unfused FC ops: the gate matmuls call
-    // the same canonical dotBias the interpreted window's FCOp runs,
-    // so the result is bit-identical to the unfused chain on every
-    // ISA tier. Every arithmetic step below mirrors one elementwise
+    // Batch rows are independent. gruGateRows runs the gate matmuls
+    // per row tile through fcRows, whose every element is the same
+    // canonical dotBias the interpreted window's FCOp computes, so the
+    // result is bit-identical to the unfused chain on every ISA tier.
+    // Every arithmetic step of the gate lambda mirrors one elementwise
     // op of the unrolled window, in the same order and in fp32.
     const KernelIsa isa = activeKernelIsa();
+    const GruGateWeights gates{wx, bx, wh, bh, in_dim, hidden};
     const uint64_t row_cost =
         static_cast<uint64_t>(6 * hidden * (in_dim + hidden));
     parallelFor(0, batch, grainForCost(row_cost),
                 [=](int64_t lo, int64_t hi) {
-        std::vector<float> gx(static_cast<size_t>(3 * hidden));
-        std::vector<float> gh(static_cast<size_t>(3 * hidden));
-        for (int64_t b = lo; b < hi; ++b) {
-            const float* xrow = seq + (b * steps + t) * in_dim;
-            const float* hrow = h + b * hidden;
-            for (int64_t g = 0; g < 3 * hidden; ++g) {
-                gx[static_cast<size_t>(g)] = kern::dotBias(
-                    isa, bx[g], xrow, wx + g * in_dim, in_dim);
-            }
-            for (int64_t g = 0; g < 3 * hidden; ++g) {
-                gh[static_cast<size_t>(g)] = kern::dotBias(
-                    isa, bh[g], hrow, wh + g * hidden, hidden);
-            }
+        gruGateRows(isa, gates, seq + t * in_dim, steps * in_dim, h, lo,
+                    hi, [&](int64_t b, const float* gx, const float* gh) {
             const float a = att != nullptr ? att[b * steps + t] : 1.0f;
+            const float* hrow = h + b * hidden;
             float* yrow = y + b * hidden;
             for (int64_t j = 0; j < hidden; ++j) {
-                const float r = 1.0f / (1.0f + std::exp(-(
-                    gx[static_cast<size_t>(j)] +
-                    gh[static_cast<size_t>(j)])));
+                const float r =
+                    1.0f / (1.0f + std::exp(-(gx[j] + gh[j])));
                 float z = 1.0f / (1.0f + std::exp(-(
-                    gx[static_cast<size_t>(hidden + j)] +
-                    gh[static_cast<size_t>(hidden + j)])));
+                    gx[hidden + j] + gh[hidden + j])));
                 if (att != nullptr) {
                     z = z * a;
                 }
-                const float n = std::tanh(
-                    gx[static_cast<size_t>(2 * hidden + j)] +
-                    r * gh[static_cast<size_t>(2 * hidden + j)]);
+                const float n = std::tanh(gx[2 * hidden + j] +
+                                          r * gh[2 * hidden + j]);
                 const float zn = z * n;
                 const float zh = z * hrow[j];
                 yrow[j] = (n - zn) + zh;
             }
-        }
+        });
     });
 }
 

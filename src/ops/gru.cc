@@ -90,45 +90,37 @@ GRULayerOp::run(Workspace& ws)
     // step the batch partitions across the pool. Each sample b only
     // reads and writes its own h/hseq rows, and each chunk carries
     // private gate scratch, so any thread count is bit-identical. The
-    // gate matmuls ride the canonical dotBias contract (ops/kernels.h)
-    // so the layer matches a step-unrolled FC chain bit-for-bit on
-    // every tier.
+    // gate matmuls run through gruGateRows on the canonical dotBias
+    // contract (ops/kernels.h); gh takes an all-zero bias, and 0.0f
+    // plus the sum is exactly dotBias(0.0f, ...). So the layer matches
+    // a step-unrolled FC chain bit-for-bit on every tier.
     const KernelIsa isa = activeKernelIsa();
+    const std::vector<float> zero_bias(static_cast<size_t>(3 * hidden),
+                                       0.0f);
+    const GruGateWeights gates{wx, bias, wh, zero_bias.data(), input,
+                               hidden};
     const int64_t step_grain = grainForCost(
         static_cast<uint64_t>(3 * hidden * (input + hidden)));
     float* hbase = h.data();
     for (int64_t t = 0; t < steps; ++t) {
         parallelFor(0, batch, step_grain, [&, t](int64_t lo, int64_t hi) {
-            std::vector<float> gx(static_cast<size_t>(3 * hidden));
-            std::vector<float> gh(static_cast<size_t>(3 * hidden));
-            for (int64_t b = lo; b < hi; ++b) {
-                const float* xrow = x + (t * batch + b) * input;
-                const float* hrow = hbase + b * hidden;
-                for (int64_t g = 0; g < 3 * hidden; ++g) {
-                    gx[static_cast<size_t>(g)] = kern::dotBias(
-                        isa, bias[g], xrow, wx + g * input, input);
-                    gh[static_cast<size_t>(g)] = kern::dotBias(
-                        isa, 0.0f, hrow, wh + g * hidden, hidden);
-                }
+            gruGateRows(isa, gates, x + t * batch * input, input, hbase,
+                        lo, hi,
+                        [&](int64_t b, const float* gx, const float* gh) {
                 float* hout = hbase + b * hidden;
                 float* hseq_row = hseq + (t * batch + b) * hidden;
                 for (int64_t i = 0; i < hidden; ++i) {
-                    const float r =
-                        sigmoidf(gx[static_cast<size_t>(i)] +
-                                 gh[static_cast<size_t>(i)]);
-                    float z =
-                        sigmoidf(gx[static_cast<size_t>(hidden + i)] +
-                                 gh[static_cast<size_t>(hidden + i)]);
+                    const float r = sigmoidf(gx[i] + gh[i]);
+                    float z = sigmoidf(gx[hidden + i] + gh[hidden + i]);
                     if (att) {
                         z *= att[t * batch + b];
                     }
-                    const float n = std::tanh(
-                        gx[static_cast<size_t>(2 * hidden + i)] +
-                        r * gh[static_cast<size_t>(2 * hidden + i)]);
+                    const float n = std::tanh(gx[2 * hidden + i] +
+                                              r * gh[2 * hidden + i]);
                     hout[i] = (1.0f - z) * n + z * hout[i];
                     hseq_row[i] = hout[i];
                 }
-            }
+            });
         });
     }
     for (int64_t i = 0; i < batch * hidden; ++i) {

@@ -35,11 +35,15 @@
  *
  *        r = bias + hsum(acc8); for (c = k&~7; c < k; ++c) r += x[c]*w[c]
  *
- *    Every caller (FCOp, FusedFCOp over a gathered concat row,
- *    GRUStepOp/GRULayerOp gates) uses this same contract, which is
- *    what keeps the compiled/fused path bit-identical to the
- *    interpreted path at any tier (tests/test_plan_equivalence.cc,
- *    tests/test_simd_differential.cc).
+ *    fcRows on avx2 computes 4 x-rows x 3 columns per register tile
+ *    over L2-sized column panels of W, but each output element still
+ *    owns one accumulator running exactly this recipe, so tiles,
+ *    panels and the callers' row tiles only change when an element
+ *    is computed, never its bits. Every caller (FCOp, FusedFCOp over
+ *    gathered concat rows, GRUStepOp/GRULayerOp gates) uses this
+ *    same contract, which is what keeps the compiled/fused path
+ *    bit-identical to the interpreted path at any tier
+ *    (tests/test_plan_equivalence.cc, tests/test_simd_differential.cc).
  */
 
 #include <cstdint>
@@ -64,11 +68,19 @@ float dotBias(KernelIsa isa, float bias, const float* x, const float* w,
  * FC output rows [lo, hi): y[i, j] = act(dotBias(b[j], x_i, w_j, k))
  * for the row-major operands of FCOp (X [M,K], W [N,K], b [N],
  * Y [M,N]). Each y element matches a standalone dotBias call on the
- * same tier bit-for-bit.
+ * same tier bit-for-bit, however the rows are split across calls.
  */
 void fcRows(KernelIsa isa, const float* x, const float* w, const float* b,
             float* y, int64_t lo, int64_t hi, int64_t n, int64_t k,
             FcAct act);
+
+/**
+ * Rows a caller gathers into scratch per fcRows call when its X rows
+ * are not one contiguous matrix (FusedFCOp's concat rows, the GRU
+ * gate inputs): four avx2 register tiles, so one pass over W serves
+ * 16 rows while the scratch stays 16 x K floats.
+ */
+constexpr int64_t kFcRowTile = 16;
 
 /**
  * BatchMatMul flattened output rows [lo, hi) over batch*m rows of

@@ -17,9 +17,10 @@
  *    with the <8 leftover elements added sequentially after the
  *    reduction. Reordering + FMA changes rounding vs scalar
  *    (tolerance applies), but the order is canonical within the
- *    tier: fcRows' 4-wide j-blocking gives each output column its
+ *    tier: fcRows' register tiles (4 x-rows x 3 columns, walked
+ *    over L2-sized column panels of W) give each output element its
  *    own accumulator running this exact recipe, so FCOp, FusedFCOp
- *    (over a gathered concat row) and the GRU gate matmuls all
+ *    (over gathered concat rows) and the GRU gate matmuls all
  *    produce bit-identical values for the same (bias, x, w, k).
  *
  * On builds without AVX2 support every entry point forwards to the
@@ -34,10 +35,21 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+
 namespace recstack {
 namespace kern {
 namespace detail {
 namespace {
+
+/// fcRowsAvx2 register tile: 4 x-rows x 3 columns = 12 accumulators,
+/// plus 3 weight registers and one x register: all 16 ymm registers.
+constexpr int kTileRows = 4;
+constexpr int kTileCols = 3;
+
+/// Bytes of W in one column panel: small enough to stay in L2 while
+/// every row tile of an fcRows call passes over it.
+constexpr int64_t kPanelBytes = 256 * 1024;
 
 /**
  * Fixed pairwise horizontal sum:
@@ -52,6 +64,84 @@ hsum8(__m256 v)
     s = _mm_add_ps(s, _mm_movehl_ps(s, s));      // + lanes 2,3
     s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));  // + lane 1
     return _mm_cvtss_f32(s);
+}
+
+/**
+ * The R x C tile of pre-activation FC outputs at rows i.., columns
+ * j... Every element owns one 8-lane accumulator (c ascending by 8),
+ * then adds bias, hsum8 and the sequential <8 tail exactly as
+ * dotBiasAvx2 does, so the tile shape cannot change a bit. The unroll
+ * pragmas keep the accumulators in registers; without them GCC -O2
+ * spills the array inside the c loop.
+ */
+template <int R, int C>
+inline void
+fcTile(const float* x, const float* w, const float* b, float* y, int64_t i,
+       int64_t j, int64_t n, int64_t k)
+{
+    const int64_t kv = k & ~int64_t{7};
+    const float* xr[R];
+    const float* wr[C];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+        xr[r] = x + (i + r) * k;
+    }
+#pragma GCC unroll 4
+    for (int q = 0; q < C; ++q) {
+        wr[q] = w + (j + q) * k;
+    }
+    __m256 acc[R][C];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (int q = 0; q < C; ++q) {
+            acc[r][q] = _mm256_setzero_ps();
+        }
+    }
+    for (int64_t c = 0; c < kv; c += 8) {
+        __m256 wv[C];
+#pragma GCC unroll 4
+        for (int q = 0; q < C; ++q) {
+            wv[q] = _mm256_loadu_ps(wr[q] + c);
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256 xv = _mm256_loadu_ps(xr[r] + c);
+#pragma GCC unroll 4
+            for (int q = 0; q < C; ++q) {
+                acc[r][q] = _mm256_fmadd_ps(xv, wv[q], acc[r][q]);
+            }
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+        for (int q = 0; q < C; ++q) {
+            float v = b[j + q];
+            if (kv > 0) {
+                v += hsum8(acc[r][q]);
+            }
+            for (int64_t c = kv; c < k; ++c) {
+                v += xr[r][c] * wr[q][c];
+            }
+            y[(i + r) * n + j + q] = v;
+        }
+    }
+}
+
+/** Rows i..i+R-1 against the W columns [j0, j1) of one panel. */
+template <int R>
+inline void
+fcPanelRows(const float* x, const float* w, const float* b, float* y,
+            int64_t i, int64_t j0, int64_t j1, int64_t n, int64_t k)
+{
+    int64_t j = j0;
+    for (; j + kTileCols <= j1; j += kTileCols) {
+        fcTile<R, kTileCols>(x, w, b, y, i, j, n, k);
+    }
+    for (; j < j1; ++j) {
+        fcTile<R, 1>(x, w, b, y, i, j, n, k);
+    }
 }
 
 }  // namespace
@@ -79,55 +169,32 @@ void
 fcRowsAvx2(const float* x, const float* w, const float* b, float* y,
            int64_t lo, int64_t hi, int64_t n, int64_t k, FcAct act)
 {
-    const int64_t kv = k & ~int64_t{7};
-    for (int64_t i = lo; i < hi; ++i) {
-        const float* xrow = x + i * k;
-        float* yrow = y + i * n;
-        int64_t j = 0;
-        // 4 output columns share each x load; every column keeps its
-        // own single accumulator so its value is bit-identical to a
-        // standalone dotBiasAvx2 call (the GRU/FusedFC contract).
-        for (; j + 4 <= n; j += 4) {
-            const float* w0 = w + j * k;
-            const float* w1 = w0 + k;
-            const float* w2 = w1 + k;
-            const float* w3 = w2 + k;
-            __m256 a0 = _mm256_setzero_ps();
-            __m256 a1 = _mm256_setzero_ps();
-            __m256 a2 = _mm256_setzero_ps();
-            __m256 a3 = _mm256_setzero_ps();
-            for (int64_t c = 0; c < kv; c += 8) {
-                const __m256 xv = _mm256_loadu_ps(xrow + c);
-                a0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w0 + c), a0);
-                a1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w1 + c), a1);
-                a2 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w2 + c), a2);
-                a3 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(w3 + c), a3);
-            }
-            float r0 = b[j];
-            float r1 = b[j + 1];
-            float r2 = b[j + 2];
-            float r3 = b[j + 3];
-            if (kv > 0) {
-                r0 += hsum8(a0);
-                r1 += hsum8(a1);
-                r2 += hsum8(a2);
-                r3 += hsum8(a3);
-            }
-            for (int64_t c = kv; c < k; ++c) {
-                const float xc = xrow[c];
-                r0 += xc * w0[c];
-                r1 += xc * w1[c];
-                r2 += xc * w2[c];
-                r3 += xc * w3[c];
-            }
-            yrow[j] = applyFcAct(act, r0);
-            yrow[j + 1] = applyFcAct(act, r1);
-            yrow[j + 2] = applyFcAct(act, r2);
-            yrow[j + 3] = applyFcAct(act, r3);
+    // W column panels of about kPanelBytes, a whole number of tiles
+    // wide; every row tile of [lo, hi) passes a panel while it sits in
+    // L2, instead of each x-row streaming all of W from memory.
+    const int64_t col_bytes =
+        std::max<int64_t>(1, k) * static_cast<int64_t>(sizeof(float));
+    const int64_t panel = std::max<int64_t>(
+        kTileCols, kPanelBytes / col_bytes / kTileCols * kTileCols);
+    for (int64_t j0 = 0; j0 < n; j0 += panel) {
+        const int64_t j1 = std::min(n, j0 + panel);
+        int64_t i = lo;
+        for (; i + kTileRows <= hi; i += kTileRows) {
+            fcPanelRows<kTileRows>(x, w, b, y, i, j0, j1, n, k);
         }
-        for (; j < n; ++j) {
-            yrow[j] =
-                applyFcAct(act, dotBiasAvx2(b[j], xrow, w + j * k, k));
+        for (; i < hi; ++i) {
+            fcPanelRows<1>(x, w, b, y, i, j0, j1, n, k);
+        }
+    }
+    // The activation maps each stored sum exactly as it would map the
+    // register value (a float store is exact), in a pass of its own so
+    // no call sits inside the tiles.
+    if (act != FcAct::kNone) {
+        for (int64_t i = lo; i < hi; ++i) {
+            float* yrow = y + i * n;
+            for (int64_t j = 0; j < n; ++j) {
+                yrow[j] = applyFcAct(act, yrow[j]);
+            }
         }
     }
 }

@@ -4,7 +4,8 @@
  * concurrency, histogram-vs-exact percentile agreement, trace-buffer
  * bounded-drop accounting, Chrome trace export well-formedness
  * (parsed back with a minimal JSON parser), the zero-overhead
- * contract when tracing is disabled, serving-engine histogram
+ * contract when tracing is disabled, one span per executor step of a
+ * traced compiled run, serving-engine histogram
  * consistency with ServingStats, and the end-to-end `recstack obs`
  * acceptance run.
  */
@@ -26,6 +27,9 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
+#include "graph/compiled_net.h"
+#include "graph/executor.h"
+#include "models/model.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
@@ -579,6 +583,43 @@ TEST(ScopedSpan, EnabledSpansRecordNamesArgsAndMonotonicTimes)
     }
     // The outer span opened before the inner one.
     EXPECT_LE(snap.spans[1].startNs, snap.spans[0].startNs);
+    buffer.clear();
+}
+
+TEST(ScopedSpan, CompiledRunEmitsEachExecutorSpanOnce)
+{
+    TraceFlagGuard guard;
+    ModelOptions opts = tinyOptions();
+    opts.tableScale = 0.01;
+    const Model model = buildModel(ModelId::kRM1, opts);
+    auto compiled = CompiledNet::compile(model.net);
+    Workspace ws;
+    Arena arena;
+    model.initParams(ws);
+    BatchGenerator gen(model.workload, /*seed=*/1);
+    gen.materialize(ws, 4);
+    ExecOptions exec;
+    exec.mode = ExecMode::kNumericOnly;
+    exec.numThreads = 1;
+
+    obs::TraceBuffer& buffer = obs::TraceBuffer::global();
+    buffer.clear();
+    obs::setTraceEnabled(true);
+    Executor::run(*compiled, ws, arena, 4, exec);
+    obs::setTraceEnabled(false);
+
+    // Every span but the per-operator ones names one step of the run.
+    std::map<std::string, int> counts;
+    for (const obs::SpanRecord& rec : buffer.snapshot().spans) {
+        const std::string name(rec.name);
+        if (name.rfind("op.", 0) != 0) {
+            ++counts[name];
+        }
+    }
+    const std::map<std::string, int> expected = {
+        {"executor.run", 1}, {"executor.plan_bind", 1},
+        {"executor.bind", 1}};
+    EXPECT_EQ(counts, expected);
     buffer.clear();
 }
 

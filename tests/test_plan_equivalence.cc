@@ -72,18 +72,17 @@ materializeInputs(const Model& model, int64_t batch, Workspace* ws)
     gen.materialize(*ws, batch);
 }
 
-class PlanEquivalence
-    : public ::testing::TestWithParam<std::tuple<ModelId, int64_t>>
+/// 3 and 17 leave partial 4-row register tiles and partial 16-row
+/// FusedFC/GRU gather tiles, also inside width-8 pool chunks.
+const int64_t kBatches[] = {1, 3, 17, 64, 1024};
+
+/**
+ * The compiled path at intra-op widths 1 and 8 against the interpreted
+ * path: every external output memcmp-equal.
+ */
+void
+expectCompiledMatchesInterpreted(const Model& model, int64_t batch)
 {
-};
-
-TEST_P(PlanEquivalence, ExternalOutputsBitIdenticalPlanningOnVsOff)
-{
-    const ModelId id = std::get<0>(GetParam());
-    const int64_t batch = std::get<1>(GetParam());
-
-    const Model model = buildModel(id, testOptions());
-
     // Planning off: the interpreted executor, one owned blob per
     // activation.
     Workspace ref_ws;
@@ -98,6 +97,7 @@ TEST_P(PlanEquivalence, ExternalOutputsBitIdenticalPlanningOnVsOff)
     auto compiled = CompiledNet::compile(model.net);
     ASSERT_TRUE(compiled->planningEnabled());
     for (int threads : {1, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
         Workspace ws;
         Arena arena;
         materializeInputs(model, batch, &ws);
@@ -117,14 +117,25 @@ TEST_P(PlanEquivalence, ExternalOutputsBitIdenticalPlanningOnVsOff)
     }
 }
 
+class PlanEquivalence
+    : public ::testing::TestWithParam<std::tuple<ModelId, int64_t>>
+{
+};
+
+TEST_P(PlanEquivalence, ExternalOutputsBitIdenticalPlanningOnVsOff)
+{
+    const ModelId id = std::get<0>(GetParam());
+    const int64_t batch = std::get<1>(GetParam());
+    expectCompiledMatchesInterpreted(buildModel(id, testOptions()), batch);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModels, PlanEquivalence,
     ::testing::Combine(::testing::Values(ModelId::kNCF, ModelId::kRM1,
                                          ModelId::kRM2, ModelId::kRM3,
                                          ModelId::kWnD, ModelId::kMTWnD,
                                          ModelId::kDIN, ModelId::kDIEN),
-                       ::testing::Values(int64_t{1}, int64_t{64},
-                                         int64_t{1024})),
+                       ::testing::ValuesIn(kBatches)),
     [](const ::testing::TestParamInfo<std::tuple<ModelId, int64_t>>&
            info) {
         std::string name = modelName(std::get<0>(info.param));
@@ -166,26 +177,15 @@ TEST(PlanEquivalenceVariants, EscapeHatchMatchesPlannedNumerics)
     }
 }
 
-/** The fused-GRU DIEN variant also survives the planner. */
+/** The fused-GRU DIEN variant (GRULayerOp) survives the planner too. */
 TEST(PlanEquivalenceVariants, FusedGruDien)
 {
     ModelOptions opts = testOptions();
     opts.dienFusedGru = true;
     const Model model = buildModel(ModelId::kDIEN, opts);
-
-    Workspace ref_ws;
-    materializeInputs(model, 16, &ref_ws);
-    ExecOptions exec_opts;
-    exec_opts.mode = ExecMode::kNumericOnly;
-    Executor::run(model.net, ref_ws, exec_opts);
-
-    auto compiled = CompiledNet::compile(model.net);
-    Workspace ws;
-    Arena arena;
-    materializeInputs(model, 16, &ws);
-    Executor::run(*compiled, ws, arena, 16, exec_opts);
-    for (const std::string& blob : model.net.externalOutputs()) {
-        expectTensorsIdentical(blob, ref_ws.get(blob), ws.get(blob));
+    for (const int64_t batch : kBatches) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        expectCompiledMatchesInterpreted(model, batch);
     }
 }
 

@@ -38,6 +38,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/cpu_features.h"
@@ -495,47 +496,102 @@ TEST(SimdKernelProperties, DotBiasTailLanesWithinBound)
     }
 }
 
+/** The activation fcRows fuses, applied to a dotBias reference. */
+float
+applyAct(kern::FcAct act, float v)
+{
+    switch (act) {
+      case kern::FcAct::kNone:
+        return v;
+      case kern::FcAct::kRelu:
+        return v > 0.0f ? v : 0.0f;
+      case kern::FcAct::kSigmoid:
+        return 1.0f / (1.0f + std::exp(-v));
+      case kern::FcAct::kTanh:
+        return std::tanh(v);
+    }
+    return v;
+}
+
 TEST(SimdKernelProperties, FcRowsMatchesStandaloneDotBiasPerTier)
 {
-    // n = 7 exercises the 4-wide j-block remainder; k = 131 the
-    // 8-wide c remainder. Contract: every fcRows element equals a
-    // standalone dotBias call on the same tier, bit for bit — this is
-    // what keeps FusedFC and the GRU gates equal to unfused FC.
-    constexpr int64_t m = 3;
-    constexpr int64_t n = 7;
-    constexpr int64_t k = 131;
-    Rng rng(11);
-    const std::vector<float> x = randomVec(&rng, m * k);
-    const std::vector<float> w = randomVec(&rng, n * k);
-    const std::vector<float> b = randomVec(&rng, n);
+    // Contract: every fcRows element equals a standalone dotBias call
+    // on the same tier, bit for bit, whichever register tile, column
+    // panel or [lo, hi) split computed it — this is what keeps FusedFC
+    // and the GRU gates equal to unfused FC. m = 1..9 and n = 1..8
+    // hit every partial row and column tile; k = 1 and 7 never reach
+    // the 8-lane loop, 8/9 and 64/65 sit on either side of a lane
+    // block, and n = 100 at k = 1330 spans several L2 column panels.
+    std::vector<std::pair<int64_t, int64_t>> shapes;  // (n, k)
+    for (const int64_t k : {1, 7, 8, 9, 64, 65, 1330}) {
+        for (int64_t n = 1; n <= 8; ++n) {
+            shapes.emplace_back(n, k);
+        }
+    }
+    shapes.emplace_back(100, 1330);
+    const kern::FcAct acts[] = {kern::FcAct::kNone, kern::FcAct::kRelu,
+                                kern::FcAct::kSigmoid,
+                                kern::FcAct::kTanh};
 
     std::vector<KernelIsa> isas = {KernelIsa::kScalar};
     if (kernelIsaSupported(KernelIsa::kAvx2)) {
         isas.push_back(KernelIsa::kAvx2);
     }
+    Rng rng(11);
     for (const KernelIsa isa : isas) {
-        SCOPED_TRACE(kernelIsaName(isa));
-        std::vector<float> y(static_cast<size_t>(m * n));
-        kern::fcRows(isa, x.data(), w.data(), b.data(), y.data(), 0, m,
-                     n, k, kern::FcAct::kNone);
-        for (int64_t i = 0; i < m; ++i) {
-            for (int64_t j = 0; j < n; ++j) {
-                const float ref = kern::dotBias(
-                    isa, b[static_cast<size_t>(j)], x.data() + i * k,
-                    w.data() + j * k, k);
-                const float got = y[static_cast<size_t>(i * n + j)];
-                ASSERT_EQ(std::memcmp(&ref, &got, sizeof(float)), 0)
-                    << "fcRows(" << i << "," << j
-                    << ") != dotBias on tier " << kernelIsaName(isa);
+        for (const auto& [n, k] : shapes) {
+            const std::vector<float> w = randomVec(&rng, n * k);
+            const std::vector<float> b = randomVec(&rng, n);
+            for (int64_t m = 1; m <= 9; ++m) {
+                const std::vector<float> x = randomVec(&rng, m * k);
+                const size_t bytes = static_cast<size_t>(m * n) *
+                                     sizeof(float);
+                for (const kern::FcAct act : acts) {
+                    SCOPED_TRACE(std::string(kernelIsaName(isa)) +
+                                 " m=" + std::to_string(m) +
+                                 " n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k) + " act=" +
+                                 std::to_string(static_cast<int>(act)));
+                    std::vector<float> y(static_cast<size_t>(m * n));
+                    kern::fcRows(isa, x.data(), w.data(), b.data(),
+                                 y.data(), 0, m, n, k, act);
+                    for (int64_t i = 0; i < m; ++i) {
+                        for (int64_t j = 0; j < n; ++j) {
+                            const float ref = applyAct(
+                                act, kern::dotBias(
+                                         isa, b[static_cast<size_t>(j)],
+                                         x.data() + i * k,
+                                         w.data() + j * k, k));
+                            const float got =
+                                y[static_cast<size_t>(i * n + j)];
+                            ASSERT_EQ(std::memcmp(&ref, &got,
+                                                  sizeof(float)),
+                                      0)
+                                << "fcRows(" << i << "," << j
+                                << ") != dotBias";
+                        }
+                    }
+                    // Two calls split at every row, and one call per
+                    // row, reproduce the whole-range call.
+                    for (int64_t split = 1; split < m; ++split) {
+                        std::vector<float> ys(y.size());
+                        kern::fcRows(isa, x.data(), w.data(), b.data(),
+                                     ys.data(), 0, split, n, k, act);
+                        kern::fcRows(isa, x.data(), w.data(), b.data(),
+                                     ys.data(), split, m, n, k, act);
+                        ASSERT_EQ(std::memcmp(ys.data(), y.data(), bytes),
+                                  0)
+                            << "split at row " << split;
+                    }
+                    std::vector<float> ys(y.size());
+                    for (int64_t i = 0; i < m; ++i) {
+                        kern::fcRows(isa, x.data(), w.data(), b.data(),
+                                     ys.data(), i, i + 1, n, k, act);
+                    }
+                    ASSERT_EQ(std::memcmp(ys.data(), y.data(), bytes), 0)
+                        << "one call per row";
+                }
             }
-        }
-        // The fused activation maps the same accumulator.
-        std::vector<float> yr(static_cast<size_t>(m * n));
-        kern::fcRows(isa, x.data(), w.data(), b.data(), yr.data(), 0,
-                     m, n, k, kern::FcAct::kRelu);
-        for (size_t i = 0; i < yr.size(); ++i) {
-            const float expected = y[i] > 0.0f ? y[i] : 0.0f;
-            ASSERT_EQ(std::memcmp(&expected, &yr[i], sizeof(float)), 0);
         }
     }
 }

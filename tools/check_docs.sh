@@ -19,7 +19,11 @@
 #   5. every ctest label the docs tell the reader to run (`ctest -L
 #      foo`, `-L 'a|b'`) is actually assigned to some test in
 #      tests/CMakeLists.txt or tools/CMakeLists.txt, so a doc cannot
-#      recommend a label that selects nothing.
+#      recommend a label that selects nothing;
+#   6. every metric or span name registered in src/ (a quoted
+#      "subsystem.name" passed to a registry counter/gauge/histogram,
+#      RECSTACK_SPAN or obs::ScopedSpan) appears in a table of
+#      docs/observability.md, which promises the full current set.
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -101,6 +105,27 @@ while IFS= read -r label; do
         err "docs tell the reader to run ctest label '${label}', which no test carries"
     fi
 done <<<"$doc_labels"
+
+# -- 6. registered metric and span names are in the obs tables ------
+# Each source file is flattened to one line first, so a name on the
+# line after its call (`.counter(\n "pim.lane_samples")`) still matches.
+obs_rows=$(grep -E '^\|' docs/observability.md)
+registered=$(
+    find src -name '*.cc' -o -name '*.h' | sort | while IFS= read -r f; do
+        tr '\n' ' ' <"$f"
+        echo
+    done | grep -oE '(counter|gauge|histogram|RECSTACK_SPAN|ScopedSpan [a-z_]+)\([[:space:]]*"[a-z_]+\.[a-z_.]+"' |
+        grep -oE '"[^"]+"' | tr -d '"' | sort -u || true
+)
+if [ -z "$registered" ]; then
+    err "found no registered metric or span names in src/; check 6's pattern is stale"
+fi
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qF "\`${name}\`" <<<"$obs_rows"; then
+        err "'${name}' is registered in src/ but missing from the tables in docs/observability.md"
+    fi
+done <<<"$registered"
 
 if [ "$fail" -ne 0 ]; then
     exit 1
