@@ -17,7 +17,7 @@
 
 #include "bench_util.h"
 #include "sched/hill_climb.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 using namespace recstack::bench;
@@ -88,9 +88,9 @@ studyModel(QueryScheduler& sched, ModelId model)
     ModelStudy st;
     st.model = model;
 
-    ServingEngine cpu(&sched, model, kBdw);
-    ServingEngine gpu(&sched, model, kT4);
-    ServingEngine hetero(&sched, model, kBdw);
+    ServingNode cpu(&sched, model, kBdw);
+    ServingNode gpu(&sched, model, kT4);
+    ServingNode hetero(&sched, model, kBdw);
 
     // Per-platform single-server capacities from the characterization
     // grid anchor the rate ladder and the SLA probe.

@@ -8,11 +8,30 @@
  */
 
 #include "bench_util.h"
-#include "sched/serving_sim.h"
-#include "serve/serving_engine.h"
+#include "fleet/fleet_sim.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 using namespace recstack::bench;
+
+/** One analytical server: a 1-node, 1-worker fleet on its clock. */
+static ServingStats
+singleServer(QueryScheduler& sched, ModelId model, size_t platform,
+             const EngineConfig& cfg)
+{
+    fleet::FleetConfig fleet_cfg;
+    fleet_cfg.numNodes = 1;
+    fleet_cfg.policy = fleet::RoutePolicy::kRoundRobin;
+    fleet_cfg.workersPerNode = 1;
+    fleet_cfg.maxBatch = cfg.maxBatch;
+    fleet_cfg.maxWaitSeconds = cfg.maxWaitSeconds;
+    fleet_cfg.simSeconds = cfg.simSeconds;
+    fleet::TrafficConfig traffic;
+    traffic.baseQps = cfg.arrivalQps;
+    traffic.seed = cfg.seed;
+    fleet::FleetSimulator fleet(&sched, model, platform);
+    return fleet.simulate(fleet_cfg, traffic).aggregate;
+}
 
 /**
  * Multi-worker serving engine sweep: saturate an embedding-dominated
@@ -38,19 +57,14 @@ engineSection(QueryScheduler& sched)
     cfg.maxWaitSeconds = 1e-3;
     cfg.simSeconds = 0.25;
 
-    // 1-worker cross-check against the analytical simulator at a
+    // 1-worker cross-check against the analytical single server at a
     // servable load.
-    ServingConfig sim_cfg;
-    sim_cfg.arrivalQps = 0.5 * cap1;
-    sim_cfg.maxBatch = max_batch;
-    sim_cfg.maxWaitSeconds = cfg.maxWaitSeconds;
-    sim_cfg.simSeconds = cfg.simSeconds;
-    ServingSimulator sim(&sched, ModelId::kRM2, kBdw);
-    const ServingStats analytical = sim.simulate(sim_cfg);
-    ServingEngine engine(&sched, ModelId::kRM2, kBdw);
+    ServingNode engine(&sched, ModelId::kRM2, kBdw);
     EngineConfig one = cfg;
     one.numWorkers = 1;
-    one.arrivalQps = sim_cfg.arrivalQps;
+    one.arrivalQps = 0.5 * cap1;
+    const ServingStats analytical =
+        singleServer(sched, ModelId::kRM2, kBdw, one);
     const EngineResult measured = engine.run(one);
 
     TextTable table({"workers", "agg qps", "p95", "mean batch",
@@ -72,13 +86,14 @@ engineSection(QueryScheduler& sched)
     std::printf("%s", table.render().c_str());
 
     checkHeader();
-    const double rel_err =
-        std::abs(measured.aggregate.meanLatency -
-                 analytical.meanLatency) /
-        analytical.meanLatency;
-    check(rel_err < 0.10,
-          "at 1 worker the threaded engine's mean latency agrees with "
-          "the analytical simulator within 10%");
+    check(measured.aggregate.samplesServed ==
+                  analytical.samplesServed &&
+              measured.aggregate.batchesServed ==
+                  analytical.batchesServed &&
+              measured.aggregate.meanLatency == analytical.meanLatency &&
+              measured.aggregate.p99Latency == analytical.p99Latency,
+          "at 1 worker the threaded engine serves exactly the batches "
+          "and latencies of the analytical single server");
     bool monotone = true;
     for (size_t i = 1; i < results.size(); ++i) {
         monotone &= results[i].aggregate.throughputQps >=
@@ -113,16 +128,14 @@ main()
                      "T4 util", "tail winner"});
     std::vector<size_t> winners;
     for (double qps : loads) {
-        ServingConfig cfg;
+        EngineConfig cfg;
         cfg.arrivalQps = qps;
         cfg.maxBatch = 1024;
         cfg.maxWaitSeconds = 1e-3;
         cfg.simSeconds = 0.5;
 
-        ServingSimulator clx(&sched, ModelId::kWnD, kClx);
-        ServingSimulator t4(&sched, ModelId::kWnD, kT4);
-        const ServingStats a = clx.simulate(cfg);
-        const ServingStats b = t4.simulate(cfg);
+        const ServingStats a = singleServer(sched, ModelId::kWnD, kClx, cfg);
+        const ServingStats b = singleServer(sched, ModelId::kWnD, kT4, cfg);
         const bool t4_wins = b.p99Latency < a.p99Latency;
         winners.push_back(t4_wins ? kT4 : kClx);
         table.addRow({TextTable::fmt(qps, 0),

@@ -24,7 +24,7 @@
 #include "common/thread_pool.h"
 #include "graph/executor.h"
 #include "models/model.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -113,7 +113,7 @@ runBench()
         return tiny;
     }());
     QueryScheduler sched(&sweep, {1, 16, 256, 4096});
-    ServingEngine engine(&sched, ModelId::kWnD, bench::kBdw);
+    ServingNode engine(&sched, ModelId::kWnD, bench::kBdw);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 2000;

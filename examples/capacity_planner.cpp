@@ -12,31 +12,36 @@
 #include <cstdio>
 #include <string>
 
+#include "fleet/fleet_sim.h"
 #include "report/table.h"
-#include "sched/serving_sim.h"
 #include "uarch/multicore.h"
 
 using namespace recstack;
 
 namespace {
 
-/** Best single-engine operating point under the SLA, by simulation. */
+/** Best single-engine (1-node, 1-worker fleet) point under the SLA. */
 ServingStats
 bestOperatingPoint(QueryScheduler& sched, ModelId model, size_t platform,
                    double sla, double* chosen_qps)
 {
     // Find the highest per-engine load whose simulated p99 meets the
     // SLA (geometric sweep, then keep the best feasible point).
+    fleet::FleetSimulator engine(&sched, model, platform);
+    fleet::FleetConfig cfg;
+    cfg.numNodes = 1;
+    cfg.policy = fleet::RoutePolicy::kRoundRobin;
+    cfg.workersPerNode = 1;
+    cfg.maxBatch = 2048;
+    cfg.maxWaitSeconds = sla / 4.0;
+    cfg.simSeconds = 0.4;
     ServingStats best{};
     *chosen_qps = 0.0;
     for (double qps = 500; qps <= 4.1e6; qps *= 2.0) {
-        ServingSimulator sim(&sched, model, platform);
-        ServingConfig cfg;
-        cfg.arrivalQps = qps;
-        cfg.maxBatch = 2048;
-        cfg.maxWaitSeconds = sla / 4.0;
-        cfg.simSeconds = 0.4;
-        const ServingStats stats = sim.simulate(cfg);
+        fleet::TrafficConfig traffic;
+        traffic.baseQps = qps;
+        const ServingStats stats =
+            engine.simulate(cfg, traffic).aggregate;
         if (stats.p99Latency <= sla &&
             stats.throughputQps > best.throughputQps) {
             best = stats;

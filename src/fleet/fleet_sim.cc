@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <memory>
 
 #include "common/logging.h"
 #include "models/store_binding.h"
+#include "serve/admission.h"
 #include "serve/batch_queue.h"
 #include "serve/contention.h"
 
@@ -16,16 +16,16 @@ namespace fleet {
 namespace {
 
 /**
- * Analytic twin of one ServingNode: the exact BatchQueue state
- * machine (serve/batch_queue.cc) run sequentially instead of across
- * threads, advanced incrementally so the router can ask for a node's
- * queue depth at any arrival instant.
+ * Analytic twin of one ServingNode: BatchQueue's walk over the shared
+ * admission step (serve/admission.h) run sequentially instead of
+ * across threads, advanced incrementally so the router can ask for a
+ * node's queue depth at any arrival instant.
  *
  * The twin distinguishes what the real queue cannot: during the run
  * only arrivals before the global frontier are *known* (later global
- * arrivals have not been routed yet), so any launch decision that
- * could be changed by a still-unrouted arrival stalls until the
- * frontier passes its decision point. Because arrivals are routed in
+ * arrivals have not been routed yet), so the step stalls any launch
+ * decision a still-unrouted arrival could change until the frontier
+ * passes its decision point. Because arrivals are routed in
  * strictly increasing time order, every stall eventually resolves
  * with exactly the knowledge the real BatchQueue would have had from
  * the full trace — which is what the differential replay test pins
@@ -91,7 +91,7 @@ class VirtualNode
     void advance(double frontier)
     {
         while (true) {
-            const int w = nextWorker();
+            const int w = BatchQueue::nextWorker(readyTime_, active_);
             if (w < 0) {
                 return;  // all workers retired
             }
@@ -113,7 +113,7 @@ class VirtualNode
     /**
      * Fold this node's run into ServingStats with exactly the
      * formulas ServingNode uses (worker-order summation, shared
-     * fillLatencyStats), so the differential replay matches to the
+     * fillServingStats), so the differential replay matches to the
      * last bit. Returns the node-local horizon.
      */
     double finalize(ServingStats* stats,
@@ -133,22 +133,12 @@ class VirtualNode
         stats->samplesArrived = arrived_;
         stats->samplesServed = samplesServed_;
         stats->batchesServed = batchesServed_;
-        stats->meanBatch =
-            batchesServed_ > 0
-                ? static_cast<double>(samplesServed_) /
-                      static_cast<double>(batchesServed_)
-                : 0.0;
-        stats->utilization = std::min(
-            1.0, busy / (static_cast<double>(workers_) * horizon));
-        stats->offeredLoad =
-            busy / (static_cast<double>(workers_) * horizon_);
-        stats->throughputQps =
-            static_cast<double>(samplesServed_) / horizon;
         if (pooled_latencies != nullptr) {
             pooled_latencies->insert(pooled_latencies->end(),
                                      all.begin(), all.end());
         }
-        fillLatencyStats(all, stats);
+        fillServingStats(all, busy, static_cast<double>(workers_),
+                         horizon, horizon_, stats);
         totalBusy_ = busy;
         return horizon;
     }
@@ -157,22 +147,6 @@ class VirtualNode
 
   private:
     enum class Step { kLaunched, kRetired, kStalled };
-
-    /** Active worker with the earliest free time (low id ties). */
-    int nextWorker() const
-    {
-        int best = -1;
-        for (size_t v = 0; v < readyTime_.size(); ++v) {
-            if (!active_[v]) {
-                continue;
-            }
-            if (best < 0 ||
-                readyTime_[v] < readyTime_[static_cast<size_t>(best)]) {
-                best = static_cast<int>(v);
-            }
-        }
-        return best;
-    }
 
     void admitOne()
     {
@@ -186,8 +160,6 @@ class VirtualNode
             admitOne();
         }
     }
-
-    bool exhausted() const { return streamEnded_ && known_.empty(); }
 
     /** One BatchQueue::acquire walk for worker @c w. */
     Step tryAcquire(int w, double frontier)
@@ -206,44 +178,31 @@ class VirtualNode
             t = readyTime_[static_cast<size_t>(w)];
             admitUpTo(t);
         }
-        while (true) {
-            if (static_cast<int64_t>(pending_.size()) >= maxBatch_) {
-                break;  // batch-full
-            }
-            if (exhausted()) {
-                if (pending_.empty()) {
-                    active_[static_cast<size_t>(w)] = false;
-                    return Step::kRetired;
-                }
-                break;  // draining
-            }
-            if (!pending_.empty()) {
-                if (t - pending_.front() >= maxWait_) {
-                    break;  // window-expired at t
-                }
-                const double expiry = pending_.front() + maxWait_;
-                if (!known_.empty() && known_.front() <= expiry) {
-                    t = known_.front();
-                    admitOne();
-                    continue;
-                }
-                // No known arrival inside the window; conclusive only
-                // if no still-unrouted arrival (all >= frontier) can
-                // land inside it either.
-                if (!streamEnded_ && expiry >= frontier) {
-                    return stall(w, t);
-                }
-                t = expiry;
-                break;  // window expires before the next arrival
-            }
-            if (known_.empty()) {
-                return stall(w, t);  // stream active, nothing queued
-            }
-            t = known_.front();
-            admitOne();
+        if (streamEnded_) {
+            frontier = kWholeStreamKnown;
         }
-        launch(w, t);
-        return Step::kLaunched;
+        while (true) {
+            const Admission step = admissionStep(
+                t, static_cast<int64_t>(pending_.size()),
+                pending_.empty() ? 0.0 : pending_.front(),
+                known_.empty() ? std::nullopt
+                               : std::optional(known_.front()),
+                frontier, maxBatch_, maxWait_);
+            t = step.t;
+            switch (step.action) {
+            case AdmitAction::kAdmitNext:
+                admitOne();
+                break;
+            case AdmitAction::kStall:
+                return stall(w, t);
+            case AdmitAction::kRetire:
+                active_[static_cast<size_t>(w)] = false;
+                return Step::kRetired;
+            default:
+                launch(w, t, step.batch);
+                return Step::kLaunched;
+            }
+        }
     }
 
     /** Park the walk so the next tryAcquire resumes at @c t. */
@@ -255,10 +214,8 @@ class VirtualNode
         return Step::kStalled;
     }
 
-    void launch(int w, double t)
+    void launch(int w, double t, int64_t batch)
     {
-        const int64_t batch = std::min<int64_t>(
-            maxBatch_, static_cast<int64_t>(pending_.size()));
         const int busy = BatchQueue::busyAtLaunch(
             readyTime_, active_, static_cast<size_t>(w), t);
         const double base =
@@ -339,28 +296,10 @@ FleetSimulator::simulate(const FleetConfig& config,
     RECSTACK_CHECK(traffic.baseQps > 0.0, "arrival rate must be > 0");
     RECSTACK_CHECK(traffic.numUsers > 0, "need a user population");
 
-    SweepCache* sweep = scheduler_->sweep();
-    const Platform& platform = sweep->platforms()[platformIdx_];
-    const Model& model = sweep->characterizer().model(model_);
-
-    // Prewarm the oracle exactly as ServingNode does, and derive the
-    // identical contention factors every node prices with.
-    for (int64_t b : scheduler_->batchGrid()) {
-        scheduler_->latency(model_, platformIdx_, b);
-    }
-    int64_t ref_batch = scheduler_->batchGrid().front();
-    for (int64_t b : scheduler_->batchGrid()) {
-        if (b <= config.maxBatch) {
-            ref_batch = b;
-        }
-    }
-    std::vector<double> factors(
-        static_cast<size_t>(config.workersPerNode), 1.0);
-    if (config.modelContention) {
-        factors = contentionSlowdowns(
-            sweep->get(model_, platformIdx_, ref_batch), platform,
-            config.workersPerNode);
-    }
+    const Model& model = scheduler_->sweep()->characterizer().model(model_);
+    const std::vector<double> factors = nodeSlowdowns(
+        scheduler_, model_, platformIdx_, config.maxBatch,
+        config.workersPerNode, config.modelContention);
 
     const PlacementView placement(config.placement, config.numNodes,
                                   model.workload);
@@ -419,7 +358,7 @@ FleetSimulator::simulate(const FleetConfig& config,
     // Stream over: drain every node to completion.
     for (auto& node : nodes) {
         node->endStream();
-        node->advance(std::numeric_limits<double>::infinity());
+        node->advance(kWholeStreamKnown);
     }
 
     // Per-node stats + the two tail views: exact (pooled latencies)
@@ -446,21 +385,10 @@ FleetSimulator::simulate(const FleetConfig& config,
         result.aggregate.samplesServed += out.stats.samplesServed;
         result.aggregate.batchesServed += out.stats.batchesServed;
     }
-    result.aggregate.meanBatch =
-        result.aggregate.batchesServed > 0
-            ? static_cast<double>(result.aggregate.samplesServed) /
-                  static_cast<double>(result.aggregate.batchesServed)
-            : 0.0;
     const double capacity = static_cast<double>(M) *
                             static_cast<double>(config.workersPerNode);
-    result.aggregate.utilization =
-        std::min(1.0, total_busy / (capacity * fleet_horizon));
-    result.aggregate.offeredLoad =
-        total_busy / (capacity * config.simSeconds);
-    result.aggregate.throughputQps =
-        static_cast<double>(result.aggregate.samplesServed) /
-        fleet_horizon;
-    fillLatencyStats(pooled, &result.aggregate);
+    fillServingStats(pooled, total_busy, capacity, fleet_horizon,
+                     config.simSeconds, &result.aggregate);
     result.mergedP99 = result.mergedHistogram.percentile(0.99);
     if (result.totalArrivals > 0) {
         const double mean_routed =

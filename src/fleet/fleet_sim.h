@@ -5,9 +5,10 @@
  * @file
  * FleetSimulator: M serving nodes behind a router, one virtual clock.
  *
- * The single-node layers characterize one machine (ServingNode /
- * ServingEngine); production recommendation serving runs fleets. This
- * simulator closes the gap analytically:
+ * The single-node layer characterizes one machine (ServingNode);
+ * production recommendation serving runs fleets. This simulator
+ * closes the gap analytically, and a 1-node, 1-worker round-robin
+ * run is the single-server analytical model:
  *
  *  - Traffic: one global open-loop arrival stream — a Poisson process
  *    at `baseQps`, optionally modulated by a diurnal RateEnvelope
@@ -19,12 +20,13 @@
  *    in arrival order; power-of-two-choices reads the per-node queue
  *    depths at the arrival instant.
  *  - Nodes: each node is an analytic twin of ServingNode's
- *    BatchQueue discipline — same admission rules (batch-full,
- *    window-expired, drain), same strict virtual-time worker order,
- *    same contention-stretched service oracle, same placement
- *    surcharge — advanced incrementally so depth queries at arrival
- *    time are exact. The twin is pinned to the real threaded node by
- *    a differential test: captured per-node traces replayed through
+ *    BatchQueue — the same admission step (serve/admission.h), same
+ *    strict virtual-time worker order, same contention-stretched
+ *    service oracle, same placement surcharge — advanced
+ *    incrementally so depth queries at arrival time are exact. Every
+ *    node drains its whole routed stream, so each arrival is served.
+ *    The twin is pinned to the real threaded node by a differential
+ *    test: captured per-node traces replayed through
  *    ServingNode::runTrace must reproduce the twin's stats
  *    (tests/test_fleet.cc).
  *  - Observability: every completed query records into its node's own
@@ -43,7 +45,8 @@
 #include "fleet/placement.h"
 #include "fleet/router.h"
 #include "obs/metrics.h"
-#include "sched/serving_sim.h"
+#include "sched/query_scheduler.h"
+#include "sched/serving_stats.h"
 #include "workload/rate_envelope.h"
 
 namespace recstack {
@@ -126,7 +129,7 @@ class FleetSimulator
      * @param scheduler    latency oracle over the characterization
      *                     grid (not owned; must outlive the simulator)
      * @param model        served model
-     * @param platform_idx CPU platform in the scheduler's sweep
+     * @param platform_idx any platform in the scheduler's sweep
      */
     FleetSimulator(QueryScheduler* scheduler, ModelId model,
                    size_t platform_idx);

@@ -5,6 +5,7 @@
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "serve/admission.h"
 
 namespace recstack {
 namespace {
@@ -68,20 +69,19 @@ BatchQueue::drawArrival()
     return process_.next();
 }
 
-bool
-BatchQueue::isTurn(int wid) const
+int
+BatchQueue::nextWorker(const std::vector<double>& ready_times,
+                       const std::vector<bool>& active)
 {
-    const size_t w = static_cast<size_t>(wid);
-    for (size_t v = 0; v < readyTime_.size(); ++v) {
-        if (v == w || !active_[v]) {
-            continue;
-        }
-        if (readyTime_[v] < readyTime_[w] ||
-            (readyTime_[v] == readyTime_[w] && v < w)) {
-            return false;
+    int best = -1;
+    for (size_t v = 0; v < ready_times.size(); ++v) {
+        if (active[v] &&
+            (best < 0 ||
+             ready_times[v] < ready_times[static_cast<size_t>(best)])) {
+            best = static_cast<int>(v);
         }
     }
-    return true;
+    return best;
 }
 
 void
@@ -111,51 +111,46 @@ BatchQueue::acquire(int wid, const ServiceFn& service, BatchTicket* ticket,
     std::unique_lock<std::mutex> lock(mu_);
     RECSTACK_CHECK(active_[static_cast<size_t>(wid)],
                    "acquire on a retired worker");
-    cv_.wait(lock, [&] { return isTurn(wid); });
+    cv_.wait(lock, [&] { return nextWorker(readyTime_, active_) == wid; });
 
-    // Walk virtual time forward from this worker's free point until an
-    // admission rule fires. This is the same event sequence the
-    // analytical simulator steps through, so at one worker the two
-    // systems serve identical batches.
+    // Walk virtual time forward from this worker's free point until the
+    // admission step (serve/admission.h) launches a batch or retires
+    // the worker. The stream is fully known, so the walk never stalls.
     QueueMetrics& qm = QueueMetrics::get();
-    double t = readyTime_[static_cast<size_t>(wid)];
-    admitUpTo(t);
-    while (true) {
-        if (static_cast<int64_t>(pending_.size()) >= cfg_.maxBatch) {
-            qm.launchFull.add();
-            break;  // batch-full
-        }
-        if (exhausted_) {
-            if (pending_.empty()) {
-                active_[static_cast<size_t>(wid)] = false;
-                cv_.notify_all();
-                return false;  // drained: worker retires
-            }
-            qm.launchDrain.add();
-            break;  // draining: flush what is queued
-        }
-        if (!pending_.empty()) {
-            if (t - pending_.front() >= cfg_.maxWaitSeconds) {
-                qm.launchWindow.add();
-                break;  // window-expired
-            }
-            const double expiry = pending_.front() + cfg_.maxWaitSeconds;
-            if (nextArrival_ <= expiry) {
-                t = nextArrival_;
-                admitOne();
-            } else {
-                t = expiry;
-                qm.launchWindow.add();
-                break;  // window expires before the next arrival
-            }
-        } else {
-            t = nextArrival_;
-            admitOne();
-        }
+    const auto step_at = [&](double now) {
+        return admissionStep(
+            now, static_cast<int64_t>(pending_.size()),
+            pending_.empty() ? 0.0 : pending_.front(),
+            exhausted_ ? std::nullopt : std::optional(nextArrival_),
+            kWholeStreamKnown, cfg_.maxBatch, cfg_.maxWaitSeconds);
+    };
+    const double ready = readyTime_[static_cast<size_t>(wid)];
+    admitUpTo(ready);
+    Admission step = step_at(ready);
+    while (step.action == AdmitAction::kAdmitNext) {
+        admitOne();
+        step = step_at(step.t);
     }
+    switch (step.action) {
+    case AdmitAction::kRetire:
+        active_[static_cast<size_t>(wid)] = false;
+        cv_.notify_all();
+        return false;
+    case AdmitAction::kLaunchFull:
+        qm.launchFull.add();
+        break;
+    case AdmitAction::kLaunchWindow:
+        qm.launchWindow.add();
+        break;
+    case AdmitAction::kLaunchDrain:
+        qm.launchDrain.add();
+        break;
+    default:
+        RECSTACK_PANIC("a fully known stream cannot stall");
+    }
+    const double t = step.t;
 
-    const int64_t batch = std::min<int64_t>(
-        cfg_.maxBatch, static_cast<int64_t>(pending_.size()));
+    const int64_t batch = step.batch;
     ticket->seq = seq_++;
     ticket->launchTime = t;
     ticket->arrivals.clear();

@@ -3,23 +3,18 @@
 
 /**
  * @file
- * BatchQueue: the concurrent admission front of the multi-worker
- * serving engine.
+ * BatchQueue: the concurrent admission front of ServingNode.
  *
- * Queries arrive on an open-loop Poisson clock (PoissonProcess, the
- * same stream the analytical ServingSimulator replays) and pool in a
- * shared pending queue. A batch is released to a worker when
+ * Queries arrive on an open-loop Poisson clock (PoissonProcess), or
+ * as an explicit arrival trace, and pool in a shared pending queue.
+ * A free worker walks virtual time forward over the admission step of
+ * serve/admission.h (batch-full, window-expired or drain) until it
+ * launches a batch or retires. The queue adds only the effects: the
+ * lock, the per-worker virtual clocks, the queue.* counters, and the
+ * ticket handed to the worker.
  *
- *   - the pending queue holds maxBatch samples (batch-full),
- *   - the oldest pending sample has waited maxWaitSeconds
- *     (window-expired), or
- *   - the arrival stream has ended and samples are still pending
- *     (draining),
- *
- * mirroring ServingConfig's dynamic-batching admission exactly.
- *
- * Time is virtual: a worker's service time is priced by the engine's
- * latency oracle, not wall clock, so the engine is a *measured*
+ * Time is virtual: a worker's service time is priced by the node's
+ * latency oracle, not wall clock, so the node is a *measured*
  * discrete-event system executed by real threads. To keep results
  * independent of OS thread interleaving, the queue hands out batches
  * in strict virtual-time order: only the worker with the earliest
@@ -96,6 +91,14 @@ class BatchQueue
                  double* completion, int* busy_at_launch);
 
     /**
+     * Whose turn it is: the active worker with the earliest virtual
+     * free time, lowest id on ties; -1 once every worker has retired.
+     * Static so the fleet twin follows the same order.
+     */
+    static int nextWorker(const std::vector<double>& ready_times,
+                          const std::vector<bool>& active);
+
+    /**
      * Occupancy at a batch launch: the caller plus every other active
      * worker whose current batch is still in virtual service at time
      * @c t.
@@ -123,7 +126,6 @@ class BatchQueue
     uint64_t samplesArrived() const;
 
   private:
-    bool isTurn(int wid) const;
     void admitUpTo(double t);
     void admitOne();
     double drawArrival();

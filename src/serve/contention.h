@@ -19,15 +19,16 @@
 #include <vector>
 
 #include "core/characterizer.h"
+#include "sched/query_scheduler.h"
 
 namespace recstack {
 
 /**
  * Per-occupancy service-time inflation factors, index k-1 for k busy
  * workers. Factors are normalized so one busy worker is exactly 1.0
- * (the engine must agree with the single-server simulator when run
- * with one worker). GPU platforms return all-ones: co-located workers
- * there model independent devices, not a shared socket.
+ * (a one-worker node prices service at exactly the grid latency). GPU
+ * platforms return all-ones: co-located workers there model
+ * independent devices, not a shared socket.
  *
  * @param single      characterization of one engine running alone at
  *                    a representative (typically max-batch) operating
@@ -38,6 +39,17 @@ namespace recstack {
 std::vector<double> contentionSlowdowns(const RunResult& single,
                                         const Platform& platform,
                                         int num_workers);
+
+/**
+ * A serving node's factors: prewarms @c scheduler's latency grid for
+ * (model, platform), then prices contentionSlowdowns at the largest
+ * grid batch within @c max_batch, or returns all ones when
+ * @c model_contention is off. ServingNode and the fleet's node twin
+ * both call this, so they price service identically.
+ */
+std::vector<double> nodeSlowdowns(QueryScheduler* scheduler, ModelId model,
+                                  size_t platform_idx, int64_t max_batch,
+                                  int num_workers, bool model_contention);
 
 }  // namespace recstack
 

@@ -69,6 +69,74 @@ struct WorkerLocal {
     uint64_t pimDeferredTickets = 0;
 };
 
+/** An accelerator lane and what a hand-off to it costs a worker. */
+struct Lane {
+    std::unique_ptr<GpuLane> lane;
+    double handoffSeconds = 0.0;
+};
+
+/**
+ * Build the lane of kind @c kind (kGpu or kPim) at @c platform_idx
+ * and prewarm its grid before threads exist, mirroring the CPU
+ * prewarm. The lane prices batches through QueryScheduler::latency,
+ * which dispatches on the platform kind, so only the platform and the
+ * hand-off cost differ between the two lanes.
+ */
+Lane
+makeLane(QueryScheduler* scheduler, ModelId model, size_t platform_idx,
+         PlatformKind kind, const GpuLaneConfig& cfg, const char* name)
+{
+    const std::vector<Platform>& platforms =
+        scheduler->sweep()->platforms();
+    RECSTACK_CHECK(platform_idx < platforms.size(),
+                   name << " platform index out of range");
+    const Platform& platform = platforms[platform_idx];
+    RECSTACK_CHECK(platform.kind == kind,
+                   name << " lane needs a "
+                        << (kind == PlatformKind::kGpu ? "GPU" : "kPim")
+                        << " platform");
+    for (int64_t b : scheduler->batchGrid()) {
+        scheduler->latency(model, platform_idx, b);
+    }
+    const double dispatch = kind == PlatformKind::kGpu
+                                ? platform.gpu.hostDispatchSec
+                                : platform.pim.hostDispatchSec;
+    // A deferred batch costs the worker only the hand-off staging;
+    // BatchQueue requires a strictly positive service time.
+    return {std::make_unique<GpuLane>(scheduler, model, platform_idx, cfg),
+            std::max(1e-9, dispatch)};
+}
+
+/**
+ * Stream over: flush the lane and fold its served queries into the
+ * obs surface the workers feed (the hill-climbing tuner reads the p99
+ * of this histogram, so both lanes tune against the same SLA).
+ */
+void
+drainLane(GpuLane& lane)
+{
+    lane.drain();
+    queriesCounter().add(lane.samplesServed());
+    obs::LatencyHistogram& lat_hist = queryLatencyHistogram();
+    for (double lat : lane.latencies()) {
+        lat_hist.record(lat);
+    }
+}
+
+/** A drained lane's own serving view over the node's horizon. */
+ServingStats
+laneStats(const GpuLane& lane, double horizon, double sim_seconds)
+{
+    ServingStats s;
+    s.samplesArrived = lane.samplesServed();
+    s.samplesServed = lane.samplesServed();
+    s.batchesServed = lane.batchesServed();
+    std::vector<double> latencies = lane.latencies();
+    fillServingStats(latencies, lane.busySeconds(), 1.0, horizon,
+                     sim_seconds, &s);
+    return s;
+}
+
 }  // namespace
 
 ServingNode::ServingNode(QueryScheduler* scheduler, ModelId model,
@@ -119,7 +187,6 @@ ServingNode::runImpl(const EngineConfig& config,
                    {"max_batch", config.maxBatch}});
 
     SweepCache* sweep = scheduler_->sweep();
-    const Platform& platform = sweep->platforms()[platformIdx_];
 
     // Warm every shared lazily-built structure before threads exist:
     // the built model, its compiled form, the characterization grid
@@ -137,65 +204,24 @@ ServingNode::runImpl(const EngineConfig& config,
         }
     }
     CompiledNet& compiled = *compiled_;
-    for (int64_t b : scheduler_->batchGrid()) {
-        scheduler_->latency(model_, platformIdx_, b);
-    }
-    int64_t ref_batch = scheduler_->batchGrid().front();
-    for (int64_t b : scheduler_->batchGrid()) {
-        if (b <= config.maxBatch) {
-            ref_batch = b;  // largest grid knot within the batch cap
-        }
-    }
-    std::vector<double> factors(static_cast<size_t>(config.numWorkers),
-                                1.0);
-    if (config.modelContention) {
-        factors = contentionSlowdowns(
-            sweep->get(model_, platformIdx_, ref_batch), platform,
-            config.numWorkers);
-    }
+    const std::vector<double> factors =
+        nodeSlowdowns(scheduler_, model_, platformIdx_, config.maxBatch,
+                      config.numWorkers, config.modelContention);
 
-    // Heterogeneous split (docs/scheduling.md): build the accelerator
-    // lane and prewarm the GPU platform's grid before threads exist,
-    // mirroring the CPU prewarm above. The lane is only touched under
-    // the queue lock (inside the ServiceFn) and after join (drain), so
-    // it is single-threaded by construction.
-    std::unique_ptr<GpuLane> lane;
-    double handoff_seconds = 0.0;
+    // Accelerator lanes: the heterogeneous GPU split
+    // (docs/scheduling.md) and the near-memory lane (docs/pim.md). A
+    // lane is only touched under the queue lock (inside the
+    // ServiceFn) and after join (drain), so it is single-threaded by
+    // construction.
+    Lane gpu;
     if (config.heterogeneous) {
-        RECSTACK_CHECK(config.gpuPlatformIdx < sweep->platforms().size(),
-                       "GPU platform index out of range");
-        const Platform& gpu = sweep->platforms()[config.gpuPlatformIdx];
-        RECSTACK_CHECK(gpu.kind == PlatformKind::kGpu,
-                       "heterogeneous serving needs a GPU platform");
-        for (int64_t b : scheduler_->batchGrid()) {
-            scheduler_->latency(model_, config.gpuPlatformIdx, b);
-        }
-        lane = std::make_unique<GpuLane>(
-            scheduler_, model_, config.gpuPlatformIdx, config.gpuLane);
-        // A deferred batch costs the worker only the hand-off staging;
-        // BatchQueue requires a strictly positive service time.
-        handoff_seconds = std::max(1e-9, gpu.gpu.hostDispatchSec);
+        gpu = makeLane(scheduler_, model_, config.gpuPlatformIdx,
+                       PlatformKind::kGpu, config.gpuLane, "GPU");
     }
-
-    // Near-memory lane (docs/pim.md): a second accumulation lane of
-    // the same GpuLane machinery — the lane prices batches through
-    // QueryScheduler::latency, which dispatches on the platform kind,
-    // so the only PIM-specific parts are the platform index and the
-    // hand-off cost. Built and prewarmed exactly like the GPU lane.
-    std::unique_ptr<GpuLane> pim_lane;
-    double pim_handoff_seconds = 0.0;
+    Lane pim;
     if (config.pimLaneEnabled) {
-        RECSTACK_CHECK(config.pimPlatformIdx < sweep->platforms().size(),
-                       "PIM platform index out of range");
-        const Platform& pim = sweep->platforms()[config.pimPlatformIdx];
-        RECSTACK_CHECK(pim.kind == PlatformKind::kPim,
-                       "PIM lane needs a kPim platform");
-        for (int64_t b : scheduler_->batchGrid()) {
-            scheduler_->latency(model_, config.pimPlatformIdx, b);
-        }
-        pim_lane = std::make_unique<GpuLane>(
-            scheduler_, model_, config.pimPlatformIdx, config.pimLane);
-        pim_handoff_seconds = std::max(1e-9, pim.pim.hostDispatchSec);
+        pim = makeLane(scheduler_, model_, config.pimPlatformIdx,
+                       PlatformKind::kPim, config.pimLane, "PIM");
     }
 
     // One parameter store for the whole node run: workers bind
@@ -256,19 +282,19 @@ ServingNode::runImpl(const EngineConfig& config,
             bool deferred_to_pim = false;
             const BatchQueue::ServiceFn service =
                 [&](const BatchTicket& ticket, int busy) {
-                    if (lane != nullptr &&
+                    if (gpu.lane != nullptr &&
                         scheduler_->routesToGpu(model_, ticket.size())) {
-                        lane->submit(ticket, ticket.launchTime);
+                        gpu.lane->submit(ticket, ticket.launchTime);
                         deferred = true;
                         deferred_to_pim = false;
-                        return handoff_seconds;
+                        return gpu.handoffSeconds;
                     }
-                    if (pim_lane != nullptr &&
+                    if (pim.lane != nullptr &&
                         scheduler_->routesToPim(model_, ticket.size())) {
-                        pim_lane->submit(ticket, ticket.launchTime);
+                        pim.lane->submit(ticket, ticket.launchTime);
                         deferred = true;
                         deferred_to_pim = true;
-                        return pim_handoff_seconds;
+                        return pim.handoffSeconds;
                     }
                     deferred = false;
                     const double base = scheduler_->latency(
@@ -344,43 +370,21 @@ ServingNode::runImpl(const EngineConfig& config,
         t.join();
     }
 
-    if (lane != nullptr) {
-        // Stream over: flush the lane and fold its served queries into
-        // the same obs surface the workers feed (the hill-climbing
-        // tuner reads the p99 of this histogram).
-        lane->drain();
-        obs::LatencyHistogram& lat_hist = queryLatencyHistogram();
-        obs::Counter& queries = queriesCounter();
-        queries.add(lane->samplesServed());
-        for (double lat : lane->latencies()) {
-            lat_hist.record(lat);
-        }
-    }
-    if (pim_lane != nullptr) {
-        // Same flush for the PIM lane: its tail feeds the one
-        // histogram the hill-climbing tuner reads, so the PIM
-        // threshold tunes against the same p99 SLA as the GPU split.
-        pim_lane->drain();
-        obs::LatencyHistogram& lat_hist = queryLatencyHistogram();
-        obs::Counter& queries = queriesCounter();
-        queries.add(pim_lane->samplesServed());
-        for (double lat : pim_lane->latencies()) {
-            lat_hist.record(lat);
-        }
-        obs::MetricsRegistry::global()
-            .counter("pim.lane_samples")
-            .add(pim_lane->samplesServed());
-    }
-
     double horizon = config.simSeconds;
     for (const WorkerLocal& local : locals) {
         horizon = std::max(horizon, local.lastCompletion);
     }
-    if (lane != nullptr) {
-        horizon = std::max(horizon, lane->lastCompletion());
+    const Lane* lanes[] = {&gpu, &pim};
+    for (const Lane* l : lanes) {
+        if (l->lane != nullptr) {
+            drainLane(*l->lane);
+            horizon = std::max(horizon, l->lane->lastCompletion());
+        }
     }
-    if (pim_lane != nullptr) {
-        horizon = std::max(horizon, pim_lane->lastCompletion());
+    if (pim.lane != nullptr) {
+        obs::MetricsRegistry::global()
+            .counter("pim.lane_samples")
+            .add(pim.lane->samplesServed());
     }
 
     EngineResult result;
@@ -393,20 +397,11 @@ ServingNode::runImpl(const EngineConfig& config,
         ws_stats.samplesArrived = local.samplesServed;
         ws_stats.samplesServed = local.samplesServed;
         ws_stats.batchesServed = local.batchesServed;
-        ws_stats.meanBatch =
-            local.batchesServed > 0
-                ? static_cast<double>(local.samplesServed) /
-                      static_cast<double>(local.batchesServed)
-                : 0.0;
-        ws_stats.utilization =
-            std::min(1.0, local.busySeconds / horizon);
-        ws_stats.offeredLoad = local.busySeconds / config.simSeconds;
-        ws_stats.throughputQps =
-            static_cast<double>(local.samplesServed) / horizon;
         all_latencies.insert(all_latencies.end(),
                              local.latencies.begin(),
                              local.latencies.end());
-        fillLatencyStats(local.latencies, &ws_stats);
+        fillServingStats(local.latencies, local.busySeconds, 1.0, horizon,
+                         config.simSeconds, &ws_stats);
 
         result.aggregate.samplesServed += local.samplesServed;
         result.aggregate.batchesServed += local.batchesServed;
@@ -417,79 +412,37 @@ ServingNode::runImpl(const EngineConfig& config,
         result.pimDeferredTickets += local.pimDeferredTickets;
     }
 
-    if (lane != nullptr) {
+    if (gpu.lane != nullptr) {
         result.heterogeneous = true;
         result.gpuThreshold = scheduler_->gpuThreshold(model_);
-        ServingStats& g = result.gpuLaneStats;
-        g.samplesArrived = lane->samplesServed();
-        g.samplesServed = lane->samplesServed();
-        g.batchesServed = lane->batchesServed();
-        g.meanBatch =
-            g.batchesServed > 0
-                ? static_cast<double>(g.samplesServed) /
-                      static_cast<double>(g.batchesServed)
-                : 0.0;
-        g.utilization = std::min(1.0, lane->busySeconds() / horizon);
-        g.offeredLoad = lane->busySeconds() / config.simSeconds;
-        g.throughputQps =
-            static_cast<double>(g.samplesServed) / horizon;
-        std::vector<double> lane_latencies = lane->latencies();
-        all_latencies.insert(all_latencies.end(),
-                             lane_latencies.begin(),
-                             lane_latencies.end());
-        fillLatencyStats(lane_latencies, &g);
-
-        // The aggregate spans both sides of the split; utilization /
-        // offeredLoad below divide by numWorkers + 1 servers.
-        result.aggregate.samplesServed += g.samplesServed;
-        result.aggregate.batchesServed += g.batchesServed;
-        total_busy += lane->busySeconds();
+        result.gpuLaneStats =
+            laneStats(*gpu.lane, horizon, config.simSeconds);
     }
-
-    if (pim_lane != nullptr) {
+    if (pim.lane != nullptr) {
         result.pimEnabled = true;
         result.pimThreshold = scheduler_->pimThreshold(model_);
-        ServingStats& p = result.pimLaneStats;
-        p.samplesArrived = pim_lane->samplesServed();
-        p.samplesServed = pim_lane->samplesServed();
-        p.batchesServed = pim_lane->batchesServed();
-        p.meanBatch =
-            p.batchesServed > 0
-                ? static_cast<double>(p.samplesServed) /
-                      static_cast<double>(p.batchesServed)
-                : 0.0;
-        p.utilization =
-            std::min(1.0, pim_lane->busySeconds() / horizon);
-        p.offeredLoad = pim_lane->busySeconds() / config.simSeconds;
-        p.throughputQps =
-            static_cast<double>(p.samplesServed) / horizon;
-        std::vector<double> pim_latencies = pim_lane->latencies();
-        all_latencies.insert(all_latencies.end(),
-                             pim_latencies.begin(),
-                             pim_latencies.end());
-        fillLatencyStats(pim_latencies, &p);
-
-        result.aggregate.samplesServed += p.samplesServed;
-        result.aggregate.batchesServed += p.batchesServed;
-        total_busy += pim_lane->busySeconds();
+        result.pimLaneStats =
+            laneStats(*pim.lane, horizon, config.simSeconds);
+    }
+    // The aggregate spans every server: utilization / offeredLoad
+    // below divide by numWorkers plus one per lane.
+    for (const Lane* l : lanes) {
+        if (l->lane != nullptr) {
+            const std::vector<double>& lats = l->lane->latencies();
+            all_latencies.insert(all_latencies.end(), lats.begin(),
+                                 lats.end());
+            result.aggregate.samplesServed += l->lane->samplesServed();
+            result.aggregate.batchesServed += l->lane->batchesServed();
+            total_busy += l->lane->busySeconds();
+        }
     }
 
     result.aggregate.samplesArrived = queue.samplesArrived();
-    result.aggregate.meanBatch =
-        result.aggregate.batchesServed > 0
-            ? static_cast<double>(result.aggregate.samplesServed) /
-                  static_cast<double>(result.aggregate.batchesServed)
-            : 0.0;
     const double capacity = static_cast<double>(config.numWorkers) +
-                            (lane != nullptr ? 1.0 : 0.0) +
-                            (pim_lane != nullptr ? 1.0 : 0.0);
-    result.aggregate.utilization =
-        std::min(1.0, total_busy / (capacity * horizon));
-    result.aggregate.offeredLoad =
-        total_busy / (capacity * config.simSeconds);
-    result.aggregate.throughputQps =
-        static_cast<double>(result.aggregate.samplesServed) / horizon;
-    fillLatencyStats(all_latencies, &result.aggregate);
+                            (gpu.lane != nullptr ? 1.0 : 0.0) +
+                            (pim.lane != nullptr ? 1.0 : 0.0);
+    fillServingStats(all_latencies, total_busy, capacity, horizon,
+                     config.simSeconds, &result.aggregate);
 
     result.intraOpThreads =
         config.numThreads > 0 ? config.numThreads : intraOpThreads();

@@ -3,28 +3,32 @@
 
 /**
  * @file
- * ServingNode: one inference machine, the unit of fleet composition.
+ * ServingNode: one inference machine, the multi-worker serving engine.
  *
- * A node owns everything one machine contributes to a serving fleet:
- * a pool of worker threads, the dynamic-batching BatchQueue in front
- * of them, an optional heterogeneous GPU lane, and (in real-numerics
- * modes) a shared placement-aware view of the embedding parameter
- * store. ServingEngine (serve/serving_engine.h) is now a thin wrapper
- * that runs a single node against its own Poisson arrival stream —
- * the historical single-machine experiment — while the fleet
- * simulator (src/fleet/) composes M nodes behind a router and drives
- * each with the routed sub-stream via runTrace().
+ * DeepRecSys splits at-scale recommendation serving into a query
+ * scheduler and a pool of inference engines; a node reproduces that
+ * split on real threads. N workers each own a Workspace and a
+ * BatchGenerator, pull dynamic batches from a shared BatchQueue
+ * (Poisson arrivals, the admission rule of serve/admission.h) and
+ * genuinely drive Executor::run on the served model's net for every
+ * batch. Optional GPU and PIM lanes take the batches at or above the
+ * scheduler's per-model thresholds, and in real-numerics modes the
+ * workers share one embedding parameter store.
  *
- * Behavior is the multi-worker engine's, unchanged (see the original
- * file comment there): latency accounting is virtual (the
- * QueryScheduler's characterization-grid oracle stretched by the
- * socket co-location model), execution per batch is real
- * (Executor::run on the served net), and stats are a deterministic
- * function of the config. A node additionally prices *placement*: in
- * a fleet whose embedding rows are range-partitioned across nodes,
- * lookups for rows this node does not hold pay a remote-fetch
- * surcharge (EngineConfig::remoteSecondsPerSample), folded into each
- * CPU-serviced batch's virtual service time.
+ * run() serves the node's own Poisson stream; runTrace() serves an
+ * explicit arrival trace, the sub-stream a fleet router assigned to
+ * this node. The fleet simulator (fleet/fleet_sim.h) composes M
+ * analytic twins of a node behind a router, and a 1-node, 1-worker
+ * fleet is the single-server analytical model.
+ *
+ * Latency accounting is virtual: each batch's service time comes from
+ * the QueryScheduler's characterization-grid oracle, stretched by the
+ * socket co-location model (serve/contention.h) according to how many
+ * workers are busy at launch, plus a per-sample placement surcharge
+ * for embedding rows held by peer nodes
+ * (EngineConfig::remoteSecondsPerSample). The queue releases batches
+ * in virtual-time order, so every stat is a pure function of the
+ * config, never of OS thread interleaving.
  */
 
 #include <cstdint>
@@ -33,13 +37,14 @@
 #include <vector>
 
 #include "graph/executor.h"
-#include "sched/serving_sim.h"
+#include "sched/query_scheduler.h"
+#include "sched/serving_stats.h"
 #include "serve/gpu_lane.h"
 #include "store/embedding_store.h"
 
 namespace recstack {
 
-/** One serving run on a node (or on the single-node engine). */
+/** One serving run on a node. */
 struct EngineConfig {
     int numWorkers = 1;            ///< inference worker threads
     double arrivalQps = 1000.0;    ///< mean sample arrival rate
@@ -116,7 +121,7 @@ struct EngineConfig {
     double remoteSecondsPerSample = 0.0;
 };
 
-/** Result of one node (or engine) run. */
+/** Result of one node run. */
 struct EngineResult {
     ServingStats aggregate;
     std::vector<ServingStats> perWorker;
@@ -195,7 +200,7 @@ class ServingNode
     ServingNode(QueryScheduler* scheduler, ModelId model,
                 size_t platform_idx);
 
-    /** Serve a self-generated Poisson stream (the engine's classic run). */
+    /** Serve a self-generated Poisson stream. */
     EngineResult run(const EngineConfig& config);
 
     /**

@@ -17,7 +17,6 @@
 #include "fleet/fleet_sim.h"
 #include "fleet/placement.h"
 #include "fleet/router.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 
 namespace recstack {
@@ -314,42 +313,47 @@ TEST_F(FleetSimTest, SingleNodeRoundRobinMatchesServingEngineExactly)
     // The fleet's constant-envelope arrival clock is bit-identical to
     // the PoissonProcess the single-node engine draws from, and a
     // 1-node fleet routes everything to node 0 — so the analytic twin
-    // must reproduce ServingEngine::run to the last bit.
+    // must reproduce ServingNode::run to the last bit, with one worker
+    // (the single-server model) as with several.
     const double kQps = 6000;
-    FleetConfig fcfg = fleetConfig(1, RoutePolicy::kRoundRobin);
-    TrafficConfig traffic = trafficConfig(kQps);
+    for (int workers : {1, 2}) {
+        SCOPED_TRACE(workers);
+        FleetConfig fcfg = fleetConfig(1, RoutePolicy::kRoundRobin);
+        fcfg.workersPerNode = workers;
+        TrafficConfig traffic = trafficConfig(kQps);
 
-    FleetSimulator fleet(&sched_, ModelId::kRM1, 0);
-    const FleetResult fleet_result = fleet.simulate(fcfg, traffic);
+        FleetSimulator fleet(&sched_, ModelId::kRM1, 0);
+        const FleetResult fleet_result = fleet.simulate(fcfg, traffic);
 
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
-    EngineConfig ecfg;
-    ecfg.numWorkers = fcfg.workersPerNode;
-    ecfg.arrivalQps = kQps;
-    ecfg.maxBatch = fcfg.maxBatch;
-    ecfg.maxWaitSeconds = fcfg.maxWaitSeconds;
-    ecfg.simSeconds = fcfg.simSeconds;
-    ecfg.seed = traffic.seed;
-    const EngineResult engine_result = engine.run(ecfg);
+        ServingNode engine(&sched_, ModelId::kRM1, 0);
+        EngineConfig ecfg;
+        ecfg.numWorkers = fcfg.workersPerNode;
+        ecfg.arrivalQps = kQps;
+        ecfg.maxBatch = fcfg.maxBatch;
+        ecfg.maxWaitSeconds = fcfg.maxWaitSeconds;
+        ecfg.simSeconds = fcfg.simSeconds;
+        ecfg.seed = traffic.seed;
+        const EngineResult engine_result = engine.run(ecfg);
 
-    EXPECT_EQ(fleet_result.aggregate.samplesArrived,
-              engine_result.aggregate.samplesArrived);
-    EXPECT_EQ(fleet_result.aggregate.samplesServed,
-              engine_result.aggregate.samplesServed);
-    EXPECT_EQ(fleet_result.aggregate.batchesServed,
-              engine_result.aggregate.batchesServed);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.meanLatency,
-                     engine_result.aggregate.meanLatency);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.p50Latency,
-                     engine_result.aggregate.p50Latency);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.p95Latency,
-                     engine_result.aggregate.p95Latency);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.p99Latency,
-                     engine_result.aggregate.p99Latency);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.utilization,
-                     engine_result.aggregate.utilization);
-    EXPECT_DOUBLE_EQ(fleet_result.aggregate.throughputQps,
-                     engine_result.aggregate.throughputQps);
+        EXPECT_EQ(fleet_result.aggregate.samplesArrived,
+                  engine_result.aggregate.samplesArrived);
+        EXPECT_EQ(fleet_result.aggregate.samplesServed,
+                  engine_result.aggregate.samplesServed);
+        EXPECT_EQ(fleet_result.aggregate.batchesServed,
+                  engine_result.aggregate.batchesServed);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.meanLatency,
+                         engine_result.aggregate.meanLatency);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.p50Latency,
+                         engine_result.aggregate.p50Latency);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.p95Latency,
+                         engine_result.aggregate.p95Latency);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.p99Latency,
+                         engine_result.aggregate.p99Latency);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.utilization,
+                         engine_result.aggregate.utilization);
+        EXPECT_DOUBLE_EQ(fleet_result.aggregate.throughputQps,
+                         engine_result.aggregate.throughputQps);
+    }
 }
 
 TEST_F(FleetSimTest, CapturedTracesReplayExactlyThroughServingNode)
@@ -477,6 +481,160 @@ TEST_F(FleetSimTest, DiurnalEnvelopeThinsTraffic)
     EXPECT_EQ(again.totalArrivals, modulated.totalArrivals);
     EXPECT_DOUBLE_EQ(again.aggregate.p99Latency,
                      modulated.aggregate.p99Latency);
+}
+
+// ---------------------------------------------------------------------------
+// Single-server serving: a 1-node, 1-worker round-robin fleet
+// ---------------------------------------------------------------------------
+
+class ServingTest : public FleetSimTest
+{
+  protected:
+    ServingStats run(ModelId model, size_t platform, double qps,
+                     int64_t max_batch = 256, double window = 1e-3)
+    {
+        FleetConfig cfg = fleetConfig(1, RoutePolicy::kRoundRobin);
+        cfg.workersPerNode = 1;
+        cfg.maxBatch = max_batch;
+        cfg.maxWaitSeconds = window;
+        cfg.simSeconds = kSimSeconds;
+        FleetSimulator server(&sched_, model, platform);
+        return server.simulate(cfg, trafficConfig(qps)).aggregate;
+    }
+
+    static constexpr double kSimSeconds = 0.5;
+};
+
+TEST_F(ServingTest, ConservesSamples)
+{
+    const ServingStats s = run(ModelId::kNCF, 0, 2000);
+    EXPECT_GT(s.samplesArrived, 0u);
+    EXPECT_EQ(s.samplesServed, s.samplesArrived);
+    EXPECT_EQ(s.droppedSamples, 0u);
+    EXPECT_GT(s.batchesServed, 0u);
+}
+
+TEST_F(ServingTest, CountsEveryArrivalBeforeTheHorizon)
+{
+    // Regression: the deleted single-server simulator lost arrivals
+    // just before the horizon when a batch completed past it with an
+    // empty queue (25081 of these 25105). Count the same seeded
+    // Poisson stream independently.
+    const double kQps = 50000;
+    uint64_t expected = 0;
+    PoissonProcess clock(kQps, 42);
+    while (clock.next() < kSimSeconds) {
+        ++expected;
+    }
+    EXPECT_EQ(expected, 25105u);
+    const ServingStats s = run(ModelId::kRM1, 0, kQps);
+    EXPECT_EQ(s.samplesArrived, expected);
+    EXPECT_EQ(s.samplesServed, expected);
+}
+
+TEST_F(ServingTest, OverSaturatedRunServesEveryArrival)
+{
+    // Offer ~12x the batch-1 capacity with no batching: the backlog
+    // drains long past the horizon, and every arrival is still served
+    // (there is no drain cutoff).
+    const double service = sched_.latency(ModelId::kRM2, 0, 1);
+    const ServingStats s = run(ModelId::kRM2, 0, 12.0 / service,
+                               /*max_batch=*/1, /*window=*/0.0);
+    EXPECT_GT(s.samplesArrived, 0u);
+    EXPECT_EQ(s.samplesServed, s.samplesArrived);
+    EXPECT_EQ(s.droppedSamples, 0u);
+    EXPECT_GT(s.offeredLoad, 10.0);
+}
+
+TEST_F(ServingTest, OfferedLoadUnclampedAtSaturation)
+{
+    // Regression: utilization is clamped to 1, which used to hide
+    // over-saturation entirely; offeredLoad reports the unclamped
+    // demand. The drain tail runs past simSeconds, so demanded
+    // service exceeds the arrival window.
+    const double service = sched_.latency(ModelId::kRM2, 0, 1);
+    const ServingStats s = run(ModelId::kRM2, 0, 6.0 / service,
+                               /*max_batch=*/1, /*window=*/0.0);
+    EXPECT_LE(s.utilization, 1.0);
+    EXPECT_GT(s.offeredLoad, 1.0);
+
+    // Light load: offered load stays under 1 and only exceeds the
+    // clamped utilization by the (short) drain tail.
+    const ServingStats light = run(ModelId::kNCF, 0, 500);
+    EXPECT_LT(light.offeredLoad, 1.0);
+    EXPECT_GE(light.offeredLoad, light.utilization);
+}
+
+TEST_F(ServingTest, StatisticsAreWellFormed)
+{
+    const ServingStats s = run(ModelId::kRM1, 0, 5000);
+    EXPECT_GT(s.meanLatency, 0.0);
+    EXPECT_LE(s.p50Latency, s.p95Latency);
+    EXPECT_LE(s.p95Latency, s.p99Latency);
+    EXPECT_GE(s.utilization, 0.0);
+    EXPECT_LE(s.utilization, 1.0);
+    EXPECT_GE(s.meanBatch, 1.0);
+    EXPECT_LE(s.meanBatch, 256.0);
+}
+
+TEST_F(ServingTest, LatencyAtLeastServiceTime)
+{
+    const ServingStats s = run(ModelId::kWnD, 0, 100, 1, 0.0);
+    // Batch-1 service latency bounds every sample's latency below.
+    EXPECT_GE(s.p50Latency, sched_.latency(ModelId::kWnD, 0, 1) * 0.99);
+}
+
+TEST_F(ServingTest, Deterministic)
+{
+    const ServingStats a = run(ModelId::kRM2, 0, 3000);
+    const ServingStats b = run(ModelId::kRM2, 0, 3000);
+    EXPECT_EQ(a.samplesServed, b.samplesServed);
+    EXPECT_DOUBLE_EQ(a.p99Latency, b.p99Latency);
+}
+
+TEST_F(ServingTest, TailGrowsWithLoad)
+{
+    const ServingStats light = run(ModelId::kRM1, 0, 1000);
+    const ServingStats heavy = run(ModelId::kRM1, 0, 50000);
+    EXPECT_GT(heavy.p99Latency, light.p99Latency);
+    EXPECT_GT(heavy.meanBatch, light.meanBatch);
+}
+
+TEST_F(ServingTest, UtilizationGrowsWithLoad)
+{
+    const ServingStats light = run(ModelId::kNCF, 0, 500);
+    const ServingStats heavy = run(ModelId::kNCF, 0, 20000);
+    EXPECT_GT(heavy.utilization, light.utilization);
+}
+
+TEST_F(ServingTest, BiggerBatchCapRaisesThroughputCeiling)
+{
+    // At overload, a larger batching cap serves more samples/second:
+    // on a GPU the per-kernel launch overhead amortizes with batch.
+    const ServingStats small_cap =
+        run(ModelId::kWnD, 3, 2.0e5, /*max_batch=*/8);
+    const ServingStats big_cap =
+        run(ModelId::kWnD, 3, 2.0e5, /*max_batch=*/1024);
+    EXPECT_GT(big_cap.throughputQps, small_cap.throughputQps * 1.5);
+}
+
+TEST_F(ServingTest, WindowTradesLatencyForBatching)
+{
+    const ServingStats eager =
+        run(ModelId::kRM1, 0, 2000, 256, /*window=*/0.0);
+    const ServingStats patient =
+        run(ModelId::kRM1, 0, 2000, 256, /*window=*/20e-3);
+    EXPECT_GT(patient.meanBatch, eager.meanBatch);
+    EXPECT_GT(patient.p50Latency, eager.p50Latency);
+}
+
+TEST_F(ServingTest, RejectsBadConfig)
+{
+    FleetSimulator server(&sched_, ModelId::kNCF, 0);
+    FleetConfig cfg = fleetConfig(1, RoutePolicy::kRoundRobin);
+    EXPECT_DEATH(server.simulate(cfg, trafficConfig(0.0)), "arrival rate");
+    EXPECT_DEATH(FleetSimulator(nullptr, ModelId::kNCF, 0),
+                 "needs a scheduler");
 }
 
 // ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@
 
 #include "obs/metrics.h"
 #include "sched/hill_climb.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -159,7 +159,7 @@ TEST_F(HillClimbEngineTest, ClosedLoopLandsWithinOneStepOfExhaustive)
     // recorded into serve.query_latency_seconds. The climber must end
     // within one grid step of the exhaustive-search optimum (the
     // PAPER-CHECK bench asserts the same at full scale).
-    ServingEngine engine(&sched_, ModelId::kRM2, /*platform=*/0);
+    ServingNode engine(&sched_, ModelId::kRM2, /*platform=*/0);
     EngineConfig ecfg;
     ecfg.numWorkers = 2;
     ecfg.arrivalQps = 30000;
@@ -203,7 +203,7 @@ TEST_F(HillClimbEngineTest, HistogramTailMatchesEngineAggregate)
     // The tuner's feedback (histogram snapshot p99) must agree with
     // the engine's exact order-statistic p99 to within histogram
     // resolution (1 ms buckets, linear interpolation inside).
-    ServingEngine engine(&sched_, ModelId::kRM1, /*platform=*/0);
+    ServingNode engine(&sched_, ModelId::kRM1, /*platform=*/0);
     EngineConfig ecfg;
     ecfg.numWorkers = 2;
     ecfg.arrivalQps = 20000;

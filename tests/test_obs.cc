@@ -33,7 +33,7 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/trace_export.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -720,7 +720,7 @@ class ObsServingTest : public ::testing::Test
 
     EngineResult run(ModelId model, ExecMode mode, bool capture_trace)
     {
-        ServingEngine engine(&sched_, model, 0);
+        ServingNode engine(&sched_, model, 0);
         EngineConfig cfg;
         cfg.numWorkers = 4;
         cfg.arrivalQps = 2000.0;

@@ -26,7 +26,7 @@
 #include "common/thread_pool.h"
 #include "graph/executor.h"
 #include "models/model.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 namespace recstack {
 namespace {
@@ -259,7 +259,7 @@ TEST(ParallelEquivalenceVariants, EngineStatsInvariantInWidth)
         return opts;
     }());
     QueryScheduler sched(&sweep, {1, 16, 256, 4096});
-    ServingEngine engine(&sched, ModelId::kNCF, 0);
+    ServingNode engine(&sched, ModelId::kNCF, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 2000;

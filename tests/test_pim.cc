@@ -16,7 +16,6 @@
 #include "core/characterizer.h"
 #include "pim/pim_model.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 #include "store/embedding_store.h"
 
@@ -322,7 +321,7 @@ class PimServingTest : public ::testing::Test
 
     EngineResult run(EngineConfig cfg)
     {
-        ServingEngine engine(&sched_, ModelId::kRM1, 0);
+        ServingNode engine(&sched_, ModelId::kRM1, 0);
         return engine.run(cfg);
     }
 

@@ -93,7 +93,7 @@ expectCompiledMatchesInterpreted(const Model& model, int64_t batch)
     Executor::run(model.net, ref_ws, ref_opts);
 
     // Planning on: one CompiledNet, shared across thread widths the
-    // way ServingEngine shares it across workers.
+    // way ServingNode shares it across workers.
     auto compiled = CompiledNet::compile(model.net);
     ASSERT_TRUE(compiled->planningEnabled());
     for (int threads : {1, 8}) {

@@ -1,18 +1,23 @@
 /**
  * @file
- * Tests of the multi-worker serving engine: agreement with the
- * analytical simulator at one worker, determinism under real thread
- * interleaving, contention coupling, and batch-queue semantics.
+ * Tests of the multi-worker serving node: determinism under real
+ * thread interleaving, contention coupling, the accelerator lanes, the
+ * admission step, and batch-queue semantics pinned ticket by ticket.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <set>
+#include <thread>
 
+#include "obs/metrics.h"
+#include "serve/admission.h"
 #include "serve/batch_queue.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 
 namespace recstack {
@@ -37,7 +42,7 @@ class ServingEngineTest : public ::testing::Test
                      double window = 1e-3, uint64_t seed = 42,
                      ExecMode mode = ExecMode::kProfileOnly)
     {
-        ServingEngine engine(&sched_, model, platform);
+        ServingNode engine(&sched_, model, platform);
         EngineConfig cfg;
         cfg.numWorkers = workers;
         cfg.arrivalQps = qps;
@@ -49,37 +54,9 @@ class ServingEngineTest : public ::testing::Test
         return engine.run(cfg);
     }
 
-    ServingStats simulate(ModelId model, size_t platform, double qps,
-                          int64_t max_batch = 256, double window = 1e-3)
-    {
-        ServingSimulator sim(&sched_, model, platform);
-        ServingConfig cfg;
-        cfg.arrivalQps = qps;
-        cfg.maxBatch = max_batch;
-        cfg.maxWaitSeconds = window;
-        cfg.simSeconds = 0.25;
-        return sim.simulate(cfg);
-    }
-
     SweepCache sweep_;
     QueryScheduler sched_;
 };
-
-TEST_F(ServingEngineTest, OneWorkerMatchesAnalyticalSimulator)
-{
-    const ServingStats sim = simulate(ModelId::kRM1, 0, 4000);
-    const EngineResult eng = run(ModelId::kRM1, 0, 1, 4000);
-    EXPECT_EQ(eng.aggregate.samplesArrived, sim.samplesArrived);
-    EXPECT_EQ(eng.aggregate.samplesServed, sim.samplesServed);
-    EXPECT_EQ(eng.aggregate.batchesServed, sim.batchesServed);
-    EXPECT_NEAR(eng.aggregate.meanLatency, sim.meanLatency,
-                sim.meanLatency * 0.05);
-    EXPECT_NEAR(eng.aggregate.p99Latency, sim.p99Latency,
-                sim.p99Latency * 0.05);
-    EXPECT_NEAR(eng.aggregate.throughputQps, sim.throughputQps,
-                sim.throughputQps * 0.05);
-    EXPECT_DOUBLE_EQ(eng.meanSlowdown, 1.0);
-}
 
 TEST_F(ServingEngineTest, DeterministicAcrossThreadInterleavings)
 {
@@ -153,7 +130,7 @@ TEST_F(ServingEngineTest, ContentionInflatesServiceWithOccupancy)
 
 TEST_F(ServingEngineTest, ContentionCanBeDisabled)
 {
-    ServingEngine engine(&sched_, ModelId::kRM2, 0);
+    ServingNode engine(&sched_, ModelId::kRM2, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 50000;
@@ -199,10 +176,10 @@ TEST_F(ServingEngineTest, CompilesTheModelOnceAcrossWorkersAndRuns)
 
     // Warm the characterizer's lazy per-model compilations so the
     // counter delta below isolates the engine's own compile.
-    ServingEngine warmup(&sched_, ModelId::kNCF, 0);
+    ServingNode warmup(&sched_, ModelId::kNCF, 0);
     warmup.run(cfg);
 
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EXPECT_EQ(engine.compiled(), nullptr);
     const uint64_t before = CompiledNet::compileCount();
     engine.run(cfg);
@@ -224,7 +201,7 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     // shared store the resident table footprint must be one backing
     // copy plus the (configurable) hot-row caches — O(1 copy + cache),
     // not O(workers).
-    ServingEngine engine(&sched_, ModelId::kRM2, 0);
+    ServingNode engine(&sched_, ModelId::kRM2, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 2000;
@@ -253,7 +230,7 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     // capacity, still independent of the worker count.
     EngineConfig cached = cfg;
     cached.storeConfig.cacheBytesPerShard = 4u << 10;
-    ServingEngine cached_engine(&sched_, ModelId::kRM2, 0);
+    ServingNode cached_engine(&sched_, ModelId::kRM2, 0);
     const EngineResult rc = cached_engine.run(cached);
     EXPECT_TRUE(rc.storeShared);
     EXPECT_LE(rc.residentTableBytes,
@@ -271,11 +248,11 @@ TEST_F(ServingEngineTest, DisableHatchRestoresPerWorkerCopies)
     cfg.simSeconds = 0.1;
     cfg.execMode = ExecMode::kNumericOnly;
 
-    ServingEngine store_engine(&sched_, ModelId::kNCF, 0);
+    ServingNode store_engine(&sched_, ModelId::kNCF, 0);
     const EngineResult with_store = store_engine.run(cfg);
 
     ASSERT_EQ(setenv("RECSTACK_DISABLE_STORE", "1", 1), 0);
-    ServingEngine dense_engine(&sched_, ModelId::kNCF, 0);
+    ServingNode dense_engine(&sched_, ModelId::kNCF, 0);
     const EngineResult dense = dense_engine.run(cfg);
     ASSERT_EQ(unsetenv("RECSTACK_DISABLE_STORE"), 0);
 
@@ -297,16 +274,16 @@ TEST_F(ServingEngineTest, DisableHatchRestoresPerWorkerCopies)
 
 TEST_F(ServingEngineTest, RejectsBadConfig)
 {
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EngineConfig bad;
     bad.numWorkers = 0;
     EXPECT_DEATH(engine.run(bad), "at least one worker");
     EngineConfig bad_qps;
     bad_qps.arrivalQps = 0.0;
     EXPECT_DEATH(engine.run(bad_qps), "arrival rate");
-    EXPECT_DEATH(ServingEngine(nullptr, ModelId::kNCF, 0),
+    EXPECT_DEATH(ServingNode(nullptr, ModelId::kNCF, 0),
                  "needs a scheduler");
-    EXPECT_DEATH(ServingEngine(&sched_, ModelId::kNCF, 99),
+    EXPECT_DEATH(ServingNode(&sched_, ModelId::kNCF, 99),
                  "platform index");
 }
 
@@ -319,7 +296,7 @@ TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
     // differ: the heterogeneous aggregate divides by numWorkers + 1
     // servers by contract.
     const EngineResult off = run(ModelId::kRM1, 0, 2, 8000);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 8000;
@@ -347,7 +324,7 @@ TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
 TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
 {
     sched_.setGpuThreshold(ModelId::kRM1, 32);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 40000;  // ~40 samples per 1 ms window
@@ -383,7 +360,7 @@ TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
 TEST_F(ServingEngineTest, HeterogeneousDeterministicAcrossRuns)
 {
     sched_.setGpuThreshold(ModelId::kRM1, 16);
-    ServingEngine engine(&sched_, ModelId::kRM1, 0);
+    ServingNode engine(&sched_, ModelId::kRM1, 0);
     EngineConfig cfg;
     cfg.numWorkers = 4;
     cfg.arrivalQps = 30000;
@@ -404,7 +381,7 @@ TEST_F(ServingEngineTest, HeterogeneousDeterministicAcrossRuns)
 
 TEST_F(ServingEngineTest, HeterogeneousRejectsCpuLanePlatform)
 {
-    ServingEngine engine(&sched_, ModelId::kNCF, 0);
+    ServingNode engine(&sched_, ModelId::kNCF, 0);
     EngineConfig bad;
     bad.heterogeneous = true;
     bad.gpuPlatformIdx = 0;  // Bdw is a CPU
@@ -521,6 +498,171 @@ TEST(BatchQueueTest, DrainsEveryAdmittedSample)
         }
     }
     EXPECT_EQ(arrivals_seen.size(), queue.samplesArrived());
+}
+
+/**
+ * FNV-1a hash over every ticket a BatchQueue run releases, in seq
+ * order (seq, launch-time bits, busy count, size, arrival bits), then
+ * the arrival count; followed by the queue.launch_batch_full,
+ * _window_expired and _drain counts the run added.
+ */
+std::array<uint64_t, 4>
+digestQueue(const BatchQueue::Config& cfg)
+{
+    const char* launch_counters[] = {"queue.launch_batch_full",
+                                     "queue.launch_window_expired",
+                                     "queue.launch_drain"};
+    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
+    std::array<uint64_t, 4> d = {1469598103934665603ull};
+    for (int i = 0; i < 3; ++i) {
+        d[i + 1] = reg.counter(launch_counters[i]).value();
+    }
+
+    BatchQueue queue(cfg);
+    const auto service = [](const BatchTicket& t, int busy) {
+        return 1.5e-3 + 2e-5 * static_cast<double>(t.size() * busy);
+    };
+    using Released = std::map<uint64_t, std::pair<int, BatchTicket>>;
+    std::vector<Released> released(static_cast<size_t>(cfg.numWorkers));
+    std::vector<std::thread> threads;
+    for (int w = 0; w < cfg.numWorkers; ++w) {
+        threads.emplace_back([&, w] {
+            BatchTicket t;
+            double completion = 0.0;
+            int busy = 0;
+            while (queue.acquire(w, service, &t, &completion, &busy)) {
+                released[static_cast<size_t>(w)][t.seq] = {busy, t};
+            }
+        });
+    }
+    for (std::thread& t : threads) {
+        t.join();
+    }
+
+    const auto mix = [&](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            d[0] = (d[0] ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    };
+    Released all;
+    for (Released& r : released) {
+        all.merge(r);
+    }
+    for (const auto& [seq, r] : all) {
+        mix(seq);
+        mix(std::bit_cast<uint64_t>(r.second.launchTime));
+        mix(static_cast<uint64_t>(r.first));
+        mix(static_cast<uint64_t>(r.second.size()));
+        for (double a : r.second.arrivals) {
+            mix(std::bit_cast<uint64_t>(a));
+        }
+    }
+    mix(queue.samplesArrived());
+    for (int i = 0; i < 3; ++i) {
+        d[i + 1] = reg.counter(launch_counters[i]).value() - d[i + 1];
+    }
+    return d;
+}
+
+TEST(BatchQueueTest, TicketDigestsArePinned)
+{
+    // Every ticket the queue releases, and which admission rule
+    // launched it, against constants recorded before the rule moved
+    // into serve/admission.h: batch-full, window, drain and trace
+    // mode (bursts with exact timestamp ties, plus an entry past the
+    // horizon), each at one and three workers.
+    const auto config = [](double qps, int64_t max_batch, double wait) {
+        BatchQueue::Config cfg;
+        cfg.arrivalQps = qps;
+        cfg.maxBatch = max_batch;
+        cfg.maxWaitSeconds = wait;
+        cfg.horizonSeconds = 0.1;
+        cfg.seed = 11;
+        return cfg;
+    };
+    BatchQueue::Config traced = config(1.0, 8, 2e-3);
+    traced.horizonSeconds = 0.05;
+    traced.useArrivalTrace = true;
+    for (int burst = 0; burst < 40; ++burst) {
+        for (int j = 0; j < 1 + burst % 7; ++j) {
+            traced.arrivalTrace.push_back(1.3e-3 * burst + 1e-4 * (j / 2));
+        }
+    }
+    traced.arrivalTrace.push_back(0.2);
+    const BatchQueue::Config full = config(80000.0, 16, 5e-3);
+    const BatchQueue::Config window = config(3000.0, 256, 1e-3);
+    const BatchQueue::Config drain = config(30000.0, 64, 1.0);
+    struct Pinned {
+        BatchQueue::Config cfg;
+        int workers;
+        std::array<uint64_t, 4> digest;  // hash, full, window, drain
+    };
+    const Pinned pinned[] = {
+        {full, 1, {0xeac3ab3181318797ull, 507, 0, 1}},
+        {window, 1, {0xbb5bb11108c3036cull, 0, 59, 1}},
+        {drain, 1, {0xcd2a7c424d8ed18dull, 46, 0, 1}},
+        {traced, 1, {0x9f410f5032cc7274ull, 10, 12, 1}},
+        {full, 3, {0xfa17ed45b07fb412ull, 507, 0, 1}},
+        {window, 3, {0xa3140c946de41dc8ull, 0, 73, 1}},
+        {drain, 3, {0x19f81e8c547538d1ull, 46, 0, 1}},
+        {traced, 3, {0x7062daabf617bfadull, 10, 12, 1}},
+    };
+    for (Pinned p : pinned) {
+        p.cfg.numWorkers = p.workers;
+        EXPECT_EQ(digestQueue(p.cfg), p.digest)
+            << "max batch " << p.cfg.maxBatch << ", " << p.workers
+            << " workers";
+    }
+}
+
+TEST(AdmissionStepTest, OneCasePerOutcome)
+{
+    using A = AdmitAction;
+    const double inf = kWholeStreamKnown;
+    const std::optional<double> none;
+    struct Case {
+        const char* what;
+        double t;
+        int64_t pending;
+        double oldest;
+        std::optional<double> next;
+        double frontier;
+        A action;
+        double at;
+        int64_t batch;
+    };
+    // maxBatch 8, window 0.25; 0.5 + 0.25 == 0.75 exactly.
+    const Case cases[] = {
+        {"full, even past the cap", 0.5, 10, 0.0, 0.5, inf, A::kLaunchFull,
+         0.5, 8},
+        {"stream over: drain", 0.5, 3, 0.49, none, inf, A::kLaunchDrain,
+         0.5, 3},
+        {"stream over, nothing pending: retire", 0.5, 0, 0.0, none, inf,
+         A::kRetire, 0.5, 0},
+        {"empty queue: jump to the next arrival", 0.5, 0, 0.0, 0.7, inf,
+         A::kAdmitNext, 0.7, 0},
+        {"an arrival exactly at expiry is admitted first", 0.6, 1, 0.5,
+         0.75, inf, A::kAdmitNext, 0.75, 0},
+        {"then the window launches at that instant", 0.75, 2, 0.5, 0.9,
+         inf, A::kLaunchWindow, 0.75, 2},
+        {"window expires before the next arrival", 0.6, 2, 0.5, 0.9, inf,
+         A::kLaunchWindow, 0.75, 2},
+        {"window already expired at t", 2.0, 3, 0.5, 2.0, inf,
+         A::kLaunchWindow, 2.0, 3},
+        {"stall: stream open, nothing known", 0.5, 0, 0.0, none, 0.6,
+         A::kStall, 0.5, 0},
+        {"stall: expiry at the frontier", 0.6, 1, 0.5, none, 0.75,
+         A::kStall, 0.6, 0},
+        {"frontier past expiry: window launch", 0.6, 1, 0.5, none,
+         std::nextafter(0.75, 1.0), A::kLaunchWindow, 0.75, 1},
+    };
+    for (const Case& c : cases) {
+        const Admission a = admissionStep(c.t, c.pending, c.oldest, c.next,
+                                          c.frontier, 8, 0.25);
+        EXPECT_EQ(a.action, c.action) << c.what;
+        EXPECT_EQ(a.t, c.at) << c.what;
+        EXPECT_EQ(a.batch, c.batch) << c.what;
+    }
 }
 
 TEST_F(ServingEngineTest, RunTraceReproducesRunFromTheSameClock)

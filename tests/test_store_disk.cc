@@ -28,7 +28,6 @@
 #include "graph/executor.h"
 #include "models/model.h"
 #include "models/store_binding.h"
-#include "serve/serving_engine.h"
 #include "serve/serving_node.h"
 #include "store/disk_tier.h"
 #include "store/embedding_store.h"
@@ -640,7 +639,7 @@ TEST_F(DiskFixture, ServingEngineRunsOnDiskBackedStore)
 {
     SweepCache sweep(allPlatforms(), testOptions());
     QueryScheduler sched(&sweep, {1, 16, 256, 4096});
-    ServingEngine engine(&sched, ModelId::kNCF, 0);
+    ServingNode engine(&sched, ModelId::kNCF, 0);
     EngineConfig cfg;
     cfg.numWorkers = 2;
     cfg.arrivalQps = 2000;

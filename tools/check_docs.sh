@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Documentation hygiene checks, wired up as the `check_docs` ctest
-# (label `unit`). Three grep-based invariants keep the docs from
-# silently drifting away from the tree:
+# (label `unit`). Grep-based invariants keep the docs from silently
+# drifting away from the tree:
 #
 #   1. every docs/*.md file is referenced from README.md — the README
 #      doc index is the entry point, an unlinked doc is a dead doc;
@@ -23,7 +23,10 @@
 #   6. every metric or span name registered in src/ (a quoted
 #      "subsystem.name" passed to a registry counter/gauge/histogram,
 #      RECSTACK_SPAN or obs::ScopedSpan) appears in a table of
-#      docs/observability.md, which promises the full current set.
+#      docs/observability.md, which promises the full current set;
+#   7. every source file README.md or a docs/*.md file names
+#      (`foo.h`, `dir/foo.cc`, `foo.{h,cc}`, `foo.h/.cc`) exists in
+#      the tree, so a deleted or renamed file cannot linger in them.
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -126,6 +129,33 @@ while IFS= read -r name; do
         err "'${name}' is registered in src/ but missing from the tables in docs/observability.md"
     fi
 done <<<"$registered"
+
+# -- 7. source files named in docs exist ---------------------------
+# A name matches any file whose path ends in it, so both `foo.h` and
+# `serve/foo.h` resolve against src/serve/foo.h.
+tree_files=$(find src tools tests bench examples perfbench -type f | sort)
+doc_files=$(grep -ohE '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.(\{[a-z,]+\}|h/\.cc|h|cc|cpp)\b' \
+    README.md docs/*.md | sort -u || true)
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    name=${name#../}
+    name=${name#./}
+    case "$name" in
+        *'.{'*)
+            base=${name%%.\{*}
+            exts=${name#*.\{}
+            exts=${exts%\}}
+            files=$(tr ',' '\n' <<<"$exts" | sed "s|^|${base}.|")
+            ;;
+        *.h/.cc) files="${name%.h/.cc}.h ${name%.h/.cc}.cc" ;;
+        *) files=$name ;;
+    esac
+    for f in $files; do
+        if ! grep -qE "(^|/)${f//./\\.}\$" <<<"$tree_files"; then
+            err "docs name source file ${f}, which does not exist in the tree"
+        fi
+    done
+done <<<"$doc_files"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

@@ -43,7 +43,7 @@
 #include "fleet/fleet_sim.h"
 #include "sched/hill_climb.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_engine.h"
+#include "serve/serving_node.h"
 
 using namespace recstack;
 
@@ -790,7 +790,7 @@ cmdObs(const std::string& model_name, int64_t batch,
     opts.tableScale = 0.05;
     SweepCache sweep(allPlatforms(), opts);
     QueryScheduler sched(&sweep, {1, 16, 64, 256, 1024});
-    ServingEngine engine(&sched, id, 0);
+    ServingNode engine(&sched, id, 0);
 
     EngineConfig cfg;
     cfg.numWorkers = 4;
@@ -890,7 +890,7 @@ cmdHetero(const std::string& model_name, bool json)
     QueryScheduler sched(&sweep, {1, 16, 64, 256, 1024});
     const size_t cpu_idx = 0;  // Broadwell worker pool
     const size_t gpu_idx = 3;  // T4 accelerator lane
-    ServingEngine engine(&sched, id, cpu_idx);
+    ServingNode engine(&sched, id, cpu_idx);
 
     EngineConfig cfg;
     cfg.numWorkers = 2;
@@ -912,7 +912,7 @@ cmdHetero(const std::string& model_name, bool json)
     const double cap_cpu = cfg.numWorkers * 256.0 /
                            sched.latency(id, cpu_idx, 256);
     const double cap_gpu = 256.0 / sched.latency(id, gpu_idx, 256);
-    ServingEngine gpu_engine(&sched, id, gpu_idx);
+    ServingNode gpu_engine(&sched, id, gpu_idx);
     EngineConfig probe = cfg;
     probe.heterogeneous = false;
     probe.arrivalQps = 0.5 * cap_cpu;
