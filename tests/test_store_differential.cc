@@ -19,10 +19,13 @@
 #include <cstring>
 #include <tuple>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "graph/compiled_net.h"
 #include "graph/executor.h"
 #include "models/model.h"
 #include "models/store_binding.h"
+#include "ops/embedding.h"
 
 namespace recstack {
 namespace {
@@ -186,6 +189,58 @@ TEST(StoreDifferentialVariants, PositionWeightedPooling)
     for (const std::string& blob : model.net.externalOutputs()) {
         expectTensorsIdentical(blob, ref_ws.get(blob), ws.get(blob));
     }
+}
+
+/**
+ * Mean pooling (SLMean) through the store, bit-exact at widths 1 and
+ * 4: the store pools the sums, then the op scales each non-empty row
+ * exactly as the dense loop does. No model uses the mean kind, so the
+ * op runs directly; segments 0 and every seventh one are empty.
+ */
+TEST(StoreDifferentialVariants, MeanPooling)
+{
+    constexpr int64_t kRows = 512;
+    constexpr int64_t kDim = 13;
+    Rng rng(7);
+    Tensor table({kRows, kDim});
+    for (int64_t i = 0; i < table.numel(); ++i) {
+        table.data<float>()[i] = rng.nextFloat(-1.0f, 1.0f);
+    }
+    std::vector<int32_t> len;
+    std::vector<int64_t> idx;
+    for (int b = 0; b < 64; ++b) {
+        len.push_back(b % 7 == 0 ? 0 : static_cast<int32_t>(
+                                           1 + rng.nextBounded(20)));
+        for (int32_t p = 0; p < len.back(); ++p) {
+            idx.push_back(static_cast<int64_t>(rng.nextBounded(kRows)));
+        }
+    }
+
+    Workspace dense;
+    Workspace backed;
+    for (Workspace* ws : {&dense, &backed}) {
+        ws->set("idx", Tensor::fromInt64s(
+                           {static_cast<int64_t>(idx.size())}, idx));
+        ws->set("len", Tensor::fromInt32s(
+                           {static_cast<int64_t>(len.size())}, len));
+    }
+    dense.set("table", table);
+    EmbeddingStore store(testStoreConfig());
+    store.addTable("table", std::move(table));
+    backed.set("table", Tensor::shapeOnly({kRows, kDim}));
+    backed.attachStore(&store);
+
+    for (int width : {1, 4}) {
+        IntraOpScope threads(width);
+        for (Workspace* ws : {&dense, &backed}) {
+            OperatorPtr op =
+                makeSparseLengthsMean("m", "table", "idx", "len", "y");
+            op->inferShapes(*ws);
+            op->run(*ws);
+        }
+        expectTensorsIdentical("y", dense.get("y"), backed.get("y"));
+    }
+    EXPECT_GT(store.stats().total.lookups, 0u);
 }
 
 /** A locally materialized table blob overrides the attached store. */
