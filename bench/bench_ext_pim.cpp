@@ -38,9 +38,7 @@ slsSeconds(const RunResult& r)
 {
     double s = 0.0;
     for (const auto& [type, seconds] : r.breakdown.byType()) {
-        if (type == "SparseLengthsSum" ||
-            type == "SparseLengthsWeightedSum" ||
-            type == "SparseLengthsMean") {
+        if (isSparseLengthsReduce(type)) {
             s += seconds;
         }
     }

@@ -54,7 +54,7 @@ main()
             flops += kflops;
             dram_bytes += kbytes;
             const bool embedding =
-                kp.opType.rfind("SparseLengths", 0) == 0 ||
+                isSparseLengthsReduce(kp.opType) ||
                 kp.opType == "Gather" || kp.opType == "ResourceGather";
             if (embedding) {
                 emb_flops += kflops;

@@ -110,7 +110,8 @@ BM_SparseLengthsSum(benchmark::State& state)
     ws.set("idx", Tensor::fromInt64s({lookups}, idx));
     ws.set("len", Tensor::fromInt32s({1}, {static_cast<int32_t>(
                                               lookups)}));
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "y");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "y");
     sls.inferShapes(ws);
     for (auto _ : state) {
         sls.run(ws);

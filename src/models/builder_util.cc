@@ -60,14 +60,12 @@ GraphBuilder::embeddingBag(const std::string& prefix, int64_t rows,
 
     if (weighted) {
         model_->net.addExternalInput(weights);
-        addOp(makeSparseLengthsWeightedSum(uniq("slws"), table, weights,
-                                           indices, lengths, out, zipf),
-              out);
-    } else {
-        addOp(makeSparseLengthsSum(uniq("sls"), table, indices, lengths,
-                                   out, zipf),
-              out);
     }
+    addOp(makeSparseLengthsReduce(
+              weighted ? SlsKind::kWeightedSum : SlsKind::kSum,
+              uniq(weighted ? "slws" : "sls"), table, weights, indices,
+              lengths, out, zipf),
+          out);
     return out;
 }
 

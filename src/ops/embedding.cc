@@ -1,6 +1,7 @@
 #include "ops/embedding.h"
 
 #include <cmath>
+#include <string_view>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -12,15 +13,30 @@ namespace recstack {
 namespace {
 
 /**
+ * Serial prevalidation of a lookup index stream: every index must
+ * lie in [0, rows). Running it before any parallel region keeps
+ * panics on the calling thread (death tests and fork children never
+ * touch the pool).
+ */
+void
+checkIndexRange(std::string_view op, const std::string& name,
+                const int64_t* indices, int64_t num_indices, int64_t rows)
+{
+    for (int64_t i = 0; i < num_indices; ++i) {
+        RECSTACK_CHECK(indices[i] >= 0 && indices[i] < rows,
+                       op << " '" << name << "': index " << indices[i]
+                          << " out of range");
+    }
+}
+
+/**
  * Serial prevalidation of a lengths-segmented index stream: checks
  * that lengths exactly cover the indices and every index is in
  * range, and returns per-output-row starting offsets so the pooling
- * loop can be partitioned per output row. Running the checks before
- * any parallel region keeps panics on the calling thread (death
- * tests and fork children never touch the pool).
+ * loop can be partitioned per output row.
  */
 std::vector<int64_t>
-segmentOffsets(const char* op, const std::string& name,
+segmentOffsets(std::string_view op, const std::string& name,
                const int32_t* lengths, int64_t batch,
                const int64_t* indices, int64_t num_indices, int64_t rows)
 {
@@ -31,11 +47,7 @@ segmentOffsets(const char* op, const std::string& name,
     }
     RECSTACK_CHECK(offsets[static_cast<size_t>(batch)] == num_indices,
                    op << " '" << name << "': lengths do not cover indices");
-    for (int64_t i = 0; i < num_indices; ++i) {
-        RECSTACK_CHECK(indices[i] >= 0 && indices[i] < rows,
-                       op << " '" << name << "': index " << indices[i]
-                          << " out of range");
-    }
+    checkIndexRange(op, name, indices, num_indices, rows);
     return offsets;
 }
 
@@ -159,45 +171,72 @@ addTableStreams(KernelProfile& kp, const Workspace& ws,
     }
 }
 
+/** Caffe2's input order: data, [weights,] indices, lengths. */
+std::vector<std::string>
+slsInputs(SlsKind kind, std::string data, std::string weights,
+          std::string indices, std::string lengths)
+{
+    std::vector<std::string> inputs = {std::move(data)};
+    if (kind == SlsKind::kWeightedSum) {
+        inputs.push_back(std::move(weights));
+    }
+    inputs.push_back(std::move(indices));
+    inputs.push_back(std::move(lengths));
+    return inputs;
+}
+
 }  // namespace
 
-SparseLengthsSumOp::SparseLengthsSumOp(std::string name, std::string data,
-                                       std::string indices,
-                                       std::string lengths, std::string out,
-                                       double zipf_exponent)
-    : Operator("SparseLengthsSum", std::move(name),
-               {std::move(data), std::move(indices), std::move(lengths)},
+SparseLengthsReduceOp::SparseLengthsReduceOp(
+    SlsKind kind, std::string name, std::string data, std::string weights,
+    std::string indices, std::string lengths, std::string out,
+    double zipf_exponent)
+    : Operator(std::string(slsKindInfo(kind).opType), std::move(name),
+               slsInputs(kind, std::move(data), std::move(weights),
+                         std::move(indices), std::move(lengths)),
                {std::move(out)}),
+      kind_(kind),
       zipfExponent_(zipf_exponent)
 {
 }
 
 void
-SparseLengthsSumOp::inferShapes(Workspace& ws)
+SparseLengthsReduceOp::inferShapes(Workspace& ws)
 {
+    const std::string_view op = slsKindInfo(kind_).prefix;
+    const size_t n = inputs().size();
     const Tensor& data = in(ws, 0);
-    const Tensor& indices = in(ws, 1);
-    const Tensor& lengths = in(ws, 2);
-    RECSTACK_CHECK(data.rank() == 2, "SLS '" << name()
+    const Tensor& indices = in(ws, n - 2);
+    const Tensor& lengths = in(ws, n - 1);
+    RECSTACK_CHECK(data.rank() == 2, op << " '" << name()
                    << "': data must be 2-D");
+    if (kind_ == SlsKind::kWeightedSum) {
+        RECSTACK_CHECK(in(ws, 1).numel() == indices.numel(),
+                       op << " '" << name()
+                          << "': one weight per lookup required");
+    }
     RECSTACK_CHECK(indices.dtype() == DType::kInt64,
-                   "SLS '" << name() << "': indices must be int64");
+                   op << " '" << name() << "': indices must be int64");
     RECSTACK_CHECK(lengths.dtype() == DType::kInt32,
-                   "SLS '" << name() << "': lengths must be int32");
+                   op << " '" << name() << "': lengths must be int32");
     ws.ensure(outputs()[0], {lengths.numel(), data.dim(1)});
 }
 
 void
-SparseLengthsSumOp::run(Workspace& ws)
+SparseLengthsReduceOp::run(Workspace& ws)
 {
+    const size_t n = inputs().size();
     const Tensor& data_t = in(ws, 0);
-    const Tensor& idx_t = in(ws, 1);
-    const Tensor& len_t = in(ws, 2);
+    const Tensor& idx_t = in(ws, n - 2);
+    const Tensor& len_t = in(ws, n - 1);
     Tensor& out_t = out(ws, 0);
 
     const StoreRef sref = storeRef(ws, inputs()[0], data_t);
     const float* data =
         sref.store != nullptr ? nullptr : data_t.data<float>();
+    const float* w = kind_ == SlsKind::kWeightedSum
+                         ? in(ws, 1).data<float>()
+                         : nullptr;
     const int64_t* indices = idx_t.data<int64_t>();
     const int32_t* lengths = len_t.data<int32_t>();
     float* y = out_t.data<float>();
@@ -206,50 +245,70 @@ SparseLengthsSumOp::run(Workspace& ws)
     const int64_t dim = data_t.dim(1);
     const int64_t batch = len_t.numel();
 
-    const std::vector<int64_t> offsets = segmentOffsets(
-        "SLS", name(), lengths, batch, indices, idx_t.numel(), rows);
+    const std::vector<int64_t> offsets =
+        segmentOffsets(slsKindInfo(kind_).prefix, name(), lengths, batch,
+                       indices, idx_t.numel(), rows);
     // Each chunk owns a disjoint band of output rows and pools its
     // lookups in the same ascending order as the serial cursor; the
-    // store path preserves that order exactly, and rowAdd keeps the
-    // per-element order on every ISA tier (bit-identical pooling).
+    // store path preserves that order exactly, and rowAdd /
+    // rowAddScaled / rowScale keep the per-element order on every ISA
+    // tier (bit-identical pooling).
     const KernelIsa isa = activeKernelIsa();
     parallelFor(0, batch, poolingGrain(dim, idx_t.numel(), batch),
                 [&](int64_t lo, int64_t hi) {
         if (sref.store != nullptr) {
             sref.store->lookupSum(sref.table, indices, offsets.data(),
-                                  lo, hi, y);
-            return;
-        }
-        for (int64_t b = lo; b < hi; ++b) {
-            float* yrow = y + b * dim;
-            for (int64_t d = 0; d < dim; ++d) {
-                yrow[d] = 0.0f;
+                                  lo, hi, y, w);
+        } else {
+            for (int64_t b = lo; b < hi; ++b) {
+                float* yrow = y + b * dim;
+                for (int64_t d = 0; d < dim; ++d) {
+                    yrow[d] = 0.0f;
+                }
+                for (int64_t p = offsets[static_cast<size_t>(b)];
+                     p < offsets[static_cast<size_t>(b) + 1]; ++p) {
+                    const float* row = data + indices[p] * dim;
+                    if (w != nullptr) {
+                        kern::rowAddScaled(isa, yrow, row, w[p], dim);
+                    } else {
+                        kern::rowAdd(isa, yrow, row, dim);
+                    }
+                }
             }
-            for (int64_t p = offsets[static_cast<size_t>(b)];
-                 p < offsets[static_cast<size_t>(b) + 1]; ++p) {
-                kern::rowAdd(isa, yrow, data + indices[p] * dim, dim);
+        }
+        if (kind_ == SlsKind::kMean) {
+            for (int64_t b = lo; b < hi; ++b) {
+                if (lengths[b] > 0) {
+                    kern::rowScale(isa, y + b * dim,
+                                   1.0f / static_cast<float>(lengths[b]),
+                                   dim);
+                }
             }
         }
     });
 }
 
 KernelProfile
-SparseLengthsSumOp::profile(const Workspace& ws) const
+SparseLengthsReduceOp::profile(const Workspace& ws) const
 {
+    const SlsKindInfo& info = slsKindInfo(kind_);
     const Tensor& data = in(ws, 0);
-    const Tensor& indices = in(ws, 1);
     const Tensor& out_t = outConst(ws, 0);
-
-    const uint64_t lookups = static_cast<uint64_t>(indices.numel());
+    const uint64_t lookups =
+        static_cast<uint64_t>(in(ws, inputs().size() - 2).numel());
     const uint64_t dim = static_cast<uint64_t>(data.dim(1));
 
     KernelProfile kp = baseProfile();
-    kp.vecElemOps = lookups * dim;  // the pooling adds
-    // Index decode, bounds checks and address generation per lookup.
-    kp.scalarOps = lookups * 8;
+    kp.vecElemOps = info.vecElemOps * lookups * dim;
+    if (kind_ == SlsKind::kMean) {
+        kp.vecElemOps += static_cast<uint64_t>(out_t.numel());  // divide
+    }
+    kp.fmaFlops = info.fmaFlops * lookups * dim;
+    kp.scalarOps = info.scalarOps * lookups;
 
-    addSeqStream(kp, inputs()[1], indices, false);
-    addSeqStream(kp, inputs()[2], in(ws, 2), false);
+    for (size_t i = 1; i < inputs().size(); ++i) {
+        addSeqStream(kp, inputs()[i], in(ws, i), false);
+    }
     addTableStreams(kp, ws, inputs()[0], data, lookups, zipfExponent_);
     addSeqStream(kp, outputs()[0], out_t, true);
 
@@ -263,223 +322,7 @@ SparseLengthsSumOp::profile(const Workspace& ws) const
     kp.branches.push_back(seg);
 
     kp.codeFootprintBytes = opcost::kSlsCodeBytes;
-    kp.codeRegion = "kernel:SparseLengthsSum";
-    kp.codeIterations = std::max<uint64_t>(1, lookups);
-    return kp;
-}
-
-SparseLengthsWeightedSumOp::SparseLengthsWeightedSumOp(
-    std::string name, std::string data, std::string weights,
-    std::string indices, std::string lengths, std::string out,
-    double zipf_exponent)
-    : Operator("SparseLengthsWeightedSum", std::move(name),
-               {std::move(data), std::move(weights), std::move(indices),
-                std::move(lengths)},
-               {std::move(out)}),
-      zipfExponent_(zipf_exponent)
-{
-}
-
-void
-SparseLengthsWeightedSumOp::inferShapes(Workspace& ws)
-{
-    const Tensor& data = in(ws, 0);
-    const Tensor& weights = in(ws, 1);
-    const Tensor& indices = in(ws, 2);
-    const Tensor& lengths = in(ws, 3);
-    RECSTACK_CHECK(data.rank() == 2, "SLWS '" << name()
-                   << "': data must be 2-D");
-    RECSTACK_CHECK(weights.numel() == indices.numel(),
-                   "SLWS '" << name()
-                            << "': one weight per lookup required");
-    RECSTACK_CHECK(indices.dtype() == DType::kInt64 &&
-                   lengths.dtype() == DType::kInt32,
-                   "SLWS '" << name() << "': index dtype mismatch");
-    ws.ensure(outputs()[0], {lengths.numel(), data.dim(1)});
-}
-
-void
-SparseLengthsWeightedSumOp::run(Workspace& ws)
-{
-    const Tensor& data_t = in(ws, 0);
-    const Tensor& w_t = in(ws, 1);
-    const Tensor& idx_t = in(ws, 2);
-    const Tensor& len_t = in(ws, 3);
-    Tensor& out_t = out(ws, 0);
-
-    const StoreRef sref = storeRef(ws, inputs()[0], data_t);
-    const float* data =
-        sref.store != nullptr ? nullptr : data_t.data<float>();
-    const float* w = w_t.data<float>();
-    const int64_t* indices = idx_t.data<int64_t>();
-    const int32_t* lengths = len_t.data<int32_t>();
-    float* y = out_t.data<float>();
-    const int64_t rows = data_t.dim(0);
-    const int64_t dim = data_t.dim(1);
-    const int64_t batch = len_t.numel();
-
-    const std::vector<int64_t> offsets = segmentOffsets(
-        "SLWS", name(), lengths, batch, indices, idx_t.numel(), rows);
-    const KernelIsa isa = activeKernelIsa();
-    parallelFor(0, batch, poolingGrain(dim, idx_t.numel(), batch),
-                [&](int64_t lo, int64_t hi) {
-        if (sref.store != nullptr) {
-            sref.store->lookupSum(sref.table, indices, offsets.data(),
-                                  lo, hi, y, w);
-            return;
-        }
-        for (int64_t b = lo; b < hi; ++b) {
-            float* yrow = y + b * dim;
-            for (int64_t d = 0; d < dim; ++d) {
-                yrow[d] = 0.0f;
-            }
-            for (int64_t p = offsets[static_cast<size_t>(b)];
-                 p < offsets[static_cast<size_t>(b) + 1]; ++p) {
-                kern::rowAddScaled(isa, yrow, data + indices[p] * dim,
-                                   w[p], dim);
-            }
-        }
-    });
-}
-
-KernelProfile
-SparseLengthsWeightedSumOp::profile(const Workspace& ws) const
-{
-    const Tensor& data = in(ws, 0);
-    const Tensor& indices = in(ws, 2);
-    const Tensor& out_t = outConst(ws, 0);
-    const uint64_t lookups = static_cast<uint64_t>(indices.numel());
-    const uint64_t dim = static_cast<uint64_t>(data.dim(1));
-
-    KernelProfile kp = baseProfile();
-    // Multiply-accumulate instead of plain add.
-    kp.fmaFlops = 2 * lookups * dim;
-    kp.scalarOps = lookups * 9;
-    addSeqStream(kp, inputs()[1], in(ws, 1), false);
-    addSeqStream(kp, inputs()[2], indices, false);
-    addSeqStream(kp, inputs()[3], in(ws, 3), false);
-    addTableStreams(kp, ws, inputs()[0], data, lookups, zipfExponent_);
-    addSeqStream(kp, outputs()[0], out_t, true);
-
-    BranchStream seg;
-    seg.count = 3 * lookups + static_cast<uint64_t>(out_t.dim(0));
-    seg.takenProbability = 0.85;
-    seg.randomness = 0.75;
-    kp.branches.push_back(seg);
-
-    kp.codeFootprintBytes = opcost::kSlsCodeBytes;
-    kp.codeRegion = "kernel:SparseLengthsWeightedSum";
-    kp.codeIterations = std::max<uint64_t>(1, lookups);
-    return kp;
-}
-
-SparseLengthsMeanOp::SparseLengthsMeanOp(std::string name,
-                                         std::string data,
-                                         std::string indices,
-                                         std::string lengths,
-                                         std::string out,
-                                         double zipf_exponent)
-    : Operator("SparseLengthsMean", std::move(name),
-               {std::move(data), std::move(indices), std::move(lengths)},
-               {std::move(out)}),
-      zipfExponent_(zipf_exponent)
-{
-}
-
-void
-SparseLengthsMeanOp::inferShapes(Workspace& ws)
-{
-    const Tensor& data = in(ws, 0);
-    const Tensor& lengths = in(ws, 2);
-    RECSTACK_CHECK(data.rank() == 2, "SLMean '" << name()
-                   << "': data must be 2-D");
-    RECSTACK_CHECK(in(ws, 1).dtype() == DType::kInt64 &&
-                   lengths.dtype() == DType::kInt32,
-                   "SLMean '" << name() << "': index dtype mismatch");
-    ws.ensure(outputs()[0], {lengths.numel(), data.dim(1)});
-}
-
-void
-SparseLengthsMeanOp::run(Workspace& ws)
-{
-    const Tensor& data_t = in(ws, 0);
-    const Tensor& idx_t = in(ws, 1);
-    const Tensor& len_t = in(ws, 2);
-    Tensor& out_t = out(ws, 0);
-
-    const StoreRef sref = storeRef(ws, inputs()[0], data_t);
-    const float* data =
-        sref.store != nullptr ? nullptr : data_t.data<float>();
-    const int64_t* indices = idx_t.data<int64_t>();
-    const int32_t* lengths = len_t.data<int32_t>();
-    float* y = out_t.data<float>();
-    const int64_t rows = data_t.dim(0);
-    const int64_t dim = data_t.dim(1);
-    const int64_t batch = len_t.numel();
-
-    const std::vector<int64_t> offsets = segmentOffsets(
-        "SLMean", name(), lengths, batch, indices, idx_t.numel(), rows);
-    const KernelIsa isa = activeKernelIsa();
-    parallelFor(0, batch, poolingGrain(dim, idx_t.numel(), batch),
-                [&](int64_t lo, int64_t hi) {
-        if (sref.store != nullptr) {
-            // Store pools the sums; the mean scaling below is the
-            // same per-row fp32 multiply the dense loop applies.
-            sref.store->lookupSum(sref.table, indices, offsets.data(),
-                                  lo, hi, y);
-            for (int64_t b = lo; b < hi; ++b) {
-                if (lengths[b] > 0) {
-                    kern::rowScale(
-                        isa, y + b * dim,
-                        1.0f / static_cast<float>(lengths[b]), dim);
-                }
-            }
-            return;
-        }
-        for (int64_t b = lo; b < hi; ++b) {
-            float* yrow = y + b * dim;
-            for (int64_t d = 0; d < dim; ++d) {
-                yrow[d] = 0.0f;
-            }
-            for (int64_t p = offsets[static_cast<size_t>(b)];
-                 p < offsets[static_cast<size_t>(b) + 1]; ++p) {
-                kern::rowAdd(isa, yrow, data + indices[p] * dim, dim);
-            }
-            if (lengths[b] > 0) {
-                kern::rowScale(isa, yrow,
-                               1.0f / static_cast<float>(lengths[b]),
-                               dim);
-            }
-        }
-    });
-}
-
-KernelProfile
-SparseLengthsMeanOp::profile(const Workspace& ws) const
-{
-    const Tensor& data = in(ws, 0);
-    const Tensor& indices = in(ws, 1);
-    const Tensor& out_t = outConst(ws, 0);
-    const uint64_t lookups = static_cast<uint64_t>(indices.numel());
-    const uint64_t dim = static_cast<uint64_t>(data.dim(1));
-
-    KernelProfile kp = baseProfile();
-    kp.vecElemOps = lookups * dim +
-                    static_cast<uint64_t>(out_t.numel());  // + divide
-    kp.scalarOps = lookups * 8;
-    addSeqStream(kp, inputs()[1], indices, false);
-    addSeqStream(kp, inputs()[2], in(ws, 2), false);
-    addTableStreams(kp, ws, inputs()[0], data, lookups, zipfExponent_);
-    addSeqStream(kp, outputs()[0], out_t, true);
-
-    BranchStream seg;
-    seg.count = 3 * lookups + static_cast<uint64_t>(out_t.dim(0));
-    seg.takenProbability = 0.85;
-    seg.randomness = 0.75;
-    kp.branches.push_back(seg);
-
-    kp.codeFootprintBytes = opcost::kSlsCodeBytes;
-    kp.codeRegion = "kernel:SparseLengthsMean";
+    kp.codeRegion = "kernel:" + std::string(info.opType);
     kp.codeIterations = std::max<uint64_t>(1, lookups);
     return kp;
 }
@@ -522,11 +365,7 @@ GatherOp::run(Workspace& ws)
 
     // Serial prevalidation (panics stay off the pool), then each
     // chunk copies a disjoint band of output rows.
-    for (int64_t i = 0; i < lookups; ++i) {
-        RECSTACK_CHECK(indices[i] >= 0 && indices[i] < rows,
-                       "Gather '" << name() << "': index " << indices[i]
-                                  << " out of range");
-    }
+    checkIndexRange("Gather", name(), indices, lookups, rows);
     const KernelIsa isa = activeKernelIsa();
     parallelFor(0, lookups, grainForCost(static_cast<uint64_t>(dim)),
                 [=](int64_t lo, int64_t hi) {
@@ -637,35 +476,15 @@ ReduceSumOp::profile(const Workspace& ws) const
 }
 
 OperatorPtr
-makeSparseLengthsSum(std::string name, std::string data, std::string indices,
-                     std::string lengths, std::string out,
-                     double zipf_exponent)
+makeSparseLengthsReduce(SlsKind kind, std::string name, std::string data,
+                        std::string weights, std::string indices,
+                        std::string lengths, std::string out,
+                        double zipf_exponent)
 {
-    return std::make_unique<SparseLengthsSumOp>(
-        std::move(name), std::move(data), std::move(indices),
-        std::move(lengths), std::move(out), zipf_exponent);
-}
-
-OperatorPtr
-makeSparseLengthsWeightedSum(std::string name, std::string data,
-                             std::string weights, std::string indices,
-                             std::string lengths, std::string out,
-                             double zipf_exponent)
-{
-    return std::make_unique<SparseLengthsWeightedSumOp>(
-        std::move(name), std::move(data), std::move(weights),
+    return std::make_unique<SparseLengthsReduceOp>(
+        kind, std::move(name), std::move(data), std::move(weights),
         std::move(indices), std::move(lengths), std::move(out),
         zipf_exponent);
-}
-
-OperatorPtr
-makeSparseLengthsMean(std::string name, std::string data,
-                      std::string indices, std::string lengths,
-                      std::string out, double zipf_exponent)
-{
-    return std::make_unique<SparseLengthsMeanOp>(
-        std::move(name), std::move(data), std::move(indices),
-        std::move(lengths), std::move(out), zipf_exponent);
 }
 
 OperatorPtr

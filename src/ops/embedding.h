@@ -5,11 +5,14 @@
  * @file
  * Embedding-table operators.
  *
- * SparseLengthsSum is Caffe2's fused lookup+pool operator and the
- * dominant operator of the embedding-heavy models (RM1, RM2) in the
- * paper. Gather and ReduceSum are the TensorFlow-granularity
- * equivalents (ResourceGather + Sum) used by the framework adapter
- * for the Fig. 7 comparison.
+ * SparseLengthsReduceOp is Caffe2's fused lookup+pool family, one op
+ * parameterised by SlsKind: SparseLengthsSum (the dominant operator of
+ * the embedding-heavy RM1/RM2 in the paper), SparseLengthsWeightedSum
+ * and SparseLengthsMean. Each kind's type name, diagnostic prefix and
+ * per-lookup costs come from the kind table kSlsKinds in
+ * profile/kernel_profile.h. Gather and ReduceSum are the
+ * TensorFlow-granularity equivalents (ResourceGather + Sum) used by
+ * the framework adapter for the Fig. 7 comparison.
  */
 
 #include "ops/operator.h"
@@ -17,29 +20,35 @@
 namespace recstack {
 
 /**
- * SparseLengthsSum.
+ * SparseLengthsReduce: the SparseLengths pooling family.
  *
- * Inputs:  data [R, D] float, indices [L] int64, lengths [B] int32
- *          with sum(lengths) == L.
- * Outputs: out [B, D] where out[b] = sum of data rows selected by the
- *          b-th segment of indices.
+ * Inputs:  data [R, D] float, weights [L] float (kWeightedSum only),
+ *          indices [L] int64, lengths [B] int32 with
+ *          sum(lengths) == L — Caffe2's input order.
+ * Outputs: out [B, D] where out[b] pools the data rows selected by the
+ *          b-th segment of indices: their sum, their weighted sum, or
+ *          their mean (an empty segment stays zero).
  *
+ * @param weights per-lookup weights blob of kWeightedSum; the other
+ *        kinds ignore it (pass "").
  * @param zipf_exponent access skew the index stream is drawn with;
  *        forwarded to the memory stream so the cache model sees the
  *        same locality the numeric indices have.
  */
-class SparseLengthsSumOp : public Operator
+class SparseLengthsReduceOp : public Operator
 {
   public:
-    SparseLengthsSumOp(std::string name, std::string data,
-                       std::string indices, std::string lengths,
-                       std::string out, double zipf_exponent = 0.0);
+    SparseLengthsReduceOp(SlsKind kind, std::string name, std::string data,
+                          std::string weights, std::string indices,
+                          std::string lengths, std::string out,
+                          double zipf_exponent = 0.0);
 
     void inferShapes(Workspace& ws) override;
     void run(Workspace& ws) override;
     KernelProfile profile(const Workspace& ws) const override;
 
   private:
+    SlsKind kind_;
     double zipfExponent_;
 };
 
@@ -77,65 +86,11 @@ class ReduceSumOp : public Operator
     KernelProfile profile(const Workspace& ws) const override;
 };
 
-/**
- * SparseLengthsWeightedSum: per-lookup scalar weights applied before
- * pooling (Caffe2's weighted embedding bag, used by position-weighted
- * production models).
- *
- * Inputs:  data [R, D], weights [L] float, indices [L] int64,
- *          lengths [B] int32
- * Outputs: out [B, D]
- */
-class SparseLengthsWeightedSumOp : public Operator
-{
-  public:
-    SparseLengthsWeightedSumOp(std::string name, std::string data,
-                               std::string weights, std::string indices,
-                               std::string lengths, std::string out,
-                               double zipf_exponent = 0.0);
-
-    void inferShapes(Workspace& ws) override;
-    void run(Workspace& ws) override;
-    KernelProfile profile(const Workspace& ws) const override;
-
-  private:
-    double zipfExponent_;
-};
-
-/**
- * SparseLengthsMean: average pooling instead of sum (identical access
- * behaviour; divides by the segment length).
- */
-class SparseLengthsMeanOp : public Operator
-{
-  public:
-    SparseLengthsMeanOp(std::string name, std::string data,
-                        std::string indices, std::string lengths,
-                        std::string out, double zipf_exponent = 0.0);
-
-    void inferShapes(Workspace& ws) override;
-    void run(Workspace& ws) override;
-    KernelProfile profile(const Workspace& ws) const override;
-
-  private:
-    double zipfExponent_;
-};
-
-OperatorPtr makeSparseLengthsSum(std::string name, std::string data,
-                                 std::string indices, std::string lengths,
-                                 std::string out,
-                                 double zipf_exponent = 0.0);
-OperatorPtr makeSparseLengthsWeightedSum(std::string name,
-                                         std::string data,
-                                         std::string weights,
-                                         std::string indices,
-                                         std::string lengths,
-                                         std::string out,
-                                         double zipf_exponent = 0.0);
-OperatorPtr makeSparseLengthsMean(std::string name, std::string data,
-                                  std::string indices,
-                                  std::string lengths, std::string out,
-                                  double zipf_exponent = 0.0);
+OperatorPtr makeSparseLengthsReduce(SlsKind kind, std::string name,
+                                    std::string data, std::string weights,
+                                    std::string indices,
+                                    std::string lengths, std::string out,
+                                    double zipf_exponent = 0.0);
 OperatorPtr makeGather(std::string name, std::string data,
                        std::string indices, std::string out,
                        double zipf_exponent = 0.0);

@@ -52,9 +52,7 @@ PimModel::PimModel(const PimConfig& cfg) : cfg_(cfg) {}
 bool
 PimModel::offloadable(const KernelProfile& kp)
 {
-    return kp.opType == "SparseLengthsSum" ||
-           kp.opType == "SparseLengthsWeightedSum" ||
-           kp.opType == "SparseLengthsMean";
+    return isSparseLengthsReduce(kp.opType);
 }
 
 int

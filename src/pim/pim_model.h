@@ -121,10 +121,10 @@ class PimModel
 
     /**
      * True when the kernel's operator family executes on the DPUs:
-     * the embedding pooling ops (SparseLengthsSum / -WeightedSum /
-     * -Mean). Gathers without pooling return full rows — the
-     * transfer path would carry the same bytes DRAM would have, so
-     * they stay on the host.
+     * every kind of the SparseLengths pooling family
+     * (isSparseLengthsReduce). Gathers without pooling return full
+     * rows — the transfer path would carry the same bytes DRAM would
+     * have, so they stay on the host.
      */
     static bool offloadable(const KernelProfile& kp);
 

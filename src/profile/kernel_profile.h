@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace recstack {
@@ -128,6 +129,47 @@ struct KernelProfile {
     /** Merge another profile's work into this one (for fused views). */
     void accumulate(const KernelProfile& other);
 };
+
+/** The kinds of Caffe2's SparseLengths pooling family. */
+enum class SlsKind { kSum, kWeightedSum, kMean };
+
+/**
+ * Identity and per-lookup work of one SparseLengths pooling kind. The
+ * vector counts are per embedding element a lookup pools; scalarOps
+ * covers index decode, bounds checks and address generation.
+ */
+struct SlsKindInfo {
+    std::string_view opType;  ///< Caffe2 type name (KernelProfile::opType)
+    std::string_view prefix;  ///< diagnostic prefix
+    uint64_t vecElemOps;      ///< plain adds per pooled element
+    uint64_t fmaFlops;        ///< FMA flops per pooled element
+    uint64_t scalarOps;       ///< scalar ops per lookup
+};
+
+/** The family's kind table, indexed by SlsKind. */
+inline constexpr SlsKindInfo kSlsKinds[] = {
+    {"SparseLengthsSum", "SLS", 1, 0, 8},
+    {"SparseLengthsWeightedSum", "SLWS", 0, 2, 9},
+    {"SparseLengthsMean", "SLMean", 1, 0, 8},
+};
+
+constexpr const SlsKindInfo&
+slsKindInfo(SlsKind kind)
+{
+    return kSlsKinds[static_cast<int>(kind)];
+}
+
+/** True iff @c op_type names a SparseLengths pooling kind. */
+constexpr bool
+isSparseLengthsReduce(std::string_view op_type)
+{
+    for (const SlsKindInfo& info : kSlsKinds) {
+        if (info.opType == op_type) {
+            return true;
+        }
+    }
+    return false;
+}
 
 }  // namespace recstack
 

@@ -228,11 +228,40 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
     RECSTACK_CHECK(tier->fd_ >= 0, "cannot open disk tier file '"
                                        << path << "' (errno " << errno
                                        << ")");
+    struct stat st;
+    RECSTACK_CHECK(::fstat(tier->fd_, &st) == 0,
+                   "disk tier fstat failed");
+    tier->fileBytes_ = static_cast<size_t>(st.st_size);
+    RECSTACK_CHECK(tier->fileBytes_ >= sizeof(FileHeader),
+                   "'" << path << "' is too short for a page-file header");
     FileHeader hdr;
     preadAll(tier->fd_, &hdr, sizeof(hdr), 0);
     RECSTACK_CHECK(hdr.magic == kMagic,
                    "'" << path << "' is not a recstack page file");
-    tier->config_.pageBytes = hdr.pageBytes;
+
+    // Bound every header count by the file size before it sizes a
+    // vector or a read: header page, data pages, key pages, then the
+    // table records.
+    const uint64_t pb = hdr.pageBytes;
+    RECSTACK_CHECK(pb >= 512 && (pb & (pb - 1)) == 0,
+                   "'" << path << "' header: pageBytes " << pb
+                       << " is not a power of two >= 512");
+    const uint64_t file_pages = tier->fileBytes_ / pb;
+    RECSTACK_CHECK(hdr.numDataPages < file_pages,
+                   "'" << path << "' header: numDataPages "
+                       << hdr.numDataPages << " exceeds the file's "
+                       << file_pages << " pages");
+    const uint64_t tail_bytes = (file_pages - 1 - hdr.numDataPages) * pb;
+    RECSTACK_CHECK(hdr.numKeys <= tail_bytes / sizeof(uint64_t),
+                   "'" << path << "' header: numKeys " << hdr.numKeys
+                       << " does not fit in the file");
+    const uint64_t key_pages =
+        (hdr.numKeys * sizeof(uint64_t) + pb - 1) / pb;
+    RECSTACK_CHECK(hdr.numTables <= (tail_bytes - key_pages * pb) /
+                                        sizeof(FileTableRecord),
+                   "'" << path << "' header: numTables " << hdr.numTables
+                       << " does not fit in the file");
+    tier->config_.pageBytes = pb;
     tier->numDataPages_ = hdr.numDataPages;
 
     // Persisted key array -> learned index rebuilt on every open.
@@ -240,21 +269,16 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
     if (hdr.numKeys > 0) {
         preadAll(tier->fd_, keys.data(),
                  hdr.numKeys * sizeof(uint64_t),
-                 static_cast<off_t>((1 + hdr.numDataPages) *
-                                    hdr.pageBytes));
+                 static_cast<off_t>((1 + hdr.numDataPages) * pb));
     }
 
     // Table records trail the key pages.
-    const uint64_t key_pages =
-        (hdr.numKeys * sizeof(uint64_t) + hdr.pageBytes - 1) /
-        hdr.pageBytes;
     std::vector<FileTableRecord> recs(hdr.numTables);
     if (hdr.numTables > 0) {
         preadAll(tier->fd_, recs.data(),
                  hdr.numTables * sizeof(FileTableRecord),
                  static_cast<off_t>(
-                     (1 + hdr.numDataPages + key_pages) *
-                     hdr.pageBytes));
+                     (1 + hdr.numDataPages + key_pages) * pb));
     }
     tier->tables_.reserve(hdr.numTables);
     for (const FileTableRecord& rec : recs) {
@@ -268,11 +292,6 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
     }
     tier->index_ = std::make_unique<SplineIndex>(
         std::move(keys), tier->config_.spline);
-
-    struct stat st;
-    RECSTACK_CHECK(::fstat(tier->fd_, &st) == 0,
-                   "disk tier fstat failed");
-    tier->fileBytes_ = static_cast<size_t>(st.st_size);
 
     tier->mapOrOpen(/*fresh_file=*/false);
     tier->setupPool();

@@ -11,10 +11,11 @@
  * dynamic allocation anywhere on the lookup path. DiskTier is that
  * design:
  *
- *  - **Page file layout**: page 0 is the fixed header (magic, page
- *    size, table/key/page counts), followed by each table's row
- *    payloads packed into per-table data-page regions (rowsPerPage =
- *    pageBytes / rowBytes; rows never span pages), then the sorted
+ *  - **Page file layout**: page 0 is the fixed header (five uint64
+ *    words: magic, page size, table count, key count, data-page
+ *    count), followed by each table's row payloads packed into
+ *    per-table data-page regions (rowsPerPage = pageBytes /
+ *    rowBytes; rows never span pages), then the sorted
  *    64-bit (table, row) key array packed into key pages, then the
  *    per-table records (own pages, so a model with many tables never
  *    outgrows the header).
@@ -134,7 +135,12 @@ class DiskTier
         bool finished_ = false;
     };
 
-    /** Reopen an existing page file (e.g. after a crash). */
+    /**
+     * Reopen an existing page file (e.g. after a crash). Panics with a
+     * diagnostic naming the path and the header field when the page
+     * size is not a power of two >= 512 or the data, key and table
+     * pages the header claims do not fit in the file.
+     */
     static std::unique_ptr<DiskTier> open(const std::string& path,
                                           DiskTierConfig config = {});
 

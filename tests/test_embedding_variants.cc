@@ -50,8 +50,8 @@ TEST(SparseLengthsWeightedSum, HandComputed)
     ws.set("w", Tensor::fromFloats({3}, {2.0f, 0.5f, -1.0f}));
     ws.set("idx", Tensor::fromInt64s({3}, {0, 2, 1}));
     ws.set("len", Tensor::fromInt32s({2}, {2, 1}));
-    SparseLengthsWeightedSumOp slws("slws", "table", "w", "idx", "len",
-                                    "y");
+    SparseLengthsReduceOp slws(SlsKind::kWeightedSum, "slws", "table", "w",
+                               "idx", "len", "y");
     runOp(slws, ws);
     const Tensor& y = ws.get("y");
     EXPECT_FLOAT_EQ(y.at({0, 0}), 2 * 1 + 0.5 * 100);   // 52
@@ -67,10 +67,11 @@ TEST(SparseLengthsWeightedSum, UnitWeightsEqualPlainSum)
     ws.set("w", Tensor::fromFloats(
                     {7}, std::vector<float>(7, 1.0f)));
 
-    SparseLengthsWeightedSumOp slws("slws", "table", "w", "idx", "len",
-                                    "yw");
+    SparseLengthsReduceOp slws(SlsKind::kWeightedSum, "slws", "table", "w",
+                               "idx", "len", "yw");
     runOp(slws, ws);
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "ys");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "ys");
     runOp(sls, ws);
 
     const Tensor& a = ws.get("yw");
@@ -87,8 +88,8 @@ TEST(SparseLengthsWeightedSum, WeightCountMismatchPanics)
     ws.set("w", Tensor({2}));
     ws.set("idx", Tensor({3}, DType::kInt64));
     ws.set("len", Tensor({1}, DType::kInt32));
-    SparseLengthsWeightedSumOp slws("slws", "table", "w", "idx", "len",
-                                    "y");
+    SparseLengthsReduceOp slws(SlsKind::kWeightedSum, "slws", "table", "w",
+                               "idx", "len", "y");
     EXPECT_DEATH(slws.inferShapes(ws), "one weight per lookup");
 }
 
@@ -98,7 +99,8 @@ TEST(SparseLengthsMean, AveragesSegments)
     ws.set("table", Tensor::fromFloats({3, 2}, {2, 4, 6, 8, 10, 12}));
     ws.set("idx", Tensor::fromInt64s({3}, {0, 1, 2}));
     ws.set("len", Tensor::fromInt32s({2}, {2, 1}));
-    SparseLengthsMeanOp mean("m", "table", "idx", "len", "y");
+    SparseLengthsReduceOp mean(SlsKind::kMean, "m", "table", "", "idx",
+                               "len", "y");
     runOp(mean, ws);
     const Tensor& y = ws.get("y");
     EXPECT_FLOAT_EQ(y.at({0, 0}), 4);   // (2+6)/2
@@ -112,9 +114,11 @@ TEST(SparseLengthsMean, EqualsSumDividedByLength)
     const std::vector<int32_t> len = {4, 2};
     Workspace ws = randomBag(8, 6, idx, len);
 
-    SparseLengthsMeanOp mean("m", "table", "idx", "len", "ym");
+    SparseLengthsReduceOp mean(SlsKind::kMean, "m", "table", "", "idx",
+                               "len", "ym");
     runOp(mean, ws);
-    SparseLengthsSumOp sum("s", "table", "idx", "len", "ys");
+    SparseLengthsReduceOp sum(SlsKind::kSum, "s", "table", "", "idx",
+                              "len", "ys");
     runOp(sum, ws);
 
     const Tensor& m = ws.get("ym");
@@ -132,7 +136,8 @@ TEST(SparseLengthsMean, EmptySegmentStaysZero)
     ws.set("table", Tensor::fromFloats({2, 2}, {1, 2, 3, 4}));
     ws.set("idx", Tensor::fromInt64s({1}, {1}));
     ws.set("len", Tensor::fromInt32s({2}, {0, 1}));
-    SparseLengthsMeanOp mean("m", "table", "idx", "len", "y");
+    SparseLengthsReduceOp mean(SlsKind::kMean, "m", "table", "", "idx",
+                               "len", "y");
     runOp(mean, ws);
     EXPECT_FLOAT_EQ(ws.get("y").at({0, 0}), 0.0f);
     EXPECT_FLOAT_EQ(ws.get("y").at({1, 0}), 3.0f);
@@ -145,10 +150,12 @@ TEST(EmbeddingVariants, ProfilesShareGatherShape)
     Workspace ws = randomBag(128, 16, idx, len);
     ws.set("w", Tensor({4}));
 
-    SparseLengthsSumOp sls("a", "table", "idx", "len", "y1");
-    SparseLengthsWeightedSumOp slws("b", "table", "w", "idx", "len",
-                                    "y2");
-    SparseLengthsMeanOp mean("c", "table", "idx", "len", "y3");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "a", "table", "", "idx",
+                              "len", "y1");
+    SparseLengthsReduceOp slws(SlsKind::kWeightedSum, "b", "table", "w",
+                               "idx", "len", "y2");
+    SparseLengthsReduceOp mean(SlsKind::kMean, "c", "table", "", "idx",
+                               "len", "y3");
     sls.inferShapes(ws);
     slws.inferShapes(ws);
     mean.inferShapes(ws);
@@ -233,17 +240,11 @@ hashProfile(Fnv1a& f, const KernelProfile& kp)
 OperatorPtr
 makePoolingOp(int kind)
 {
-    switch (kind) {
-      case 0:
-        return makeSparseLengthsSum("sls", "table", "idx", "len", "y",
-                                    0.9);
-      case 1:
-        return makeSparseLengthsWeightedSum("slws", "table", "w", "idx",
-                                            "len", "y", 0.9);
-      default:
-        return makeSparseLengthsMean("slmean", "table", "idx", "len",
-                                     "y", 0.9);
-    }
+    const SlsKind k = static_cast<SlsKind>(kind);
+    const char* names[] = {"sls", "slws", "slmean"};
+    return makeSparseLengthsReduce(
+        k, names[kind], "table", k == SlsKind::kWeightedSum ? "w" : "",
+        "idx", "len", "y", 0.9);
 }
 
 TEST(EmbeddingVariants, ProfileAndOutputDigestsArePinned)

@@ -164,7 +164,8 @@ TEST(SparseLengthsSumOp, PoolsSegments)
            Tensor::fromFloats({4, 2}, {1, 10, 2, 20, 3, 30, 4, 40}));
     ws.set("idx", Tensor::fromInt64s({3}, {0, 3, 1}));
     ws.set("len", Tensor::fromInt32s({2}, {2, 1}));
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "y");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "y");
     runOp(sls, ws);
     const Tensor& y = ws.get("y");
     ASSERT_EQ(y.shape(), (std::vector<int64_t>{2, 2}));
@@ -179,7 +180,8 @@ TEST(SparseLengthsSumOp, IndexOutOfRangePanics)
     ws.set("table", Tensor({2, 2}));
     ws.set("idx", Tensor::fromInt64s({1}, {5}));
     ws.set("len", Tensor::fromInt32s({1}, {1}));
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "y");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "y");
     sls.inferShapes(ws);
     EXPECT_DEATH(sls.run(ws), "out of range");
 }
@@ -222,7 +224,8 @@ TEST(GatherPlusReduceSumEqualsSLS, TfCaffe2Equivalence)
     ws.set("idx", Tensor::fromInt64s({6}, {0, 2, 4, 1, 1, 3}));
     ws.set("len", Tensor::fromInt32s({2}, {3, 3}));
 
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "y_sls");
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "y_sls");
     runOp(sls, ws);
 
     GatherOp gather("g", "table", "idx", "rows");

@@ -74,7 +74,8 @@ TEST(SLSProfile, GatherStreamShape)
     ws.set("table", Tensor({1000, 16}));
     ws.set("idx", Tensor({40}, DType::kInt64));
     ws.set("len", Tensor({4}, DType::kInt32));
-    SparseLengthsSumOp sls("sls", "table", "idx", "len", "y", 0.8);
+    SparseLengthsReduceOp sls(SlsKind::kSum, "sls", "table", "", "idx",
+                              "len", "y", 0.8);
     const KernelProfile kp = profileOf(sls, ws);
 
     const MemStream* gather = nullptr;
@@ -254,7 +255,8 @@ TEST_P(ProfileInvariants, StreamsHaveValidGeometry)
         ws.set("t", Tensor({64, 8}));
         ws.set("i", Tensor({12}, DType::kInt64));
         ws.set("l", Tensor({3}, DType::kInt32));
-        op = makeSparseLengthsSum("op", "t", "i", "l", "y");
+        op = makeSparseLengthsReduce(SlsKind::kSum, "op", "t", "", "i",
+                                     "l", "y");
         break;
       case 3:
         ws.set("a", Tensor({2, 3, 4}));

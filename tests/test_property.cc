@@ -375,8 +375,8 @@ TEST_P(ParallelOpDifferential, BitIdenticalToSerial)
     net.addOp(makeSigmoid("act", "fc_y", "act_y"));
     net.addOp(makeMul("mul", "fc_y", "act_y", "mul_y"));
     net.addOp(makeSum("sum", {"fc_y", "act_y", "mul_y"}, "sum_y"));
-    net.addOp(makeSparseLengthsSum("sls", "table", "idx", "len",
-                                   "sls_y"));
+    net.addOp(makeSparseLengthsReduce(SlsKind::kSum, "sls", "table", "",
+                                      "idx", "len", "sls_y"));
     net.addOp(makeGather("gather", "table", "idx", "gather_y"));
     net.addOp(makeReshape("rs3", "gather_y", "gather3",
                           {batch, lookups, n}));

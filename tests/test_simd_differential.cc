@@ -371,8 +371,8 @@ TEST(SimdDifferentialVariants, PrimeDimensionNetTailLanes)
     net.addExternalInput("len");
     net.addExternalInput("w");
     net.addExternalInput("b");
-    net.addOp(makeSparseLengthsSum("sls", "table", "idx", "len",
-                                   "pooled"));
+    net.addOp(makeSparseLengthsReduce(SlsKind::kSum, "sls", "table", "",
+                                      "idx", "len", "pooled"));
     net.addOp(makeFC("fc", "pooled", "w", "b", "y"));
     net.addExternalOutput("y");
     net.validate();

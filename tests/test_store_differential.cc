@@ -233,8 +233,8 @@ TEST(StoreDifferentialVariants, MeanPooling)
     for (int width : {1, 4}) {
         IntraOpScope threads(width);
         for (Workspace* ws : {&dense, &backed}) {
-            OperatorPtr op =
-                makeSparseLengthsMean("m", "table", "idx", "len", "y");
+            OperatorPtr op = makeSparseLengthsReduce(
+                SlsKind::kMean, "m", "table", "", "idx", "len", "y");
             op->inferShapes(*ws);
             op->run(*ws);
         }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -475,6 +476,77 @@ TEST_F(DiskFixture, ReopenAfterCrashReverifies)
             }
         }
     }
+}
+
+// --- Header bounds: a corrupt page file is rejected, not trusted. -----
+
+/** Config that keeps the page file across the tier's destructor. */
+DiskTierConfig
+keptConfig()
+{
+    DiskTierConfig cfg;
+    cfg.pageBytes = 1024;
+    cfg.keepFile = true;
+    return cfg;
+}
+
+/** Build a valid 400-row page file to corrupt; returns its path. */
+std::string
+buildPageFile(const std::string& dir)
+{
+    const std::string path = dir + "/corrupt.pages";
+    DiskTier::Builder builder(path, keptConfig());
+    builder.beginTable(2, 8);
+    for (int64_t r = 0; r < 400; ++r) {
+        std::vector<float> row(8);
+        for (int64_t d = 0; d < 8; ++d) {
+            row[static_cast<size_t>(d)] = expectedCell(r, d);
+        }
+        builder.appendRow(r, row.data());
+    }
+    builder.finish();
+    return path;
+}
+
+/**
+ * Overwrite one uint64 word of the header page (0 magic, 1 pageBytes,
+ * 2 numTables, 3 numKeys, 4 numDataPages).
+ */
+void
+patchHeaderWord(const std::string& path, int word, uint64_t value)
+{
+    const int fd = ::open(path.c_str(), O_WRONLY);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::pwrite(fd, &value, sizeof(value),
+                       static_cast<off_t>(word * sizeof(value))),
+              static_cast<ssize_t>(sizeof(value)));
+    ::close(fd);
+}
+
+TEST_F(DiskFixture, HeaderZeroPageSizeIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchHeaderWord(path, 1, 0);
+    EXPECT_DEATH(DiskTier::open(path, keptConfig()),
+                 "corrupt.pages' header: pageBytes 0 ");
+}
+
+TEST_F(DiskFixture, HeaderHugeKeyCountIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchHeaderWord(path, 3, uint64_t{1} << 60);
+    EXPECT_DEATH(DiskTier::open(path, keptConfig()),
+                 "corrupt.pages' header: numKeys 1152921504606846976 "
+                 "does not fit");
+}
+
+TEST_F(DiskFixture, FileTruncatedAfterHeaderIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    ASSERT_EQ(::truncate(path.c_str(), 1024), 0);  // header page only
+    EXPECT_DEATH(DiskTier::open(path, keptConfig()),
+                 "corrupt.pages' header: numDataPages [0-9]+ exceeds "
+                 "the file's 1 pages");
 }
 
 // --- Store integration: serving entirely from disk. -------------------

@@ -22,12 +22,14 @@
 # striped counters, the per-slot ready flags) and ASan (fixed-size
 # record copies).
 #
-# The `simd` label covers the kernel-tier suites (ISA dispatch and
-# the vector-vs-scalar differential harness): the AVX2 kernels read
-# 32-byte lanes up to the last full block and must never touch bytes
-# past a tensor's tail (ASan), and a kernel tier is resolved once per
-# op and captured into pool-worker lambdas, which TSan verifies races
-# neither with IsaScope nesting nor with the env-cache atomics.
+# The `simd` label covers the kernel-tier suites (ISA dispatch, the
+# vector-vs-scalar differential harness, and the numeric op suites
+# whose SparseLengths pooling loops run the row kernels on the pool):
+# the AVX2 kernels read 32-byte lanes up to the last full block and
+# must never touch bytes past a tensor's tail (ASan), and a kernel
+# tier is resolved once per op and captured into pool-worker lambdas,
+# which TSan verifies races neither with IsaScope nesting nor with the
+# env-cache atomics.
 #
 # The `sched` label covers the heterogeneous scheduling suites
 # (threshold router, GPU lane, hill-climb tuner): the lane is driven
