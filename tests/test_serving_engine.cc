@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -27,7 +28,7 @@ class ServingEngineTest : public ::testing::Test
 {
   protected:
     ServingEngineTest()
-        : sweep_(allPlatforms(),
+        : sweep_(allPlatformsWithPim(),
                  []() {
                      ModelOptions opts = tinyOptions();
                      opts.tableScale = 0.01;
@@ -386,6 +387,125 @@ TEST_F(ServingEngineTest, HeterogeneousRejectsCpuLanePlatform)
     bad.heterogeneous = true;
     bad.gpuPlatformIdx = 0;  // Bdw is a CPU
     EXPECT_DEATH(engine.run(bad), "GPU platform");
+}
+
+/** FNV-1a over the 8 bytes of each mixed word. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    }
+    void mix(double v) { mix(std::bit_cast<uint64_t>(v)); }
+    void mix(const ServingStats& s)
+    {
+        mix(s.samplesArrived);
+        mix(s.samplesServed);
+        mix(s.droppedSamples);
+        mix(s.batchesServed);
+        for (double v : {s.meanLatency, s.p50Latency, s.p95Latency,
+                         s.p99Latency, s.meanBatch, s.utilization,
+                         s.offeredLoad, s.throughputQps}) {
+            mix(v);
+        }
+    }
+};
+
+/** One configured lane's share of a result, in configuration order. */
+struct LaneView {
+    PlatformKind kind;
+    int64_t threshold;
+    uint64_t deferredTickets;
+    ServingStats stats;
+};
+
+std::vector<LaneView>
+laneViews(const EngineResult& r)
+{
+    std::vector<LaneView> v;
+    if (r.heterogeneous) {
+        v.push_back({PlatformKind::kGpu, r.gpuThreshold, r.deferredTickets,
+                     r.gpuLaneStats});
+    }
+    if (r.pimEnabled) {
+        v.push_back({PlatformKind::kPim, r.pimThreshold,
+                     r.pimDeferredTickets, r.pimLaneStats});
+    }
+    return v;
+}
+
+/** Hash of every virtual-time field of a node run. */
+uint64_t
+digestResult(const EngineResult& r)
+{
+    Fnv d;
+    d.mix(r.aggregate);
+    for (const ServingStats& w : r.perWorker) {
+        d.mix(w);
+    }
+    d.mix(r.meanSlowdown);
+    d.mix(r.maxSlowdown);
+    d.mix(r.batchesExecuted);
+    for (const LaneView& l : laneViews(r)) {
+        d.mix(static_cast<uint64_t>(l.kind));
+        d.mix(static_cast<uint64_t>(l.threshold));
+        d.mix(l.deferredTickets);
+        d.mix(l.stats);
+    }
+    return d.h;
+}
+
+TEST_F(ServingEngineTest, LaneDigestsArePinned)
+{
+    // Every virtual-time field of RM1 runs with GPU (index 3) and PIM
+    // (index 4) lanes, against constants recorded before the two
+    // lanes became one mechanism: each lane alone, both with
+    // overlapping thresholds (the GPU lane is listed first and takes
+    // batches both would route), a lane that routes nothing, one and
+    // three workers, and a store-backed real-numerics run.
+    constexpr int64_t kNone = std::numeric_limits<int64_t>::max();
+    struct Pinned {
+        bool gpu, pim;
+        int64_t gpuThreshold, pimThreshold;
+        int workers;
+        ExecMode mode;
+        uint64_t digest;
+    };
+    const ExecMode kShape = ExecMode::kProfileOnly;
+    const Pinned pinned[] = {
+        {true, false, 32, kNone, 1, kShape, 0x9339bea86058dc3bull},
+        {true, false, 32, kNone, 3, kShape, 0x61aeed9cf4d4c34dull},
+        {false, true, kNone, 32, 1, kShape, 0x5caf2c3ee46a2efaull},
+        {false, true, kNone, 32, 3, kShape, 0x1aef6777f8828f59ull},
+        {true, true, 48, 16, 1, kShape, 0xc3ecc8ccf0549164ull},
+        {true, true, 48, 16, 3, kShape, 0x8cbba52de9cdda4full},
+        {true, false, kNone, kNone, 1, kShape, 0x1d3f1df5b7b90b4bull},
+        {true, true, kNone, kNone, 3, kShape, 0x92928fbaa0ea2d77ull},
+        {true, true, 48, 16, 2, ExecMode::kNumericOnly, 0x5e64477c1e156e86ull},
+    };
+    for (const Pinned& p : pinned) {
+        sched_.setGpuThreshold(ModelId::kRM1, p.gpuThreshold);
+        sched_.setPimThreshold(ModelId::kRM1, p.pimThreshold);
+        EngineConfig cfg;
+        cfg.numWorkers = p.workers;
+        cfg.arrivalQps = 40000;
+        cfg.simSeconds = p.mode == kShape ? 0.25 : 0.05;
+        cfg.execMode = p.mode;
+        cfg.heterogeneous = p.gpu;
+        cfg.gpuPlatformIdx = 3;
+        cfg.pimLaneEnabled = p.pim;
+        cfg.pimPlatformIdx = 4;
+        cfg.pimLane.maxBatch = 128;
+        ServingNode engine(&sched_, ModelId::kRM1, 0);
+        const EngineResult r = engine.run(cfg);
+        EXPECT_EQ(laneViews(r).size(), size_t{p.gpu} + size_t{p.pim});
+        EXPECT_EQ(digestResult(r), p.digest)
+            << std::hex << digestResult(r) << std::dec << ": gpu "
+            << p.gpu << " pim " << p.pim << ", " << p.workers
+            << " workers";
+    }
 }
 
 TEST(BatchQueueTest, OccupancyTieCountsCompletingWorkerIdle)
