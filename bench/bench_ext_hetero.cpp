@@ -38,12 +38,23 @@ baseConfig(double qps)
     cfg.maxBatch = kMaxBatch;
     cfg.maxWaitSeconds = kWindow;
     cfg.simSeconds = kSimSeconds;
+    return cfg;
+}
+
+/** baseConfig plus the T4 lane of the heterogeneous split. */
+EngineConfig
+heteroConfig(double qps)
+{
+    EngineConfig cfg = baseConfig(qps);
     // Match the lane's accumulation to the front queue: the GPU's
     // service time is near-linear in batch beyond the grid's
     // amortization knee, so batching past the front queue's cap only
     // stretches the tail without buying throughput.
-    cfg.gpuLane.maxBatch = kMaxBatch;
-    cfg.gpuLane.maxWaitSeconds = kWindow;
+    AccelLaneConfig lane;
+    lane.platformIdx = kT4;
+    lane.maxBatch = kMaxBatch;
+    lane.maxWaitSeconds = kWindow;
+    cfg.lanes = {lane};
     return cfg;
 }
 
@@ -123,15 +134,13 @@ studyModel(QueryScheduler& sched, ModelId model)
     HillClimbConfig tune;
     tune.slaSeconds = st.sla;
     tune.thresholdGrid = {16, 64, 128, 256,
-                          QueryScheduler::kNoGpuThreshold};
+                          QueryScheduler::kNoThreshold};
     tune.startIndex = 2;
     tune.epochSeconds = kSimSeconds;
     const double tune_rate = 0.8 * combined;
-    EngineConfig hcfg = baseConfig(tune_rate);
-    hcfg.heterogeneous = true;
-    hcfg.gpuPlatformIdx = kT4;
+    const EngineConfig hcfg = heteroConfig(tune_rate);
     const EpochFn epoch = [&](int64_t threshold) {
-        sched.setGpuThreshold(st.model, threshold);
+        sched.setThreshold(PlatformKind::kGpu, st.model, threshold);
         hetero.run(hcfg);
     };
     const HillClimbResult hc = hillClimbThreshold(tune, epoch);
@@ -150,7 +159,7 @@ studyModel(QueryScheduler& sched, ModelId model)
     };
     st.gridStepsApart =
         std::abs(index_of(hc.bestThreshold) - index_of(ex.bestThreshold));
-    sched.setGpuThreshold(model, st.tunedThreshold);
+    sched.setThreshold(PlatformKind::kGpu, model, st.tunedThreshold);
 
     // The frontier: one shared rate ladder, three configurations.
     st.ladder = {0.2 * combined, 0.4 * combined, 0.6 * combined,
@@ -161,10 +170,7 @@ studyModel(QueryScheduler& sched, ModelId model)
     for (double rate : st.ladder) {
         const EngineResult rc = cpu.run(baseConfig(rate));
         const EngineResult rg = gpu.run(baseConfig(rate));
-        EngineConfig hl = baseConfig(rate);
-        hl.heterogeneous = true;
-        hl.gpuPlatformIdx = kT4;
-        const EngineResult rh = hetero.run(hl);
+        const EngineResult rh = hetero.run(heteroConfig(rate));
 
         const double pc =
             updateCapacity(rc, rate, st.sla, &st.cpuCapacity);
@@ -176,7 +182,7 @@ studyModel(QueryScheduler& sched, ModelId model)
         st.heteroP99.push_back(ph);
         const double share =
             rh.aggregate.samplesServed > 0
-                ? static_cast<double>(rh.gpuLaneStats.samplesServed) /
+                ? static_cast<double>(rh.lanes.front().stats.samplesServed) /
                       static_cast<double>(rh.aggregate.samplesServed)
                 : 0.0;
         std::string ok;
@@ -193,7 +199,7 @@ studyModel(QueryScheduler& sched, ModelId model)
     std::printf("\n%s  (SLA p99 <= %s, tuned threshold %s)\n",
                 modelName(model),
                 TextTable::fmtSeconds(st.sla).c_str(),
-                st.tunedThreshold == QueryScheduler::kNoGpuThreshold
+                st.tunedThreshold == QueryScheduler::kNoThreshold
                     ? "none"
                     : std::to_string(st.tunedThreshold).c_str());
     std::printf("%s", table.render().c_str());

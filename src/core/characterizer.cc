@@ -3,6 +3,33 @@
 #include "graph/executor.h"
 
 namespace recstack {
+namespace {
+
+/**
+ * Run @c profiles on one CPU model: a warm-up pass (caches, DSB
+ * regions, predictor), then a measured pass whose per-op seconds go
+ * into @c result's breakdown and whose counters accumulate into it;
+ * derives the TopDown split and returns the measured seconds.
+ */
+double
+simulateCpuPass(const std::vector<KernelProfile>& profiles,
+                const CpuConfig& config, uint64_t seed, RunResult* result)
+{
+    CpuModel cpu(config, seed);
+    for (const KernelProfile& kp : profiles) {
+        (void)cpu.simulateKernel(kp);
+    }
+    const double hz = config.freqGHz * 1e9;
+    for (const KernelProfile& kp : profiles) {
+        const CpuCounters c = cpu.simulateKernel(kp);
+        result->breakdown.add(kp.opType, c.cycles / hz);
+        result->counters.accumulate(c);
+    }
+    result->topdown = deriveTopDown(result->counters, config);
+    return result->counters.cycles / hz;
+}
+
+}  // namespace
 
 RunResult
 simulateProfiles(const std::vector<KernelProfile>& profiles,
@@ -16,20 +43,8 @@ simulateProfiles(const std::vector<KernelProfile>& profiles,
     result.batch = batch;
 
     if (platform.kind == PlatformKind::kCpu) {
-        CpuModel cpu(platform.cpu, seed);
-        // Warm-up pass: populate caches, DSB regions, predictor.
-        for (const KernelProfile& kp : profiles) {
-            (void)cpu.simulateKernel(kp);
-        }
-        // Measured pass.
-        const double hz = platform.cpu.freqGHz * 1e9;
-        for (const KernelProfile& kp : profiles) {
-            const CpuCounters c = cpu.simulateKernel(kp);
-            result.breakdown.add(kp.opType, c.cycles / hz);
-            result.counters.accumulate(c);
-        }
-        result.seconds = result.counters.cycles / hz;
-        result.topdown = deriveTopDown(result.counters, platform.cpu);
+        result.seconds = simulateCpuPass(profiles, platform.cpu, seed,
+                                         &result);
         return result;
     }
 
@@ -48,25 +63,15 @@ simulateProfiles(const std::vector<KernelProfile>& profiles,
             }
         }
 
-        CpuModel cpu(platform.pim.host, seed);
-        for (const KernelProfile& kp : host_profiles) {
-            (void)cpu.simulateKernel(kp);
-        }
-        const double hz = platform.pim.host.freqGHz * 1e9;
-        for (const KernelProfile& kp : host_profiles) {
-            const CpuCounters c = cpu.simulateKernel(kp);
-            result.breakdown.add(kp.opType, c.cycles / hz);
-            result.counters.accumulate(c);
-        }
-        result.topdown = deriveTopDown(result.counters, platform.pim.host);
+        const double host_seconds = simulateCpuPass(
+            host_profiles, platform.pim.host, seed, &result);
 
         PimModel pim(platform.pim);
         result.pim = pim.simulateOffload(offload_profiles);
         for (const PimOpTime& t : result.pim.opTimes) {
             result.breakdown.add(t.opType, t.seconds);
         }
-        result.seconds =
-            result.counters.cycles / hz + result.pim.offloadSeconds;
+        result.seconds = host_seconds + result.pim.offloadSeconds;
         exportPimStats(result.pim);
         return result;
     }

@@ -218,13 +218,10 @@ class VirtualNode
     {
         const int busy = BatchQueue::busyAtLaunch(
             readyTime_, active_, static_cast<size_t>(w), t);
-        const double base =
-            scheduler_->latency(model_, platformIdx_, batch);
-        const int k = std::min(busy, workers_);
-        const double factor = factors_[static_cast<size_t>(k - 1)];
-        const double svc =
-            base * factor +
-            static_cast<double>(batch) * remotePerSample_;
+        const double svc = priceBatch(scheduler_, model_, platformIdx_,
+                                      factors_, busy, batch,
+                                      remotePerSample_)
+                               .seconds;
         const double completion = t + svc;
         readyTime_[static_cast<size_t>(w)] = completion;
         perWorkerBusy_[static_cast<size_t>(w)] += completion - t;

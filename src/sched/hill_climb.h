@@ -3,8 +3,9 @@
 
 /**
  * @file
- * Online hill-climbing tuner for the CPU/GPU batch-size threshold
- * (DeepRecSys's SLA-aware scheduler loop; see docs/scheduling.md).
+ * Online hill-climbing tuner for a CPU/accelerator batch-size
+ * threshold (DeepRecSys's SLA-aware scheduler loop; see
+ * docs/scheduling.md).
  *
  * DeepRecSys tunes the per-model split between CPU inference engines
  * and the accelerator lane *online*: run an epoch at a candidate
@@ -15,8 +16,8 @@
  *
  *  - the caller supplies an EpochFn that serves one epoch of traffic
  *    at a given threshold (in practice: set
- *    QueryScheduler::setGpuThreshold and run the ServingNode with
- *    EngineConfig::heterogeneous);
+ *    QueryScheduler::setThreshold for the lane's platform kind and run
+ *    the ServingNode with that lane in EngineConfig::lanes);
  *  - the tuner resets the named latency histogram in
  *    obs::MetricsRegistry::global() before the epoch and reads the
  *    achieved p99 and served-query count back from its snapshot
@@ -68,7 +69,7 @@ struct HillClimbConfig {
     double slaSeconds = 0.05;
     /// Ascending candidate thresholds (strictly increasing, all >= 1).
     /// Usually the characterization batch grid plus a sentinel like
-    /// QueryScheduler::kNoGpuThreshold as "route nothing".
+    /// QueryScheduler::kNoThreshold as "route nothing".
     std::vector<int64_t> thresholdGrid;
     /// Grid index the climb starts from (clamped to the grid).
     size_t startIndex = 0;

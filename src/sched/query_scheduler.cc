@@ -103,31 +103,18 @@ QueryScheduler::maxBatchUnderSla(ModelId model, size_t platform_idx,
 }
 
 void
-QueryScheduler::setGpuThreshold(ModelId model, int64_t threshold)
+QueryScheduler::setThreshold(PlatformKind kind, ModelId model,
+                             int64_t threshold)
 {
     RECSTACK_CHECK(threshold > 0, "threshold must be positive");
-    gpuThresholds_[model] = threshold;
+    thresholds_[{kind, model}] = threshold;
 }
 
 int64_t
-QueryScheduler::gpuThreshold(ModelId model) const
+QueryScheduler::threshold(PlatformKind kind, ModelId model) const
 {
-    const auto it = gpuThresholds_.find(model);
-    return it == gpuThresholds_.end() ? kNoGpuThreshold : it->second;
-}
-
-void
-QueryScheduler::setPimThreshold(ModelId model, int64_t threshold)
-{
-    RECSTACK_CHECK(threshold > 0, "threshold must be positive");
-    pimThresholds_[model] = threshold;
-}
-
-int64_t
-QueryScheduler::pimThreshold(ModelId model) const
-{
-    const auto it = pimThresholds_.find(model);
-    return it == pimThresholds_.end() ? kNoPimThreshold : it->second;
+    const auto it = thresholds_.find({kind, model});
+    return it == thresholds_.end() ? kNoThreshold : it->second;
 }
 
 ThroughputPoint

@@ -19,6 +19,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sweep.h"
@@ -107,73 +108,47 @@ class QueryScheduler
     SweepCache* sweep() const { return sweep_; }
 
     // ------------------------------------------------------------------
-    // DeepRecSys-style CPU/GPU split: per-model batch-size thresholds.
+    // DeepRecSys-style accelerator split: per-(kind, model) batch-size
+    // thresholds.
     //
-    // The heterogeneous serving engine asks the scheduler, per dynamic
-    // batch, whether the batch should stay on the CPU worker pool
-    // (small / latency-critical) or defer to the accelerator lane
-    // (large / throughput-oriented). The decision is a single per-model
-    // threshold on the batch size, tuned online by the hill-climbing
-    // tuner (sched/hill_climb.h) against the p99 SLA. Not synchronized:
-    // callers serialize externally (the engine reads thresholds under
-    // its queue lock; the tuner writes between engine runs).
+    // The serving node asks the scheduler, per dynamic batch, whether
+    // the batch should stay on the CPU worker pool (small / latency-
+    // critical) or defer to an accelerator lane of a given platform
+    // kind (large / throughput-oriented): a GPU, or the PIM DPU ranks
+    // that amortize the host<->DPU transfer over large SLS-heavy
+    // batches. The decision is a single threshold on the batch size
+    // per (kind, model), tuned online by the hill-climbing tuner
+    // (sched/hill_climb.h) against the p99 SLA. When a batch reaches
+    // the thresholds of several configured lanes, the node defers it
+    // to the first lane in its list. Not synchronized: callers
+    // serialize externally (the node reads thresholds under its queue
+    // lock; the tuner writes between node runs).
     // ------------------------------------------------------------------
 
     /** Threshold meaning "never defer to the accelerator" (default). */
-    static constexpr int64_t kNoGpuThreshold =
+    static constexpr int64_t kNoThreshold =
         std::numeric_limits<int64_t>::max();
 
     /**
-     * Set the model's CPU/GPU split point: batches of size >=
-     * threshold defer to the accelerator lane. Must be >= 1; a
-     * threshold of 1 routes every batch, kNoGpuThreshold routes none.
+     * Set the model's split point for accelerator @c kind: batches of
+     * size >= threshold defer to a lane of that kind. Must be >= 1; a
+     * threshold of 1 routes every batch, kNoThreshold routes none.
      */
-    void setGpuThreshold(ModelId model, int64_t threshold);
+    void setThreshold(PlatformKind kind, ModelId model, int64_t threshold);
 
-    /** The model's split point (kNoGpuThreshold when never set). */
-    int64_t gpuThreshold(ModelId model) const;
+    /** The split point (kNoThreshold when never set). */
+    int64_t threshold(PlatformKind kind, ModelId model) const;
 
-    /** True when a batch of this size defers to the accelerator. */
-    bool routesToGpu(ModelId model, int64_t batch) const
+    /** True when a batch of this size defers to a lane of @c kind. */
+    bool routesTo(PlatformKind kind, ModelId model, int64_t batch) const
     {
-        return batch >= gpuThreshold(model);
-    }
-
-    // ------------------------------------------------------------------
-    // PIM lane split: the same per-model threshold machinery for the
-    // near-memory platform (src/pim/). An SLS-heavy model's large
-    // batches amortize the host<->DPU transfer latency, so the tuner
-    // lowers its PIM threshold; FC-heavy models keep kNoPimThreshold.
-    // A batch that crosses both thresholds defers to the GPU lane
-    // (the engine checks routesToGpu first), so enabling PIM never
-    // steals traffic from an already-tuned GPU split.
-    // ------------------------------------------------------------------
-
-    /** Threshold meaning "never defer to the PIM lane" (default). */
-    static constexpr int64_t kNoPimThreshold =
-        std::numeric_limits<int64_t>::max();
-
-    /**
-     * Set the model's CPU/PIM split point: batches of size >=
-     * threshold defer to the PIM lane. Must be >= 1; a threshold of
-     * 1 routes every batch, kNoPimThreshold routes none.
-     */
-    void setPimThreshold(ModelId model, int64_t threshold);
-
-    /** The model's PIM split point (kNoPimThreshold when never set). */
-    int64_t pimThreshold(ModelId model) const;
-
-    /** True when a batch of this size defers to the PIM lane. */
-    bool routesToPim(ModelId model, int64_t batch) const
-    {
-        return batch >= pimThreshold(model);
+        return batch >= threshold(kind, model);
     }
 
   private:
     SweepCache* sweep_;
     std::vector<int64_t> batchGrid_;
-    std::map<ModelId, int64_t> gpuThresholds_;
-    std::map<ModelId, int64_t> pimThresholds_;
+    std::map<std::pair<PlatformKind, ModelId>, int64_t> thresholds_;
 };
 
 }  // namespace recstack

@@ -1,4 +1,4 @@
-#include "serve/gpu_lane.h"
+#include "serve/accel_lane.h"
 
 #include <algorithm>
 
@@ -6,30 +6,33 @@
 
 namespace recstack {
 
-GpuLane::GpuLane(QueryScheduler* scheduler, ModelId model,
-                 size_t gpu_platform, const GpuLaneConfig& cfg)
-    : scheduler_(scheduler),
-      model_(model),
-      gpuPlatform_(gpu_platform),
-      cfg_(cfg)
+AccelLane::AccelLane(QueryScheduler* scheduler, ModelId model,
+                     const AccelLaneConfig& cfg)
+    : scheduler_(scheduler), model_(model), cfg_(cfg)
 {
     RECSTACK_CHECK(scheduler_ != nullptr, "lane needs a scheduler");
-    RECSTACK_CHECK(gpu_platform < scheduler_->sweep()->platforms().size(),
-                   "GPU platform index out of range");
-    // The same accumulation lane prices either accelerator: a GPU
-    // (heterogeneous serving) or the PIM DPU ranks (docs/pim.md).
-    const PlatformKind kind =
-        scheduler_->sweep()->platforms()[gpu_platform].kind;
-    RECSTACK_CHECK(kind == PlatformKind::kGpu ||
-                       kind == PlatformKind::kPim,
+    const std::vector<Platform>& platforms =
+        scheduler_->sweep()->platforms();
+    RECSTACK_CHECK(cfg_.platformIdx < platforms.size(),
+                   "lane platform index out of range");
+    const Platform& platform = platforms[cfg_.platformIdx];
+    kind_ = platform.kind;
+    RECSTACK_CHECK(kind_ == PlatformKind::kGpu ||
+                       kind_ == PlatformKind::kPim,
                    "lane platform must be an accelerator (GPU or PIM)");
     RECSTACK_CHECK(cfg_.maxBatch > 0, "lane batch cap must be > 0");
     RECSTACK_CHECK(cfg_.maxWaitSeconds >= 0.0,
                    "lane window must be >= 0");
+    handoffSeconds_ = std::max(1e-9, kind_ == PlatformKind::kGpu
+                                         ? platform.gpu.hostDispatchSec
+                                         : platform.pim.hostDispatchSec);
+    for (int64_t b : scheduler_->batchGrid()) {
+        scheduler_->latency(model_, cfg_.platformIdx, b);
+    }
 }
 
 void
-GpuLane::launch(double trigger, GpuLaunch::Reason reason)
+AccelLane::launch(double trigger, AccelLaunch::Reason reason)
 {
     const int64_t batch = std::min<int64_t>(
         cfg_.maxBatch, static_cast<int64_t>(pending_.size()));
@@ -39,10 +42,10 @@ GpuLane::launch(double trigger, GpuLaunch::Reason reason)
     // a time on the virtual clock.
     const double launch_time = std::max(trigger, readyTime_);
     const double service =
-        scheduler_->latency(model_, gpuPlatform_, batch);
+        scheduler_->latency(model_, cfg_.platformIdx, batch);
     const double completion = launch_time + service;
 
-    GpuLaunch rec;
+    AccelLaunch rec;
     rec.launchTime = launch_time;
     rec.completionTime = completion;
     rec.batch = batch;
@@ -61,17 +64,17 @@ GpuLane::launch(double trigger, GpuLaunch::Reason reason)
 }
 
 void
-GpuLane::advanceTo(double now)
+AccelLane::advanceTo(double now)
 {
     while (!pending_.empty() &&
            pending_.front().submit + cfg_.maxWaitSeconds <= now) {
         launch(pending_.front().submit + cfg_.maxWaitSeconds,
-               GpuLaunch::Reason::kWindow);
+               AccelLaunch::Reason::kWindow);
     }
 }
 
 void
-GpuLane::submit(const BatchTicket& ticket, double now)
+AccelLane::submit(const BatchTicket& ticket, double now)
 {
     // Fire any window expiry that came due strictly before this
     // hand-off, so launches interleave with submissions in virtual-
@@ -81,16 +84,16 @@ GpuLane::submit(const BatchTicket& ticket, double now)
         pending_.push_back({arrival, now});
     }
     while (static_cast<int64_t>(pending_.size()) >= cfg_.maxBatch) {
-        launch(now, GpuLaunch::Reason::kFull);
+        launch(now, AccelLaunch::Reason::kFull);
     }
 }
 
 void
-GpuLane::drain()
+AccelLane::drain()
 {
     while (!pending_.empty()) {
         launch(pending_.front().submit + cfg_.maxWaitSeconds,
-               GpuLaunch::Reason::kDrain);
+               AccelLaunch::Reason::kDrain);
     }
 }
 

@@ -1,20 +1,23 @@
-#ifndef RECSTACK_SERVE_GPU_LANE_H_
-#define RECSTACK_SERVE_GPU_LANE_H_
+#ifndef RECSTACK_SERVE_ACCEL_LANE_H_
+#define RECSTACK_SERVE_ACCEL_LANE_H_
 
 /**
  * @file
- * GpuLane: the accelerator backend of the heterogeneous serving
- * engine (DeepRecSys's accelInferenceEngine, in virtual time).
+ * AccelLane: an accelerator backend of the serving node
+ * (DeepRecSys's accelInferenceEngine, in virtual time).
  *
- * The serving engine's CPU workers pull dynamic batches from the
- * BatchQueue; with heterogeneous serving enabled, batches at or above
- * the model's GPU threshold (QueryScheduler::gpuThreshold) are not
- * serviced on the worker — the worker only pays the host dispatch
- * cost of handing the batch over, and the samples land here. The lane
- * is a single virtual accelerator with its own dynamic batcher in
+ * The node's CPU workers pull dynamic batches from the BatchQueue; a
+ * batch at or above the model's threshold for a configured lane's
+ * platform kind (QueryScheduler::routesTo) is not serviced on the
+ * worker — the worker only pays the host dispatch cost of handing the
+ * batch over, and the samples land here. One mechanism serves both
+ * accelerators: the lane's platform (a GPU for the heterogeneous
+ * split, docs/scheduling.md, or the PIM DPU ranks, docs/pim.md) fixes
+ * its kind, its hand-off cost and the grid that prices its batches. A
+ * lane is a single virtual accelerator with its own dynamic batcher in
  * front of it:
  *
- *  - deferred samples accumulate in a pending queue; a GPU batch
+ *  - deferred samples accumulate in a pending queue; a lane batch
  *    launches when maxBatch samples are pending (batch-full) or when
  *    the oldest pending sample has sat in the lane for
  *    maxWaitSeconds (window-expired), whichever virtual instant comes
@@ -22,13 +25,14 @@
  *  - a launch is serialized behind the device (launch time =
  *    max(trigger, device-ready)), and its service time comes from the
  *    same characterization oracle as the CPU workers'
- *    (QueryScheduler::latency on the GPU platform, i.e. the batch is
- *    priced by GpuModel::simulateNet through the sweep grid), so CPU
- *    and GPU completions live on one consistent virtual clock;
+ *    (QueryScheduler::latency on the lane's platform, i.e. the batch
+ *    is priced by GpuModel::simulateNet or the PIM model through the
+ *    sweep grid), so CPU and lane completions live on one consistent
+ *    virtual clock;
  *  - per-sample latency is end-to-end: completion minus the sample's
  *    *original* arrival time, batching delay of both queues included.
  *
- * Determinism: the engine invokes submit()/advanceTo() under the
+ * Determinism: the node invokes submit()/advanceTo() under the
  * BatchQueue lock, in the strict virtual-time launch order the queue
  * already enforces, and drain() after the workers have joined. The
  * lane itself is therefore single-threaded by construction and its
@@ -51,17 +55,19 @@
 
 namespace recstack {
 
-/** Dynamic-batching knobs of the accelerator lane. */
-struct GpuLaneConfig {
-    /// Accumulation cap: a GPU batch never exceeds this many samples.
+/** Platform and dynamic-batching knobs of one accelerator lane. */
+struct AccelLaneConfig {
+    /// Index of a kGpu or kPim platform in the scheduler's sweep.
+    size_t platformIdx = 3;
+    /// Accumulation cap: a lane batch never exceeds this many samples.
     int64_t maxBatch = 1024;
     /// Accumulation window measured from the oldest pending sample's
     /// hand-off time (not its original arrival).
     double maxWaitSeconds = 2e-3;
 };
 
-/** One GPU batch the lane launched (for reporting / tests). */
-struct GpuLaunch {
+/** One batch the lane launched (for reporting / tests). */
+struct AccelLaunch {
     double launchTime = 0.0;
     double completionTime = 0.0;
     int64_t batch = 0;
@@ -70,17 +76,19 @@ struct GpuLaunch {
 };
 
 /** Single virtual accelerator with an accumulation queue in front. */
-class GpuLane
+class AccelLane
 {
   public:
     /**
-     * @param scheduler     latency oracle (not owned; must outlive)
-     * @param model         served model
-     * @param gpu_platform  index of a GPU platform in the scheduler's
-     *                      sweep
+     * Checks that cfg.platformIdx names a GPU or PIM platform of the
+     * scheduler's sweep, and prewarms the model's latency grid on it
+     * so later launches only read the memoized sweep.
+     *
+     * @param scheduler latency oracle (not owned; must outlive)
+     * @param model     served model
      */
-    GpuLane(QueryScheduler* scheduler, ModelId model, size_t gpu_platform,
-            const GpuLaneConfig& cfg);
+    AccelLane(QueryScheduler* scheduler, ModelId model,
+              const AccelLaneConfig& cfg);
 
     /**
      * Hand one deferred dynamic batch to the lane at virtual time
@@ -97,13 +105,19 @@ class GpuLane
     /** Stream over: flush what is pending (see drain semantics). */
     void drain();
 
+    /** kGpu or kPim: the kind of the lane's platform. */
+    PlatformKind kind() const { return kind_; }
+    /// What a hand-off costs the worker: the platform's host dispatch
+    /// (at least 1 ns; BatchQueue needs a positive service time).
+    double handoffSeconds() const { return handoffSeconds_; }
+
     // Accessors (call after drain() for final values).
     uint64_t samplesServed() const { return samplesServed_; }
     uint64_t batchesServed() const { return batchesServed_; }
     double busySeconds() const { return busySeconds_; }
     double lastCompletion() const { return lastCompletion_; }
     const std::vector<double>& latencies() const { return latencies_; }
-    const std::vector<GpuLaunch>& launches() const { return launches_; }
+    const std::vector<AccelLaunch>& launches() const { return launches_; }
     int64_t pendingSamples() const
     {
         return static_cast<int64_t>(pending_.size());
@@ -115,12 +129,13 @@ class GpuLane
         double submit = 0.0;   ///< hand-off time into the lane
     };
 
-    void launch(double trigger, GpuLaunch::Reason reason);
+    void launch(double trigger, AccelLaunch::Reason reason);
 
     QueryScheduler* scheduler_;
     ModelId model_;
-    size_t gpuPlatform_;
-    GpuLaneConfig cfg_;
+    AccelLaneConfig cfg_;
+    PlatformKind kind_ = PlatformKind::kGpu;
+    double handoffSeconds_ = 0.0;
 
     std::deque<PendingSample> pending_;
     double readyTime_ = 0.0;  ///< device virtual free time
@@ -130,9 +145,9 @@ class GpuLane
     double busySeconds_ = 0.0;
     double lastCompletion_ = 0.0;
     std::vector<double> latencies_;
-    std::vector<GpuLaunch> launches_;
+    std::vector<AccelLaunch> launches_;
 };
 
 }  // namespace recstack
 
-#endif  // RECSTACK_SERVE_GPU_LANE_H_
+#endif  // RECSTACK_SERVE_ACCEL_LANE_H_

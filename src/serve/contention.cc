@@ -1,5 +1,7 @@
 #include "serve/contention.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 #include "uarch/multicore.h"
 
@@ -47,6 +49,20 @@ nodeSlowdowns(QueryScheduler* scheduler, ModelId model,
     return contentionSlowdowns(sweep->get(model, platform_idx, ref_batch),
                                sweep->platforms()[platform_idx],
                                num_workers);
+}
+
+BatchPrice
+priceBatch(QueryScheduler* scheduler, ModelId model, size_t platform_idx,
+           const std::vector<double>& factors, int busy, int64_t batch,
+           double remote_seconds_per_sample)
+{
+    const double base = scheduler->latency(model, platform_idx, batch);
+    const int k = std::min(busy, static_cast<int>(factors.size()));
+    BatchPrice price;
+    price.factor = factors[static_cast<size_t>(k - 1)];
+    price.seconds = base * price.factor +
+                    static_cast<double>(batch) * remote_seconds_per_sample;
+    return price;
 }
 
 }  // namespace recstack

@@ -51,6 +51,25 @@ std::vector<double> nodeSlowdowns(QueryScheduler* scheduler, ModelId model,
                                   size_t platform_idx, int64_t max_batch,
                                   int num_workers, bool model_contention);
 
+/** One batch's price on a node's CPU workers. */
+struct BatchPrice {
+    double factor = 1.0;   ///< contention stretch applied
+    double seconds = 0.0;  ///< virtual service seconds
+};
+
+/**
+ * Price one batch of @c batch samples launched while @c busy workers
+ * are busy: the grid latency stretched by the factor for
+ * min(busy, factors.size()) workers, plus the placement surcharge
+ * (@c remote_seconds_per_sample per sample). Remote-row fetches cross
+ * the network, not the shared socket, so the surcharge adds after the
+ * stretch. ServingNode and the fleet's node twin both call this.
+ */
+BatchPrice priceBatch(QueryScheduler* scheduler, ModelId model,
+                      size_t platform_idx,
+                      const std::vector<double>& factors, int busy,
+                      int64_t batch, double remote_seconds_per_sample);
+
 }  // namespace recstack
 
 #endif  // RECSTACK_SERVE_CONTENTION_H_

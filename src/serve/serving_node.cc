@@ -60,52 +60,11 @@ struct WorkerLocal {
     uint64_t samplesServed = 0;
     uint64_t batchesServed = 0;
     /// Batches this worker serviced itself (slowdown factors summed
-    /// over exactly these; == batchesServed outside heterogeneous
-    /// runs).
+    /// over exactly these; == batchesServed in runs without lanes).
     uint64_t cpuServicedBatches = 0;
-    /// Batches handed over to the GPU lane (heterogeneous runs only).
-    uint64_t deferredTickets = 0;
-    /// Batches handed over to the PIM lane (pimLaneEnabled runs only).
-    uint64_t pimDeferredTickets = 0;
+    /// Batches handed over to each configured lane.
+    std::vector<uint64_t> deferredTickets;
 };
-
-/** An accelerator lane and what a hand-off to it costs a worker. */
-struct Lane {
-    std::unique_ptr<GpuLane> lane;
-    double handoffSeconds = 0.0;
-};
-
-/**
- * Build the lane of kind @c kind (kGpu or kPim) at @c platform_idx
- * and prewarm its grid before threads exist, mirroring the CPU
- * prewarm. The lane prices batches through QueryScheduler::latency,
- * which dispatches on the platform kind, so only the platform and the
- * hand-off cost differ between the two lanes.
- */
-Lane
-makeLane(QueryScheduler* scheduler, ModelId model, size_t platform_idx,
-         PlatformKind kind, const GpuLaneConfig& cfg, const char* name)
-{
-    const std::vector<Platform>& platforms =
-        scheduler->sweep()->platforms();
-    RECSTACK_CHECK(platform_idx < platforms.size(),
-                   name << " platform index out of range");
-    const Platform& platform = platforms[platform_idx];
-    RECSTACK_CHECK(platform.kind == kind,
-                   name << " lane needs a "
-                        << (kind == PlatformKind::kGpu ? "GPU" : "kPim")
-                        << " platform");
-    for (int64_t b : scheduler->batchGrid()) {
-        scheduler->latency(model, platform_idx, b);
-    }
-    const double dispatch = kind == PlatformKind::kGpu
-                                ? platform.gpu.hostDispatchSec
-                                : platform.pim.hostDispatchSec;
-    // A deferred batch costs the worker only the hand-off staging;
-    // BatchQueue requires a strictly positive service time.
-    return {std::make_unique<GpuLane>(scheduler, model, platform_idx, cfg),
-            std::max(1e-9, dispatch)};
-}
 
 /**
  * Stream over: flush the lane and fold its served queries into the
@@ -113,7 +72,7 @@ makeLane(QueryScheduler* scheduler, ModelId model, size_t platform_idx,
  * of this histogram, so both lanes tune against the same SLA).
  */
 void
-drainLane(GpuLane& lane)
+drainLane(AccelLane& lane)
 {
     lane.drain();
     queriesCounter().add(lane.samplesServed());
@@ -125,7 +84,7 @@ drainLane(GpuLane& lane)
 
 /** A drained lane's own serving view over the node's horizon. */
 ServingStats
-laneStats(const GpuLane& lane, double horizon, double sim_seconds)
+laneStats(const AccelLane& lane, double horizon, double sim_seconds)
 {
     ServingStats s;
     s.samplesArrived = lane.samplesServed();
@@ -208,30 +167,21 @@ ServingNode::runImpl(const EngineConfig& config,
         nodeSlowdowns(scheduler_, model_, platformIdx_, config.maxBatch,
                       config.numWorkers, config.modelContention);
 
-    // Accelerator lanes: the heterogeneous GPU split
-    // (docs/scheduling.md) and the near-memory lane (docs/pim.md). A
-    // lane is only touched under the queue lock (inside the
-    // ServiceFn) and after join (drain), so it is single-threaded by
-    // construction.
-    Lane gpu;
-    if (config.heterogeneous) {
-        gpu = makeLane(scheduler_, model_, config.gpuPlatformIdx,
-                       PlatformKind::kGpu, config.gpuLane, "GPU");
-    }
-    Lane pim;
-    if (config.pimLaneEnabled) {
-        pim = makeLane(scheduler_, model_, config.pimPlatformIdx,
-                       PlatformKind::kPim, config.pimLane, "PIM");
+    // Accelerator lanes (docs/scheduling.md, docs/pim.md), each
+    // prewarming its grid as it is built. A lane is only touched
+    // under the queue lock (inside the ServiceFn) and after join
+    // (drain), so it is single-threaded by construction.
+    std::vector<std::unique_ptr<AccelLane>> lanes;
+    for (const AccelLaneConfig& lane_cfg : config.lanes) {
+        lanes.push_back(
+            std::make_unique<AccelLane>(scheduler_, model_, lane_cfg));
     }
 
     // One parameter store for the whole node run: workers bind
     // against it instead of each materializing every table. Built
     // before the worker threads exist, like the compiled net.
-    const bool use_store = config.sharedEmbeddingStore &&
-                           config.execMode != ExecMode::kProfileOnly &&
-                           !EmbeddingStore::disabledByEnv();
     std::unique_ptr<StoreBackedModel> store_model;
-    if (use_store) {
+    if (config.execMode != ExecMode::kProfileOnly) {
         store_model = std::make_unique<StoreBackedModel>(
             model, config.storeConfig);
     }
@@ -256,6 +206,7 @@ ServingNode::runImpl(const EngineConfig& config,
     for (int wid = 0; wid < config.numWorkers; ++wid) {
         threads.emplace_back([&, wid] {
             WorkerLocal& local = locals[static_cast<size_t>(wid)];
+            local.deferredTickets.assign(lanes.size(), 0);
             Workspace ws;
             Arena arena;
             BatchGenerator gen(
@@ -266,52 +217,37 @@ ServingNode::runImpl(const EngineConfig& config,
             if (config.execMode == ExecMode::kProfileOnly) {
                 ws.setShapeOnly(true);
                 model.declareParams(ws);
-            } else if (store_model != nullptr) {
-                store_model->bind(ws);
             } else {
-                model.initParams(ws);
+                store_model->bind(ws);
             }
 
             // Invoked under the queue lock (the memoized sweep is not
             // thread-safe); prices this batch's virtual service time.
-            // Batches at or above the GPU threshold hand over to the
-            // lane here — still under the lock, in the queue's strict
-            // virtual-time launch order (GpuLane's determinism
-            // contract) — and cost the worker only the dispatch.
-            bool deferred = false;
-            bool deferred_to_pim = false;
+            // A batch at or above a lane's threshold hands over to the
+            // first such lane here — still under the lock, in the
+            // queue's strict virtual-time launch order (AccelLane's
+            // determinism contract) — and costs the worker only the
+            // dispatch.
+            size_t deferred_to = lanes.size();  // == size: on the CPU
             const BatchQueue::ServiceFn service =
                 [&](const BatchTicket& ticket, int busy) {
-                    if (gpu.lane != nullptr &&
-                        scheduler_->routesToGpu(model_, ticket.size())) {
-                        gpu.lane->submit(ticket, ticket.launchTime);
-                        deferred = true;
-                        deferred_to_pim = false;
-                        return gpu.handoffSeconds;
+                    for (size_t i = 0; i < lanes.size(); ++i) {
+                        AccelLane& lane = *lanes[i];
+                        if (scheduler_->routesTo(lane.kind(), model_,
+                                                 ticket.size())) {
+                            lane.submit(ticket, ticket.launchTime);
+                            deferred_to = i;
+                            return lane.handoffSeconds();
+                        }
                     }
-                    if (pim.lane != nullptr &&
-                        scheduler_->routesToPim(model_, ticket.size())) {
-                        pim.lane->submit(ticket, ticket.launchTime);
-                        deferred = true;
-                        deferred_to_pim = true;
-                        return pim.handoffSeconds;
-                    }
-                    deferred = false;
-                    const double base = scheduler_->latency(
-                        model_, platformIdx_, ticket.size());
-                    const int k =
-                        std::min(busy, config.numWorkers);
-                    const double factor =
-                        factors[static_cast<size_t>(k - 1)];
-                    local.slowdownSum += factor;
+                    deferred_to = lanes.size();
+                    const BatchPrice price = priceBatch(
+                        scheduler_, model_, platformIdx_, factors, busy,
+                        ticket.size(), config.remoteSecondsPerSample);
+                    local.slowdownSum += price.factor;
                     local.slowdownMax =
-                        std::max(local.slowdownMax, factor);
-                    // Placement surcharge: remote-row fetches cross
-                    // the network, not the shared socket, so they add
-                    // after the contention stretch.
-                    return base * factor +
-                           static_cast<double>(ticket.size()) *
-                               config.remoteSecondsPerSample;
+                        std::max(local.slowdownMax, price.factor);
+                    return price.seconds;
                 };
 
             BatchTicket ticket;
@@ -322,17 +258,13 @@ ServingNode::runImpl(const EngineConfig& config,
             while (queue.acquire(wid, service, &ticket, &completion,
                                  &busy)) {
                 const int64_t batch = ticket.size();
-                if (deferred) {
+                if (deferred_to < lanes.size()) {
                     // The samples belong to the lane now; the worker
                     // accounted only the hand-off and moves on.
                     local.busySeconds += completion - ticket.launchTime;
                     local.lastCompletion =
                         std::max(local.lastCompletion, completion);
-                    if (deferred_to_pim) {
-                        ++local.pimDeferredTickets;
-                    } else {
-                        ++local.deferredTickets;
-                    }
+                    ++local.deferredTickets[deferred_to];
                     continue;
                 }
                 // Real execution of the served net on this worker's
@@ -374,17 +306,14 @@ ServingNode::runImpl(const EngineConfig& config,
     for (const WorkerLocal& local : locals) {
         horizon = std::max(horizon, local.lastCompletion);
     }
-    const Lane* lanes[] = {&gpu, &pim};
-    for (const Lane* l : lanes) {
-        if (l->lane != nullptr) {
-            drainLane(*l->lane);
-            horizon = std::max(horizon, l->lane->lastCompletion());
+    for (const std::unique_ptr<AccelLane>& lane : lanes) {
+        drainLane(*lane);
+        horizon = std::max(horizon, lane->lastCompletion());
+        if (lane->kind() == PlatformKind::kPim) {
+            obs::MetricsRegistry::global()
+                .counter("pim.lane_samples")
+                .add(lane->samplesServed());
         }
-    }
-    if (pim.lane != nullptr) {
-        obs::MetricsRegistry::global()
-            .counter("pim.lane_samples")
-            .add(pim.lane->samplesServed());
     }
 
     EngineResult result;
@@ -408,60 +337,49 @@ ServingNode::runImpl(const EngineConfig& config,
         result.hostSeconds += local.hostSeconds;
         result.batchesExecuted += local.batchesServed;
         total_busy += local.busySeconds;
-        result.deferredTickets += local.deferredTickets;
-        result.pimDeferredTickets += local.pimDeferredTickets;
     }
 
-    if (gpu.lane != nullptr) {
-        result.heterogeneous = true;
-        result.gpuThreshold = scheduler_->gpuThreshold(model_);
-        result.gpuLaneStats =
-            laneStats(*gpu.lane, horizon, config.simSeconds);
-    }
-    if (pim.lane != nullptr) {
-        result.pimEnabled = true;
-        result.pimThreshold = scheduler_->pimThreshold(model_);
-        result.pimLaneStats =
-            laneStats(*pim.lane, horizon, config.simSeconds);
-    }
     // The aggregate spans every server: utilization / offeredLoad
     // below divide by numWorkers plus one per lane.
-    for (const Lane* l : lanes) {
-        if (l->lane != nullptr) {
-            const std::vector<double>& lats = l->lane->latencies();
-            all_latencies.insert(all_latencies.end(), lats.begin(),
-                                 lats.end());
-            result.aggregate.samplesServed += l->lane->samplesServed();
-            result.aggregate.batchesServed += l->lane->batchesServed();
-            total_busy += l->lane->busySeconds();
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        const AccelLane& lane = *lanes[i];
+        LaneResult lr;
+        lr.kind = lane.kind();
+        lr.threshold = scheduler_->threshold(lane.kind(), model_);
+        for (const WorkerLocal& local : locals) {
+            lr.deferredTickets += local.deferredTickets[i];
         }
+        lr.stats = laneStats(lane, horizon, config.simSeconds);
+        result.lanes.push_back(lr);
+
+        all_latencies.insert(all_latencies.end(),
+                             lane.latencies().begin(),
+                             lane.latencies().end());
+        result.aggregate.samplesServed += lane.samplesServed();
+        result.aggregate.batchesServed += lane.batchesServed();
+        total_busy += lane.busySeconds();
     }
 
     result.aggregate.samplesArrived = queue.samplesArrived();
-    const double capacity = static_cast<double>(config.numWorkers) +
-                            (gpu.lane != nullptr ? 1.0 : 0.0) +
-                            (pim.lane != nullptr ? 1.0 : 0.0);
+    const double capacity =
+        static_cast<double>(config.numWorkers) +
+        static_cast<double>(lanes.size());
     fillServingStats(all_latencies, total_busy, capacity, horizon,
                      config.simSeconds, &result.aggregate);
 
     result.intraOpThreads =
         config.numThreads > 0 ? config.numThreads : intraOpThreads();
     // Table-memory accounting: the shared store keeps one backing
-    // copy plus the hot-row caches resident; legacy numeric mode kept
-    // a full copy inside every worker's workspace.
+    // copy plus the hot-row caches resident, against the full copy
+    // per worker that private workspaces would hold.
     result.tableBytesOneCopy = modelEmbeddingBytes(model);
-    if (config.execMode != ExecMode::kProfileOnly) {
+    if (store_model != nullptr) {
         result.perWorkerTableBytes =
             result.tableBytesOneCopy *
             static_cast<uint64_t>(config.numWorkers);
-        if (store_model != nullptr) {
-            result.storeShared = true;
-            result.residentTableBytes = store_model->residentBytes();
-            result.storeStats = store_model->store().stats();
-            exportStoreStats(result.storeStats);
-        } else {
-            result.residentTableBytes = result.perWorkerTableBytes;
-        }
+        result.residentTableBytes = store_model->residentBytes();
+        result.storeStats = store_model->store().stats();
+        exportStoreStats(result.storeStats);
     }
     if (result.batchesExecuted > 0) {
         result.hostSecondsPerBatch =
@@ -469,9 +387,9 @@ ServingNode::runImpl(const EngineConfig& config,
             static_cast<double>(result.batchesExecuted);
     }
     // Slowdown factors were summed over CPU-serviced batches only
-    // (deferred hand-offs and the GPU lane see no socket contention),
-    // so average over exactly those. Outside heterogeneous runs the
-    // count equals aggregate.batchesServed, as before.
+    // (deferred hand-offs and the lanes see no socket contention), so
+    // average over exactly those. In runs without lanes the count
+    // equals aggregate.batchesServed.
     uint64_t cpu_batches = 0;
     double slow_sum = 0.0;
     for (const WorkerLocal& local : locals) {

@@ -11,9 +11,10 @@
  * BatchGenerator, pull dynamic batches from a shared BatchQueue
  * (Poisson arrivals, the admission rule of serve/admission.h) and
  * genuinely drive Executor::run on the served model's net for every
- * batch. Optional GPU and PIM lanes take the batches at or above the
- * scheduler's per-model thresholds, and in real-numerics modes the
- * workers share one embedding parameter store.
+ * batch. An optional list of accelerator lanes (GPU, PIM) takes the
+ * batches at or above the scheduler's per-(kind, model) thresholds,
+ * and in real-numerics modes the workers share one embedding
+ * parameter store.
  *
  * run() serves the node's own Poisson stream; runTrace() serves an
  * explicit arrival trace, the sub-stream a fleet router assigned to
@@ -39,7 +40,7 @@
 #include "graph/executor.h"
 #include "sched/query_scheduler.h"
 #include "sched/serving_stats.h"
-#include "serve/gpu_lane.h"
+#include "serve/accel_lane.h"
 #include "store/embedding_store.h"
 
 namespace recstack {
@@ -53,7 +54,7 @@ struct EngineConfig {
     double simSeconds = 2.0;       ///< arrival-stream duration
     uint64_t seed = 42;
     /// How workers execute the net per batch: kNumericOnly runs real
-    /// numerics (weights materialized per worker — tests, small
+    /// numerics (tables read through the shared store — tests, small
     /// models); kProfileOnly runs shape inference only (full-size
     /// models, high load). kFull additionally lowers profiles.
     ExecMode execMode = ExecMode::kProfileOnly;
@@ -66,16 +67,12 @@ struct EngineConfig {
     /// default (RECSTACK_NUM_THREADS). Numerics are bit-identical at
     /// any width, so this only moves EngineResult::hostSeconds.
     int numThreads = 1;
-    /// Share one sharded EmbeddingStore across all workers when
+    /// Shard / cache / tier knobs of the store the workers share when
     /// running real numerics: workers bind shape-only table blobs
-    /// against it instead of materializing a private copy of every
-    /// table, cutting resident table bytes from O(workers) copies to
-    /// O(1 copy + cache). Numerics stay bit-identical. Ignored in
-    /// kProfileOnly (no table payloads exist there), and the env
-    /// hatch RECSTACK_DISABLE_STORE=1 forces the legacy per-worker
-    /// copies regardless.
-    bool sharedEmbeddingStore = true;
-    /// Shard / cache / tier knobs of the shared store.
+    /// against one sharded EmbeddingStore (models/store_binding.h)
+    /// instead of materializing a private copy of every table, so
+    /// resident table bytes are O(1 copy + cache), not O(workers).
+    /// Unused in kProfileOnly (no table payloads exist there).
     StoreConfig storeConfig;
     /// Turn span tracing on for the duration of this run (restoring
     /// the previous setting afterwards), so the run can be exported
@@ -83,33 +80,17 @@ struct EngineConfig {
     /// See docs/observability.md; the buffer is bounded, so long runs
     /// keep the oldest spans and count the rest in dropped().
     bool captureTrace = false;
-    /// Heterogeneous serving (DeepRecSys loop, docs/scheduling.md):
-    /// dynamic batches at or above the scheduler's per-model GPU
-    /// threshold (QueryScheduler::gpuThreshold) are not serviced on
-    /// the CPU worker — the worker pays only the host dispatch cost
-    /// and the samples defer to a GpuLane accumulation queue priced
-    /// by the GPU platform's characterization (GpuModel::simulateNet
-    /// through the sweep), on the same virtual clock. Off by default:
-    /// single-platform runs are bit-identical to the legacy engine.
-    bool heterogeneous = false;
-    /// Index of a kGpu platform in the scheduler's sweep (checked
-    /// when heterogeneous is set).
-    size_t gpuPlatformIdx = 3;
-    /// Accumulation knobs of the GPU lane.
-    GpuLaneConfig gpuLane;
-    /// Near-memory lane (docs/pim.md): batches at or above the
-    /// scheduler's per-model PIM threshold
-    /// (QueryScheduler::pimThreshold) defer to a second accumulation
-    /// lane priced by a kPim platform's characterization. Independent
-    /// of the GPU split (both lanes can be on; the GPU threshold is
-    /// checked first). Off by default: runs without the lane are
-    /// bit-identical to the pre-PIM engine.
-    bool pimLaneEnabled = false;
-    /// Index of a kPim platform in the scheduler's sweep (checked
-    /// when pimLaneEnabled is set).
-    size_t pimPlatformIdx = 4;
-    /// Accumulation knobs of the PIM lane.
-    GpuLaneConfig pimLane;
+    /// Accelerator lanes (DeepRecSys loop, docs/scheduling.md and
+    /// docs/pim.md): a dynamic batch at or above the scheduler's
+    /// threshold for a lane's platform kind
+    /// (QueryScheduler::routesTo) is not serviced on the CPU worker —
+    /// the worker pays only the platform's host dispatch and the
+    /// samples defer to that AccelLane, priced by the platform's
+    /// characterization on the same virtual clock. A batch defers to
+    /// the first listed lane whose threshold it reaches, so {GPU, PIM}
+    /// keeps an already-tuned GPU split ahead of PIM. Empty by
+    /// default: single-platform runs.
+    std::vector<AccelLaneConfig> lanes;
     /// Placement surcharge (docs/fleet.md): extra virtual seconds per
     /// sample added to every CPU-serviced batch's service time,
     /// pricing embedding rows this node must fetch from a peer
@@ -119,6 +100,20 @@ struct EngineConfig {
     /// shared L3/DRAM. 0.0 (default) = every row is local, the
     /// single-node behavior, bit-identical to the legacy engine.
     double remoteSecondsPerSample = 0.0;
+};
+
+/** One accelerator lane's share of a node run. */
+struct LaneResult {
+    PlatformKind kind = PlatformKind::kGpu;
+    /// The threshold the run routed with
+    /// (QueryScheduler::kNoThreshold when none was set).
+    int64_t threshold = QueryScheduler::kNoThreshold;
+    /// Dynamic batches the CPU workers handed over to the lane.
+    uint64_t deferredTickets = 0;
+    /// The lane's own serving view: samples/batches it served, its
+    /// mean accumulated batch, device utilization, and the latency
+    /// tail of the samples it served.
+    ServingStats stats;
 };
 
 /** Result of one node run. */
@@ -141,53 +136,29 @@ struct EngineResult {
     double hostSecondsPerBatch = 0.0;
     /// Resolved intra-op width the workers used.
     int intraOpThreads = 1;
-    /// True when workers served table lookups from one shared
-    /// EmbeddingStore instead of private per-worker copies.
-    bool storeShared = false;
     /// Embedding-table bytes of one dense copy of the served model.
     uint64_t tableBytesOneCopy = 0;
     /// Table bytes resident across the engine at the end of the run:
-    /// shared-store mode = one backing copy + hot-row caches; legacy
-    /// numeric mode = workers x one copy; 0 in kProfileOnly.
+    /// the store's one backing copy + hot-row caches; 0 in
+    /// kProfileOnly.
     uint64_t residentTableBytes = 0;
     /// What per-worker dense copies would have kept resident
     /// (workers x one copy) — the baseline the shared store saves
     /// against. 0 in kProfileOnly.
     uint64_t perWorkerTableBytes = 0;
     /// Shard-aggregated store counters for this run (hit/miss/tier
-    /// traffic and modeled fetch seconds); empty when !storeShared.
+    /// traffic and modeled fetch seconds); empty in kProfileOnly.
     /// Like hostSeconds, these are host-side measurement, not
     /// virtual-time state: hit/miss splits depend on the order in
     /// which concurrent workers touch the shared caches.
     StoreStats storeStats;
-    /// True when this run served through the CPU/GPU split. The
-    /// fields below are only populated then; aggregate combines both
-    /// sides (its utilization/offeredLoad are over numWorkers + 1
-    /// servers).
-    bool heterogeneous = false;
-    /// The accelerator lane's own serving view: samples/batches it
-    /// served, its mean accumulated batch, device utilization, and
-    /// the latency tail of GPU-served samples.
-    ServingStats gpuLaneStats;
-    /// Dynamic batches the CPU workers handed over to the lane.
-    uint64_t deferredTickets = 0;
-    /// The per-model threshold the run routed with
-    /// (QueryScheduler::kNoGpuThreshold when none was set).
-    int64_t gpuThreshold = 0;
-    /// True when this run served through the PIM lane. The fields
-    /// below are only populated then; the aggregate's
-    /// utilization/offeredLoad count the lane as one more server.
-    bool pimEnabled = false;
-    /// The PIM lane's own serving view (mirror of gpuLaneStats).
-    ServingStats pimLaneStats;
-    /// Dynamic batches the CPU workers handed over to the PIM lane.
-    uint64_t pimDeferredTickets = 0;
-    /// The per-model PIM threshold the run routed with
-    /// (QueryScheduler::kNoPimThreshold when none was set).
-    int64_t pimThreshold = 0;
+    /// One entry per configured lane, in EngineConfig::lanes order.
+    /// The aggregate above combines the workers and every lane (its
+    /// utilization/offeredLoad count each lane as one more server).
+    std::vector<LaneResult> lanes;
 };
 
-/** One inference machine: workers + batch queue + optional GPU lane. */
+/** One inference machine: workers + batch queue + accelerator lanes. */
 class ServingNode
 {
   public:

@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 
@@ -280,8 +281,44 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
                  static_cast<off_t>(
                      (1 + hdr.numDataPages + key_pages) * pb));
     }
+    // Check each record against the header before a read trusts it:
+    // its rows must fit a page, its data region must lie inside the
+    // data pages, and its key range inside the key array.
+    const uint64_t data_end = 1 + hdr.numDataPages;
     tier->tables_.reserve(hdr.numTables);
     for (const FileTableRecord& rec : recs) {
+        const auto where = [&] {
+            return "'" + path + "' table " + std::to_string(rec.table) +
+                   ": ";
+        };
+        RECSTACK_CHECK(rec.dim > 0 && static_cast<uint64_t>(rec.dim) <=
+                                          pb / sizeof(float),
+                       where() << "dim " << rec.dim << " does not fit a "
+                               << pb << "-byte page");
+        RECSTACK_CHECK(rec.firstDataPage >= 1 &&
+                           rec.firstDataPage <= data_end,
+                       where() << "firstDataPage " << rec.firstDataPage
+                               << " is outside the data pages [1, "
+                               << data_end << "]");
+        const uint64_t rows_per_page =
+            pb / (static_cast<uint64_t>(rec.dim) * sizeof(float));
+        const uint64_t pages = rec.coldRows / rows_per_page +
+                               (rec.coldRows % rows_per_page != 0);
+        RECSTACK_CHECK(pages <= data_end - rec.firstDataPage,
+                       where() << "coldRows " << rec.coldRows
+                               << " from firstDataPage "
+                               << rec.firstDataPage << " overrun the "
+                               << hdr.numDataPages << " data pages");
+        RECSTACK_CHECK(rec.coldRows <= hdr.numKeys &&
+                           rec.firstKeyIndex <=
+                               hdr.numKeys - rec.coldRows,
+                       where() << "firstKeyIndex " << rec.firstKeyIndex
+                               << " + coldRows " << rec.coldRows
+                               << " exceeds numKeys " << hdr.numKeys);
+        for (const TableRecord& seen : tier->tables_) {
+            RECSTACK_CHECK(seen.table != static_cast<int>(rec.table),
+                           where() << "table id repeats an earlier record");
+        }
         TableRecord t;
         t.table = static_cast<int>(rec.table);
         t.dim = rec.dim;
@@ -411,30 +448,38 @@ DiskTier::fetchPageLocked(uint64_t page)
     }
 }
 
-bool
-DiskTier::readRowIndexed(uint64_t key, size_t ordinal, float* dst)
+std::optional<DiskTier::RowLocation>
+DiskTier::locate(uint64_t key, size_t ordinal) const
 {
     if (ordinal == SplineIndex::kNotFound) {
-        return false;
+        return std::nullopt;
     }
     const TableRecord* rec = recordFor(key, ordinal);
     if (rec == nullptr) {
-        return false;
+        return std::nullopt;
     }
     const size_t row_bytes =
         static_cast<size_t>(rec->dim) * sizeof(float);
     const uint64_t rows_per_page = config_.pageBytes / row_bytes;
     const uint64_t k = ordinal - rec->firstKeyIndex;
-    const uint64_t page = rec->firstDataPage + k / rows_per_page;
-    const size_t off =
-        static_cast<size_t>(k % rows_per_page) * row_bytes;
+    return RowLocation{rec->firstDataPage + k / rows_per_page,
+                       static_cast<size_t>(k % rows_per_page) * row_bytes,
+                       row_bytes};
+}
 
+bool
+DiskTier::readRowIndexed(uint64_t key, size_t ordinal, float* dst)
+{
+    const std::optional<RowLocation> loc = locate(key, ordinal);
+    if (!loc) {
+        return false;
+    }
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t frame = fetchPageLocked(page);
-    std::memcpy(dst, pool_ + frame * config_.pageBytes + off,
-                row_bytes);
+    const size_t frame = fetchPageLocked(loc->page);
+    std::memcpy(dst, pool_ + frame * config_.pageBytes + loc->offset,
+                loc->bytes);
     ++stats_.rowReads;
-    stats_.bytesRead += row_bytes;
+    stats_.bytesRead += loc->bytes;
     return true;
 }
 
@@ -453,41 +498,30 @@ DiskTier::readRowBinarySearch(uint64_t key, float* dst)
 bool
 DiskTier::writeRow(uint64_t key, const float* src)
 {
-    const size_t ordinal = index_->find(key);
-    if (ordinal == SplineIndex::kNotFound) {
+    const std::optional<RowLocation> loc = locate(key, index_->find(key));
+    if (!loc) {
         return false;
     }
-    const TableRecord* rec = recordFor(key, ordinal);
-    if (rec == nullptr) {
-        return false;
-    }
-    const size_t row_bytes =
-        static_cast<size_t>(rec->dim) * sizeof(float);
-    const uint64_t rows_per_page = config_.pageBytes / row_bytes;
-    const uint64_t k = ordinal - rec->firstKeyIndex;
-    const uint64_t page = rec->firstDataPage + k / rows_per_page;
-    const size_t off =
-        static_cast<size_t>(k % rows_per_page) * row_bytes;
-
+    const uint64_t page = loc->page;
     std::lock_guard<std::mutex> lock(mu_);
     if (map_ != nullptr) {
-        std::memcpy(map_ + page * config_.pageBytes + off, src,
-                    row_bytes);
+        std::memcpy(map_ + page * config_.pageBytes + loc->offset, src,
+                    loc->bytes);
         // Refresh any pooled copy so readers never see the old page.
         for (Frame& f : frames_) {
             if (f.page == page) {
                 std::memcpy(pool_ + (&f - frames_.data()) *
                                         config_.pageBytes +
-                                off,
-                            src, row_bytes);
+                                loc->offset,
+                            src, loc->bytes);
             }
         }
     } else {
         // pread mode: mutate the pooled frame (loading it first if
         // needed) and write the whole aligned page back.
         const size_t frame = fetchPageLocked(page);
-        std::memcpy(pool_ + frame * config_.pageBytes + off, src,
-                    row_bytes);
+        std::memcpy(pool_ + frame * config_.pageBytes + loc->offset, src,
+                    loc->bytes);
         pwriteAll(fd_, pool_ + frame * config_.pageBytes,
                   config_.pageBytes,
                   static_cast<off_t>(page * config_.pageBytes));

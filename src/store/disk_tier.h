@@ -45,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -139,7 +140,10 @@ class DiskTier
      * Reopen an existing page file (e.g. after a crash). Panics with a
      * diagnostic naming the path and the header field when the page
      * size is not a power of two >= 512 or the data, key and table
-     * pages the header claims do not fit in the file.
+     * pages the header claims do not fit in the file; and naming the
+     * path, the table and the record field when a table's rows do not
+     * fit a page, its data region leaves the data pages, its key range
+     * leaves the key array, or its id repeats an earlier record.
      */
     static std::unique_ptr<DiskTier> open(const std::string& path,
                                           DiskTierConfig config = {});
@@ -195,7 +199,16 @@ class DiskTier
 
     void setupPool();
     void mapOrOpen(bool fresh_file);
+    /// Where a stored row lives: page, byte offset in it, row bytes.
+    struct RowLocation {
+        uint64_t page = 0;
+        size_t offset = 0;
+        size_t bytes = 0;
+    };
+
     const TableRecord* recordFor(uint64_t key, size_t ordinal) const;
+    /// The row of the key at spline @c ordinal; nullopt when absent.
+    std::optional<RowLocation> locate(uint64_t key, size_t ordinal) const;
     /// Frame index holding `page`, loading it if needed. Pool mutex
     /// must be held.
     size_t fetchPageLocked(uint64_t page);

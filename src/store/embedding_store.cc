@@ -867,12 +867,6 @@ EmbeddingStore::farTierFraction(int table, double zipf) const
 }
 
 bool
-EmbeddingStore::disabledByEnv()
-{
-    return envFlagSet("RECSTACK_DISABLE_STORE");
-}
-
-bool
 EmbeddingStore::diskTierDisabledByEnv()
 {
     return envFlagSet("RECSTACK_DISABLE_DISK_TIER");

@@ -42,11 +42,9 @@
  *    prefetch), overlapping far-tier fetches with current-batch
  *    compute. Indices are deduplicated per task before queueing.
  *
- * Env hatches: RECSTACK_DISABLE_STORE=1 makes every integration point
- * (ServingNode, CLI) fall back to per-worker dense table copies;
- * RECSTACK_DISABLE_DISK_TIER=1 forces farTier back to kSimulated; and
- * RECSTACK_STORE_DIR picks the page-file directory (default: a fresh
- * temp dir removed with the store).
+ * Env hatches: RECSTACK_DISABLE_DISK_TIER=1 forces farTier back to
+ * kSimulated, and RECSTACK_STORE_DIR picks the page-file directory
+ * (default: a fresh temp dir removed with the store).
  */
 
 #include <array>
@@ -320,8 +318,6 @@ class EmbeddingStore
      *  when inactive. */
     const DiskTier* diskTier() const { return diskTier_.get(); }
 
-    /** True when RECSTACK_DISABLE_STORE is set to a non-zero value. */
-    static bool disabledByEnv();
     /** True when RECSTACK_DISABLE_DISK_TIER is set to non-zero. */
     static bool diskTierDisabledByEnv();
 

@@ -164,15 +164,15 @@ TEST_F(HillClimbEngineTest, ClosedLoopLandsWithinOneStepOfExhaustive)
     ecfg.numWorkers = 2;
     ecfg.arrivalQps = 30000;
     ecfg.simSeconds = 0.1;
-    ecfg.heterogeneous = true;
+    ecfg.lanes = {AccelLaneConfig{.platformIdx = 3}};  // the T4
     const EpochFn epoch = [&](int64_t threshold) {
-        sched_.setGpuThreshold(ModelId::kRM2, threshold);
+        sched_.setThreshold(PlatformKind::kGpu, ModelId::kRM2, threshold);
         engine.run(ecfg);
     };
 
     HillClimbConfig cfg;
     cfg.thresholdGrid = {1, 8, 32, 128, 512,
-                         QueryScheduler::kNoGpuThreshold};
+                         QueryScheduler::kNoThreshold};
     cfg.slaSeconds = 0.01;
     cfg.epochSeconds = ecfg.simSeconds;
     cfg.startIndex = 2;
@@ -208,8 +208,8 @@ TEST_F(HillClimbEngineTest, HistogramTailMatchesEngineAggregate)
     ecfg.numWorkers = 2;
     ecfg.arrivalQps = 20000;
     ecfg.simSeconds = 0.1;
-    ecfg.heterogeneous = true;
-    sched_.setGpuThreshold(ModelId::kRM1, 64);
+    ecfg.lanes = {AccelLaneConfig{.platformIdx = 3}};  // the T4
+    sched_.setThreshold(PlatformKind::kGpu, ModelId::kRM1, 64);
 
     obs::LatencyHistogram& h = obs::MetricsRegistry::global().histogram(
         "serve.query_latency_seconds", 0.0, 1.0, 1000);

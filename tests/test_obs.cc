@@ -766,14 +766,10 @@ TEST_F(ObsServingTest, LatencyHistogramMatchesExactStats)
 
 TEST_F(ObsServingTest, StoreCountersReExportThroughRegistry)
 {
-    if (EmbeddingStore::disabledByEnv()) {
-        GTEST_SKIP() << "RECSTACK_DISABLE_STORE set";
-    }
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     registry.reset();
     const EngineResult result =
         run(ModelId::kNCF, ExecMode::kNumericOnly, false);
-    ASSERT_TRUE(result.storeShared);
     ASSERT_GT(result.storeStats.total.lookups, 0u);
 
     const obs::MetricsSnapshot snap = registry.snapshot();
@@ -811,9 +807,7 @@ TEST_F(ObsServingTest, CaptureTraceRecordsSpansAndRestoresFlag)
     EXPECT_TRUE(cats.count("engine"));
     EXPECT_TRUE(cats.count("executor"));
     EXPECT_TRUE(cats.count("op"));
-    if (!EmbeddingStore::disabledByEnv()) {
-        EXPECT_TRUE(cats.count("store"));
-    }
+    EXPECT_TRUE(cats.count("store"));
     EXPECT_GE(tids.size(), 2u) << "spans from at least 2 workers";
     buffer.clear();
 }
@@ -879,9 +873,7 @@ TEST(ObsCli, TraceExportFromRealServingRunIsWellFormed)
     // worker threads (the issue's acceptance criteria).
     EXPECT_TRUE(cats.count("queue"));
     EXPECT_TRUE(cats.count("op"));
-    if (!EmbeddingStore::disabledByEnv()) {
-        EXPECT_TRUE(cats.count("store"));
-    }
+    EXPECT_TRUE(cats.count("store"));
     EXPECT_GE(tids.size(), 2u);
 #endif
 }

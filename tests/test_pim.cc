@@ -3,9 +3,9 @@
  * Tests of the analytical PIM platform (src/pim/): the row-partition
  * shard map, the zero-byte/transfer cost invariants, rank/tasklet
  * monotonicity up to the transfer bound, the env-knob config surface,
- * the scheduler's PIM threshold, and the serving engine's PIM lane —
- * including the regression that a disabled lane leaves the engine
- * bit-identical to the pre-PIM behaviour.
+ * and the PIM threshold's argument check. The serving node's PIM lane
+ * runs the same lane tests as the GPU lane (test_serving_engine.cc,
+ * AccelLaneTest).
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "core/characterizer.h"
 #include "pim/pim_model.h"
 #include "sched/query_scheduler.h"
-#include "serve/serving_node.h"
 #include "store/embedding_store.h"
 
 namespace recstack {
@@ -305,149 +304,12 @@ TEST(PimCharacterizerTest, SlsHeavyModelGainsAtLargeBatch)
     EXPECT_GT(cpu.seconds / pim.seconds, 1.5);
 }
 
-class PimServingTest : public ::testing::Test
-{
-  protected:
-    PimServingTest()
-        : sweep_(allPlatformsWithPim(),
-                 []() {
-                     ModelOptions opts = tinyOptions();
-                     opts.tableScale = 0.01;
-                     return opts;
-                 }()),
-          sched_(&sweep_, {1, 16, 256, 4096})
-    {
-    }
-
-    EngineResult run(EngineConfig cfg)
-    {
-        ServingNode engine(&sched_, ModelId::kRM1, 0);
-        return engine.run(cfg);
-    }
-
-    static EngineConfig baseConfig()
-    {
-        EngineConfig cfg;
-        cfg.numWorkers = 2;
-        cfg.arrivalQps = 8000;
-        cfg.simSeconds = 0.25;
-        return cfg;
-    }
-
-    SweepCache sweep_;
-    QueryScheduler sched_;
-};
-
-TEST_F(PimServingTest, SchedulerThresholdDefaultsToRouteNothing)
-{
-    EXPECT_EQ(sched_.pimThreshold(ModelId::kRM1),
-              QueryScheduler::kNoPimThreshold);
-    EXPECT_FALSE(sched_.routesToPim(ModelId::kRM1, 1 << 20));
-    sched_.setPimThreshold(ModelId::kRM1, 64);
-    EXPECT_EQ(sched_.pimThreshold(ModelId::kRM1), 64);
-    EXPECT_FALSE(sched_.routesToPim(ModelId::kRM1, 63));
-    EXPECT_TRUE(sched_.routesToPim(ModelId::kRM1, 64));
-    // Per-model: other models keep the route-nothing default.
-    EXPECT_EQ(sched_.pimThreshold(ModelId::kWnD),
-              QueryScheduler::kNoPimThreshold);
-}
-
-TEST_F(PimServingTest, DisabledLaneIsBitIdenticalToLegacyEngine)
-{
-    // The regression the docs promise: with the PIM lane off (the
-    // default) — and even with it on but no threshold set — the
-    // engine's virtual-time results are identical to the pre-PIM
-    // path. Only the capacity-normalized aggregate fields
-    // (utilization / offeredLoad) may differ when the lane exists,
-    // because the aggregate divides by numWorkers + 1 servers.
-    const EngineResult off = run(baseConfig());
-    EngineConfig on_cfg = baseConfig();
-    on_cfg.pimLaneEnabled = true;
-    const EngineResult on = run(on_cfg);
-
-    EXPECT_FALSE(off.pimEnabled);
-    EXPECT_TRUE(on.pimEnabled);
-    EXPECT_EQ(on.pimThreshold, QueryScheduler::kNoPimThreshold);
-    EXPECT_EQ(on.pimDeferredTickets, 0u);
-    EXPECT_EQ(on.pimLaneStats.samplesServed, 0u);
-    ASSERT_EQ(off.perWorker.size(), on.perWorker.size());
-    for (size_t w = 0; w < off.perWorker.size(); ++w) {
-        EXPECT_EQ(off.perWorker[w].samplesServed,
-                  on.perWorker[w].samplesServed);
-        EXPECT_EQ(off.perWorker[w].batchesServed,
-                  on.perWorker[w].batchesServed);
-        EXPECT_DOUBLE_EQ(off.perWorker[w].meanLatency,
-                         on.perWorker[w].meanLatency);
-        EXPECT_DOUBLE_EQ(off.perWorker[w].p99Latency,
-                         on.perWorker[w].p99Latency);
-    }
-    EXPECT_EQ(off.aggregate.samplesArrived, on.aggregate.samplesArrived);
-    EXPECT_EQ(off.aggregate.samplesServed, on.aggregate.samplesServed);
-    EXPECT_EQ(off.aggregate.batchesServed, on.aggregate.batchesServed);
-    EXPECT_DOUBLE_EQ(off.aggregate.meanLatency, on.aggregate.meanLatency);
-    EXPECT_DOUBLE_EQ(off.aggregate.p99Latency, on.aggregate.p99Latency);
-    EXPECT_DOUBLE_EQ(off.meanSlowdown, on.meanSlowdown);
-}
-
-TEST_F(PimServingTest, RoutesLargeBatchesToPimLane)
-{
-    sched_.setPimThreshold(ModelId::kRM1, 32);
-    EngineConfig cfg = baseConfig();
-    cfg.pimLaneEnabled = true;
-    cfg.arrivalQps = 40000;  // ~40 samples per 1 ms window
-    const EngineResult r = run(cfg);
-
-    EXPECT_TRUE(r.pimEnabled);
-    EXPECT_EQ(r.pimThreshold, 32);
-    EXPECT_GT(r.pimDeferredTickets, 0u);
-    EXPECT_GT(r.pimLaneStats.samplesServed, 0u);
-    EXPECT_GT(r.pimLaneStats.batchesServed, 0u);
-    EXPECT_GT(r.pimLaneStats.p99Latency, 0.0);
-
-    // Conservation across the split: every arrived sample was served
-    // exactly once, by a CPU worker or by the PIM lane.
-    uint64_t cpu_served = 0;
-    for (const ServingStats& w : r.perWorker) {
-        cpu_served += w.samplesServed;
-    }
-    EXPECT_EQ(cpu_served + r.pimLaneStats.samplesServed,
-              r.aggregate.samplesServed);
-    EXPECT_EQ(r.aggregate.samplesServed, r.aggregate.samplesArrived);
-}
-
-TEST_F(PimServingTest, DeterministicAcrossRuns)
-{
-    sched_.setPimThreshold(ModelId::kRM1, 16);
-    EngineConfig cfg = baseConfig();
-    cfg.pimLaneEnabled = true;
-    cfg.numWorkers = 4;
-    cfg.arrivalQps = 30000;
-    const EngineResult a = run(cfg);
-    const EngineResult b = run(cfg);
-    EXPECT_EQ(a.aggregate.samplesServed, b.aggregate.samplesServed);
-    EXPECT_EQ(a.pimDeferredTickets, b.pimDeferredTickets);
-    EXPECT_EQ(a.pimLaneStats.samplesServed,
-              b.pimLaneStats.samplesServed);
-    EXPECT_DOUBLE_EQ(a.aggregate.p99Latency, b.aggregate.p99Latency);
-}
-
-TEST_F(PimServingTest, RejectsNonPimLanePlatform)
-{
-    EngineConfig bad = baseConfig();
-    bad.pimLaneEnabled = true;
-    bad.pimPlatformIdx = 0;  // Bdw is a CPU
-    EXPECT_DEATH(run(bad), "kPim platform");
-    EngineConfig oob = baseConfig();
-    oob.pimLaneEnabled = true;
-    oob.pimPlatformIdx = 99;
-    EXPECT_DEATH(run(oob), "platform index");
-}
-
 TEST(PimSchedulerDeathTest, RejectsNonPositiveThreshold)
 {
     SweepCache sweep(allPlatformsWithPim(), tinyOptions());
     QueryScheduler sched(&sweep, {1, 16});
-    EXPECT_DEATH(sched.setPimThreshold(ModelId::kRM1, 0), "");
+    EXPECT_DEATH(sched.setThreshold(PlatformKind::kPim, ModelId::kRM1, 0),
+                 "positive");
 }
 
 }  // namespace

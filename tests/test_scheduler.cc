@@ -214,33 +214,11 @@ TEST_F(SchedulerTest, InfeasibleSlaReportsEmptyOperatingPoint)
     EXPECT_EQ(tp.batch, 0);
 }
 
-TEST_F(SchedulerTest, GpuThresholdDefaultsToRouteNothing)
-{
-    EXPECT_EQ(sched_.gpuThreshold(ModelId::kRM1),
-              QueryScheduler::kNoGpuThreshold);
-    EXPECT_FALSE(sched_.routesToGpu(ModelId::kRM1, int64_t{1} << 40));
-}
-
-TEST_F(SchedulerTest, GpuThresholdSplitsAtOrAbovePerModel)
-{
-    sched_.setGpuThreshold(ModelId::kRM1, 64);
-    EXPECT_FALSE(sched_.routesToGpu(ModelId::kRM1, 63));
-    EXPECT_TRUE(sched_.routesToGpu(ModelId::kRM1, 64));
-    EXPECT_TRUE(sched_.routesToGpu(ModelId::kRM1, 65));
-    // Per-model: other models keep the route-nothing default.
-    EXPECT_FALSE(sched_.routesToGpu(ModelId::kRM2, 1024));
-    // Threshold 1 routes every batch.
-    sched_.setGpuThreshold(ModelId::kRM2, 1);
-    EXPECT_TRUE(sched_.routesToGpu(ModelId::kRM2, 1));
-    // Re-set overwrites.
-    sched_.setGpuThreshold(ModelId::kRM1, 128);
-    EXPECT_EQ(sched_.gpuThreshold(ModelId::kRM1), 128);
-}
-
 TEST_F(SchedulerTest, RejectsBadInputs)
 {
     EXPECT_DEATH(sched_.latency(ModelId::kRM1, 0, 0), "positive");
-    EXPECT_DEATH(sched_.setGpuThreshold(ModelId::kRM1, 0), "positive");
+    EXPECT_DEATH(sched_.setThreshold(PlatformKind::kGpu, ModelId::kRM1, 0),
+                 "positive");
     EXPECT_DEATH(QueryScheduler(nullptr), "sweep cache");
     SweepCache local(allPlatforms(), tinyOptions());
     EXPECT_DEATH(QueryScheduler(&local, {16, 4, 1}), "ascending");

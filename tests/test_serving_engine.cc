@@ -10,10 +10,10 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -22,6 +22,15 @@
 #include "serve/serving_node.h"
 
 namespace recstack {
+
+/** Lane-suite parameters print as their platform kind. */
+void
+PrintTo(PlatformKind kind, std::ostream* os)
+{
+    const char* names[] = {"CPU", "GPU", "PIM"};
+    *os << names[static_cast<int>(kind)];
+}
+
 namespace {
 
 class ServingEngineTest : public ::testing::Test
@@ -213,7 +222,6 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     cfg.storeConfig.cacheBytesPerShard = 0;  // isolate the copy count
     const EngineResult r = engine.run(cfg);
 
-    EXPECT_TRUE(r.storeShared);
     EXPECT_GT(r.tableBytesOneCopy, 0u);
     EXPECT_EQ(r.perWorkerTableBytes, 4 * r.tableBytesOneCopy);
     EXPECT_EQ(r.residentTableBytes, r.tableBytesOneCopy);
@@ -233,44 +241,10 @@ TEST_F(ServingEngineTest, SharedStoreKeepsTableMemoryOffWorkerCount)
     cached.storeConfig.cacheBytesPerShard = 4u << 10;
     ServingNode cached_engine(&sched_, ModelId::kRM2, 0);
     const EngineResult rc = cached_engine.run(cached);
-    EXPECT_TRUE(rc.storeShared);
     EXPECT_LE(rc.residentTableBytes,
               rc.tableBytesOneCopy +
                   2ull * cached.storeConfig.cacheBytesPerShard);
     EXPECT_GT(rc.storeStats.total.hits, 0u);
-}
-
-TEST_F(ServingEngineTest, DisableHatchRestoresPerWorkerCopies)
-{
-    EngineConfig cfg;
-    cfg.numWorkers = 3;
-    cfg.arrivalQps = 2000;
-    cfg.maxBatch = 64;
-    cfg.simSeconds = 0.1;
-    cfg.execMode = ExecMode::kNumericOnly;
-
-    ServingNode store_engine(&sched_, ModelId::kNCF, 0);
-    const EngineResult with_store = store_engine.run(cfg);
-
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_STORE", "1", 1), 0);
-    ServingNode dense_engine(&sched_, ModelId::kNCF, 0);
-    const EngineResult dense = dense_engine.run(cfg);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_STORE"), 0);
-
-    EXPECT_TRUE(with_store.storeShared);
-    EXPECT_FALSE(dense.storeShared);
-    EXPECT_EQ(dense.residentTableBytes, dense.perWorkerTableBytes);
-    EXPECT_EQ(dense.storeStats.total.lookups, 0u);
-    // The store is a memory-layout change only: the virtual-time
-    // serving statistics are identical either way.
-    EXPECT_EQ(with_store.aggregate.samplesServed,
-              dense.aggregate.samplesServed);
-    EXPECT_EQ(with_store.aggregate.batchesServed,
-              dense.aggregate.batchesServed);
-    EXPECT_DOUBLE_EQ(with_store.aggregate.meanLatency,
-                     dense.aggregate.meanLatency);
-    EXPECT_DOUBLE_EQ(with_store.aggregate.p99Latency,
-                     dense.aggregate.p99Latency);
 }
 
 TEST_F(ServingEngineTest, RejectsBadConfig)
@@ -288,29 +262,99 @@ TEST_F(ServingEngineTest, RejectsBadConfig)
                  "platform index");
 }
 
-TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
-{
-    // With the lane enabled but no threshold set (kNoGpuThreshold =
-    // route nothing), every batch still lands on the CPU workers and
-    // the serving stats must match the legacy path exactly. Only the
-    // capacity-normalized fields (utilization / offeredLoad) may
-    // differ: the heterogeneous aggregate divides by numWorkers + 1
-    // servers by contract.
-    const EngineResult off = run(ModelId::kRM1, 0, 2, 8000);
-    ServingNode engine(&sched_, ModelId::kRM1, 0);
-    EngineConfig cfg;
-    cfg.numWorkers = 2;
-    cfg.arrivalQps = 8000;
-    cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
-    const EngineResult on = engine.run(cfg);
+// --- Accelerator lanes: the GPU and PIM splits are one mechanism. ---
 
-    EXPECT_TRUE(on.heterogeneous);
-    EXPECT_FALSE(off.heterogeneous);
-    EXPECT_EQ(on.gpuThreshold, QueryScheduler::kNoGpuThreshold);
-    EXPECT_EQ(on.deferredTickets, 0u);
-    EXPECT_EQ(on.gpuLaneStats.samplesServed, 0u);
-    EXPECT_EQ(on.gpuLaneStats.batchesServed, 0u);
+/** Lane tests run once per accelerator: GPU (index 3), PIM (index 4). */
+class AccelLaneTest : public ServingEngineTest,
+                      public ::testing::WithParamInterface<PlatformKind>
+{
+  protected:
+    static PlatformKind kind() { return GetParam(); }
+
+    static EngineConfig baseConfig(bool with_lane = true)
+    {
+        EngineConfig cfg;
+        cfg.numWorkers = 2;
+        cfg.arrivalQps = 8000;
+        cfg.simSeconds = 0.25;
+        if (with_lane) {
+            AccelLaneConfig lane;
+            lane.platformIdx = kind() == PlatformKind::kGpu ? 3 : 4;
+            cfg.lanes = {lane};
+        }
+        return cfg;
+    }
+
+    EngineResult serve(const EngineConfig& cfg)
+    {
+        ServingNode engine(&sched_, ModelId::kRM1, 0);
+        return engine.run(cfg);
+    }
+};
+
+TEST_P(AccelLaneTest, ThresholdDefaultsToRouteNothing)
+{
+    EXPECT_EQ(sched_.threshold(kind(), ModelId::kRM1),
+              QueryScheduler::kNoThreshold);
+    EXPECT_FALSE(sched_.routesTo(kind(), ModelId::kRM1, int64_t{1} << 20));
+    EXPECT_FALSE(sched_.routesTo(kind(), ModelId::kRM1, int64_t{1} << 40));
+}
+
+TEST_P(AccelLaneTest, ThresholdSplitsAtOrAbovePerModel)
+{
+    sched_.setThreshold(kind(), ModelId::kRM1, 64);
+    EXPECT_EQ(sched_.threshold(kind(), ModelId::kRM1), 64);
+    EXPECT_FALSE(sched_.routesTo(kind(), ModelId::kRM1, 63));
+    EXPECT_TRUE(sched_.routesTo(kind(), ModelId::kRM1, 64));
+    EXPECT_TRUE(sched_.routesTo(kind(), ModelId::kRM1, 65));
+    // Per-model: other models keep the route-nothing default.
+    EXPECT_EQ(sched_.threshold(kind(), ModelId::kWnD),
+              QueryScheduler::kNoThreshold);
+    EXPECT_FALSE(sched_.routesTo(kind(), ModelId::kRM2, 1024));
+    // Per-kind: the other accelerator keeps its own default.
+    const PlatformKind other = kind() == PlatformKind::kGpu
+                                   ? PlatformKind::kPim
+                                   : PlatformKind::kGpu;
+    EXPECT_EQ(sched_.threshold(other, ModelId::kRM1),
+              QueryScheduler::kNoThreshold);
+    // Threshold 1 routes every batch.
+    sched_.setThreshold(kind(), ModelId::kRM2, 1);
+    EXPECT_TRUE(sched_.routesTo(kind(), ModelId::kRM2, 1));
+    // Re-set overwrites.
+    sched_.setThreshold(kind(), ModelId::kRM1, 128);
+    EXPECT_EQ(sched_.threshold(kind(), ModelId::kRM1), 128);
+}
+
+TEST_P(AccelLaneTest, UnroutedLaneMatchesLaneFreeStats)
+{
+    // With the lane configured but no threshold set (kNoThreshold =
+    // route nothing), every batch still lands on the CPU workers and
+    // the serving stats must match a run without the lane exactly.
+    // Only the capacity-normalized aggregate fields (utilization /
+    // offeredLoad) may differ: the aggregate divides by numWorkers + 1
+    // servers by contract.
+    const EngineResult off = serve(baseConfig(false));
+    const EngineResult on = serve(baseConfig());
+
+    EXPECT_TRUE(off.lanes.empty());
+    ASSERT_EQ(on.lanes.size(), 1u);
+    const LaneResult& lane = on.lanes.front();
+    EXPECT_EQ(lane.kind, kind());
+    EXPECT_EQ(lane.threshold, QueryScheduler::kNoThreshold);
+    EXPECT_EQ(lane.deferredTickets, 0u);
+    EXPECT_EQ(lane.stats.samplesServed, 0u);
+    EXPECT_EQ(lane.stats.batchesServed, 0u);
+    ASSERT_EQ(off.perWorker.size(), on.perWorker.size());
+    for (size_t w = 0; w < off.perWorker.size(); ++w) {
+        EXPECT_EQ(off.perWorker[w].samplesServed,
+                  on.perWorker[w].samplesServed);
+        EXPECT_EQ(off.perWorker[w].batchesServed,
+                  on.perWorker[w].batchesServed);
+        EXPECT_DOUBLE_EQ(off.perWorker[w].meanLatency,
+                         on.perWorker[w].meanLatency);
+        EXPECT_DOUBLE_EQ(off.perWorker[w].p99Latency,
+                         on.perWorker[w].p99Latency);
+    }
     EXPECT_EQ(off.aggregate.samplesArrived, on.aggregate.samplesArrived);
     EXPECT_EQ(off.aggregate.samplesServed, on.aggregate.samplesServed);
     EXPECT_EQ(off.aggregate.batchesServed, on.aggregate.batchesServed);
@@ -322,24 +366,21 @@ TEST_F(ServingEngineTest, HeterogeneousNoThresholdMatchesLegacyStats)
     EXPECT_DOUBLE_EQ(off.meanSlowdown, on.meanSlowdown);
 }
 
-TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
+TEST_P(AccelLaneTest, RoutesLargeBatchesToLane)
 {
-    sched_.setGpuThreshold(ModelId::kRM1, 32);
-    ServingNode engine(&sched_, ModelId::kRM1, 0);
-    EngineConfig cfg;
-    cfg.numWorkers = 2;
+    sched_.setThreshold(kind(), ModelId::kRM1, 32);
+    EngineConfig cfg = baseConfig();
     cfg.arrivalQps = 40000;  // ~40 samples per 1 ms window
-    cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
-    const EngineResult r = engine.run(cfg);
+    const EngineResult r = serve(cfg);
 
-    EXPECT_TRUE(r.heterogeneous);
-    EXPECT_EQ(r.gpuThreshold, 32);
-    EXPECT_GT(r.deferredTickets, 0u);
-    EXPECT_GT(r.gpuLaneStats.samplesServed, 0u);
-    EXPECT_GT(r.gpuLaneStats.batchesServed, 0u);
-    EXPECT_GT(r.gpuLaneStats.p99Latency, 0.0);
-    EXPECT_GT(r.gpuLaneStats.utilization, 0.0);
+    ASSERT_EQ(r.lanes.size(), 1u);
+    const LaneResult& lane = r.lanes.front();
+    EXPECT_EQ(lane.threshold, 32);
+    EXPECT_GT(lane.deferredTickets, 0u);
+    EXPECT_GT(lane.stats.samplesServed, 0u);
+    EXPECT_GT(lane.stats.batchesServed, 0u);
+    EXPECT_GT(lane.stats.p99Latency, 0.0);
+    EXPECT_GT(lane.stats.utilization, 0.0);
 
     // Conservation across the split: every arrived sample was served
     // exactly once, by a CPU worker or by the lane.
@@ -349,45 +390,55 @@ TEST_F(ServingEngineTest, HeterogeneousRoutesLargeBatchesToLane)
         cpu_served += w.samplesServed;
         cpu_batches += w.batchesServed;
     }
-    EXPECT_EQ(cpu_served + r.gpuLaneStats.samplesServed,
+    EXPECT_EQ(cpu_served + lane.stats.samplesServed,
               r.aggregate.samplesServed);
     EXPECT_EQ(r.aggregate.samplesServed, r.aggregate.samplesArrived);
-    EXPECT_EQ(cpu_batches + r.gpuLaneStats.batchesServed,
+    EXPECT_EQ(cpu_batches + lane.stats.batchesServed,
               r.aggregate.batchesServed);
     // Deferred batches were not executed on the host.
     EXPECT_EQ(r.batchesExecuted, cpu_batches);
 }
 
-TEST_F(ServingEngineTest, HeterogeneousDeterministicAcrossRuns)
+TEST_P(AccelLaneTest, DeterministicAcrossRuns)
 {
-    sched_.setGpuThreshold(ModelId::kRM1, 16);
-    ServingNode engine(&sched_, ModelId::kRM1, 0);
-    EngineConfig cfg;
+    sched_.setThreshold(kind(), ModelId::kRM1, 16);
+    EngineConfig cfg = baseConfig();
     cfg.numWorkers = 4;
     cfg.arrivalQps = 30000;
-    cfg.simSeconds = 0.25;
-    cfg.heterogeneous = true;
-    const EngineResult a = engine.run(cfg);
-    const EngineResult b = engine.run(cfg);
+    const EngineResult a = serve(cfg);
+    const EngineResult b = serve(cfg);
 
+    ASSERT_EQ(a.lanes.size(), 1u);
+    ASSERT_EQ(b.lanes.size(), 1u);
     EXPECT_EQ(a.aggregate.samplesServed, b.aggregate.samplesServed);
     EXPECT_EQ(a.aggregate.batchesServed, b.aggregate.batchesServed);
-    EXPECT_EQ(a.deferredTickets, b.deferredTickets);
-    EXPECT_EQ(a.gpuLaneStats.samplesServed, b.gpuLaneStats.samplesServed);
-    EXPECT_EQ(a.gpuLaneStats.batchesServed, b.gpuLaneStats.batchesServed);
-    EXPECT_DOUBLE_EQ(a.gpuLaneStats.p99Latency, b.gpuLaneStats.p99Latency);
+    EXPECT_EQ(a.lanes[0].deferredTickets, b.lanes[0].deferredTickets);
+    EXPECT_EQ(a.lanes[0].stats.samplesServed,
+              b.lanes[0].stats.samplesServed);
+    EXPECT_EQ(a.lanes[0].stats.batchesServed,
+              b.lanes[0].stats.batchesServed);
+    EXPECT_DOUBLE_EQ(a.lanes[0].stats.p99Latency,
+                     b.lanes[0].stats.p99Latency);
     EXPECT_DOUBLE_EQ(a.aggregate.meanLatency, b.aggregate.meanLatency);
     EXPECT_DOUBLE_EQ(a.aggregate.p99Latency, b.aggregate.p99Latency);
 }
 
-TEST_F(ServingEngineTest, HeterogeneousRejectsCpuLanePlatform)
+TEST_P(AccelLaneTest, RejectsNonAcceleratorPlatform)
 {
-    ServingNode engine(&sched_, ModelId::kNCF, 0);
-    EngineConfig bad;
-    bad.heterogeneous = true;
-    bad.gpuPlatformIdx = 0;  // Bdw is a CPU
-    EXPECT_DEATH(engine.run(bad), "GPU platform");
+    EngineConfig bad = baseConfig();
+    bad.lanes[0].platformIdx = 0;  // Bdw is a CPU
+    EXPECT_DEATH(serve(bad), "lane platform must be an accelerator");
+    EngineConfig oob = baseConfig();
+    oob.lanes[0].platformIdx = 99;
+    EXPECT_DEATH(serve(oob), "platform index");
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Lanes, AccelLaneTest,
+    ::testing::Values(PlatformKind::kGpu, PlatformKind::kPim),
+    [](const ::testing::TestParamInfo<PlatformKind>& info) {
+        return ::testing::PrintToString(info.param);
+    });
 
 /** FNV-1a over the 8 bytes of each mixed word. */
 struct Fnv {
@@ -425,13 +476,8 @@ std::vector<LaneView>
 laneViews(const EngineResult& r)
 {
     std::vector<LaneView> v;
-    if (r.heterogeneous) {
-        v.push_back({PlatformKind::kGpu, r.gpuThreshold, r.deferredTickets,
-                     r.gpuLaneStats});
-    }
-    if (r.pimEnabled) {
-        v.push_back({PlatformKind::kPim, r.pimThreshold,
-                     r.pimDeferredTickets, r.pimLaneStats});
+    for (const LaneResult& l : r.lanes) {
+        v.push_back({l.kind, l.threshold, l.deferredTickets, l.stats});
     }
     return v;
 }
@@ -486,18 +532,21 @@ TEST_F(ServingEngineTest, LaneDigestsArePinned)
         {true, true, 48, 16, 2, ExecMode::kNumericOnly, 0x5e64477c1e156e86ull},
     };
     for (const Pinned& p : pinned) {
-        sched_.setGpuThreshold(ModelId::kRM1, p.gpuThreshold);
-        sched_.setPimThreshold(ModelId::kRM1, p.pimThreshold);
+        sched_.setThreshold(PlatformKind::kGpu, ModelId::kRM1,
+                            p.gpuThreshold);
+        sched_.setThreshold(PlatformKind::kPim, ModelId::kRM1,
+                            p.pimThreshold);
         EngineConfig cfg;
         cfg.numWorkers = p.workers;
         cfg.arrivalQps = 40000;
         cfg.simSeconds = p.mode == kShape ? 0.25 : 0.05;
         cfg.execMode = p.mode;
-        cfg.heterogeneous = p.gpu;
-        cfg.gpuPlatformIdx = 3;
-        cfg.pimLaneEnabled = p.pim;
-        cfg.pimPlatformIdx = 4;
-        cfg.pimLane.maxBatch = 128;
+        if (p.gpu) {
+            cfg.lanes.push_back({.platformIdx = 3});
+        }
+        if (p.pim) {
+            cfg.lanes.push_back({.platformIdx = 4, .maxBatch = 128});
+        }
         ServingNode engine(&sched_, ModelId::kRM1, 0);
         const EngineResult r = engine.run(cfg);
         EXPECT_EQ(laneViews(r).size(), size_t{p.gpu} + size_t{p.pim});

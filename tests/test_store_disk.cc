@@ -490,19 +490,24 @@ keptConfig()
     return cfg;
 }
 
-/** Build a valid 400-row page file to corrupt; returns its path. */
+/**
+ * Build a valid page file to corrupt: tables 2, 3, ... (num_tables of
+ * them), each 400 rows of dim 8; returns its path.
+ */
 std::string
-buildPageFile(const std::string& dir)
+buildPageFile(const std::string& dir, int num_tables = 1)
 {
     const std::string path = dir + "/corrupt.pages";
     DiskTier::Builder builder(path, keptConfig());
-    builder.beginTable(2, 8);
-    for (int64_t r = 0; r < 400; ++r) {
-        std::vector<float> row(8);
-        for (int64_t d = 0; d < 8; ++d) {
-            row[static_cast<size_t>(d)] = expectedCell(r, d);
+    for (int t = 0; t < num_tables; ++t) {
+        builder.beginTable(2 + t, 8);
+        for (int64_t r = 0; r < 400; ++r) {
+            std::vector<float> row(8);
+            for (int64_t d = 0; d < 8; ++d) {
+                row[static_cast<size_t>(d)] = expectedCell(r, d);
+            }
+            builder.appendRow(r, row.data());
         }
-        builder.appendRow(r, row.data());
     }
     builder.finish();
     return path;
@@ -547,6 +552,94 @@ TEST_F(DiskFixture, FileTruncatedAfterHeaderIsRejected)
     EXPECT_DEATH(DiskTier::open(path, keptConfig()),
                  "corrupt.pages' header: numDataPages [0-9]+ exceeds "
                  "the file's 1 pages");
+}
+
+// --- Table records: each one is checked against the header. ----------
+
+/**
+ * Overwrite one uint64 word of table record @c rec (0 table, 1 dim,
+ * 2 coldRows, 3 firstKeyIndex, 4 firstDataPage). The records start on
+ * the first page after the data and key pages.
+ */
+void
+patchRecordWord(const std::string& path, int rec, int word, uint64_t value)
+{
+    const int fd = ::open(path.c_str(), O_RDWR);
+    ASSERT_GE(fd, 0);
+    uint64_t hdr[5] = {};
+    ASSERT_EQ(::pread(fd, hdr, sizeof(hdr), 0),
+              static_cast<ssize_t>(sizeof(hdr)));
+    const uint64_t pb = hdr[1];
+    const uint64_t key_pages = (hdr[3] * sizeof(uint64_t) + pb - 1) / pb;
+    const uint64_t off = (1 + hdr[4] + key_pages) * pb +
+                         static_cast<uint64_t>(rec * 5 + word) *
+                             sizeof(value);
+    ASSERT_EQ(::pwrite(fd, &value, sizeof(value), static_cast<off_t>(off)),
+              static_cast<ssize_t>(sizeof(value)));
+    ::close(fd);
+}
+
+/** Reopen @c path and read the last row of table 2. */
+void
+openAndReadLastRow(const std::string& path)
+{
+    std::unique_ptr<DiskTier> tier = DiskTier::open(path, keptConfig());
+    std::vector<float> row(1024);
+    tier->readRow((uint64_t{2} << 40) | 399, row.data());
+}
+
+TEST_F(DiskFixture, TableZeroDimIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchRecordWord(path, 0, 1, 0);
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: dim 0 does not fit a "
+                 "1024-byte page");
+}
+
+TEST_F(DiskFixture, TableRowWiderThanPageIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchRecordWord(path, 0, 1, 257);
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: dim 257 does not fit a "
+                 "1024-byte page");
+}
+
+TEST_F(DiskFixture, TableFirstDataPageOutsideDataRegionIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchRecordWord(path, 0, 4, uint64_t{1} << 40);
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: firstDataPage 1099511627776 "
+                 "is outside the data pages \\[1, 14\\]");
+}
+
+TEST_F(DiskFixture, TableDataRegionOverrunIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchRecordWord(path, 0, 4, 11);  // 13 pages of rows from page 11
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: coldRows 400 from "
+                 "firstDataPage 11 overrun the 13 data pages");
+}
+
+TEST_F(DiskFixture, TableKeyRangePastKeyCountIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchRecordWord(path, 0, 2, 401);
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: firstKeyIndex 0 \\+ coldRows "
+                 "401 exceeds numKeys 400");
+}
+
+TEST_F(DiskFixture, DuplicateTableIdIsRejected)
+{
+    const std::string path = buildPageFile(dir_, 2);
+    patchRecordWord(path, 1, 0, 2);
+    EXPECT_DEATH(openAndReadLastRow(path),
+                 "corrupt.pages' table 2: table id repeats an earlier "
+                 "record");
 }
 
 // --- Store integration: serving entirely from disk. -------------------
@@ -719,7 +812,6 @@ TEST_F(DiskFixture, ServingEngineRunsOnDiskBackedStore)
     cfg.maxWaitSeconds = 1e-3;
     cfg.simSeconds = 0.05;
     cfg.execMode = ExecMode::kNumericOnly;
-    cfg.sharedEmbeddingStore = true;
     cfg.storeConfig = diskStoreConfig(dir_);
     const EngineResult result = engine.run(cfg);
     EXPECT_GT(result.aggregate.samplesServed, 0u);

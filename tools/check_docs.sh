@@ -26,7 +26,11 @@
 #      docs/observability.md, which promises the full current set;
 #   7. every source file README.md or a docs/*.md file names
 #      (`foo.h`, `dir/foo.cc`, `foo.{h,cc}`, `foo.h/.cc`) exists in
-#      the tree, so a deleted or renamed file cannot linger in them.
+#      the tree, so a deleted or renamed file cannot linger in them;
+#   8. every quoted "RECSTACK_*" name in src/ and tools/ (the
+#      environment variables the code reads) has a row in the env
+#      table of docs/reproduction.md — the reverse of check 3, so a
+#      new knob cannot ship undocumented.
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -156,6 +160,20 @@ while IFS= read -r name; do
         fi
     done
 done <<<"$doc_files"
+
+# -- 8. env vars the code reads have a reproduction.md row ---------
+env_rows=$(grep -E '^\| `RECSTACK_' docs/reproduction.md)
+read_names=$(grep -rhoE '"RECSTACK_[A-Z0-9_]+"' src tools | tr -d '"' |
+    sort -u || true)
+if [ -z "$read_names" ]; then
+    err "found no quoted RECSTACK_* names in src/ or tools/; check 8's pattern is stale"
+fi
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qE "^\| \`${name}(=[^\`]*)?\`" <<<"$env_rows"; then
+        err "src/ or tools/ reads ${name}, which has no row in the env table of docs/reproduction.md"
+    fi
+done <<<"$read_names"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

@@ -506,11 +506,6 @@ cmdPlan(const std::string& model, int64_t batch, bool json)
 int
 cmdStore(const std::string& model_name, int64_t batch, bool json)
 {
-    if (EmbeddingStore::disabledByEnv()) {
-        std::printf("RECSTACK_DISABLE_STORE is set: store-backed "
-                    "execution is disabled, nothing to report.\n");
-        return 0;
-    }
     const ModelId id = modelFromName(model_name);
     // Full-size tables (RM2: 32 x 250k x 64 floats) are ~2 GB; a
     // scaled-down store keeps the command interactive while the cache
@@ -830,16 +825,13 @@ cmdObs(const std::string& model_name, int64_t batch,
                 TextTable::fmtSeconds(check.p95).c_str(),
                 TextTable::fmtSeconds(check.p99).c_str(),
                 check.agrees ? "agrees with" : "DIVERGES from");
-    if (result.storeShared) {
-        std::printf("store: %llu lookups, hit rate %s, far-tier "
-                    "fetches %llu\n",
-                    static_cast<unsigned long long>(
-                        result.storeStats.total.lookups),
-                    TextTable::fmtPercent(result.storeStats.hitRate())
-                        .c_str(),
-                    static_cast<unsigned long long>(
-                        result.storeStats.total.farFetches));
-    }
+    std::printf("store: %llu lookups, hit rate %s, far-tier "
+                "fetches %llu\n",
+                static_cast<unsigned long long>(
+                    result.storeStats.total.lookups),
+                TextTable::fmtPercent(result.storeStats.hitRate()).c_str(),
+                static_cast<unsigned long long>(
+                    result.storeStats.total.farFetches));
 
     const obs::TraceSnapshot trace = obs::TraceBuffer::global().snapshot();
     std::printf("trace: %zu spans captured, %llu dropped "
@@ -897,13 +889,14 @@ cmdHetero(const std::string& model_name, bool json)
     cfg.maxBatch = 256;
     cfg.maxWaitSeconds = 1e-3;
     cfg.simSeconds = 0.1;
-    cfg.heterogeneous = true;
-    cfg.gpuPlatformIdx = gpu_idx;
     // Match the lane's accumulation to the front queue: GPU service is
     // near-linear in batch past the amortization knee, so batching
     // beyond the front queue's cap stretches the tail for nothing.
-    cfg.gpuLane.maxBatch = cfg.maxBatch;
-    cfg.gpuLane.maxWaitSeconds = cfg.maxWaitSeconds;
+    AccelLaneConfig lane;
+    lane.platformIdx = gpu_idx;
+    lane.maxBatch = cfg.maxBatch;
+    lane.maxWaitSeconds = cfg.maxWaitSeconds;
+    cfg.lanes = {lane};
 
     // SLA = 3x the worse of the two platforms' half-load tails; the
     // tuning rate is 80% of the combined capacity estimate, past the
@@ -914,7 +907,7 @@ cmdHetero(const std::string& model_name, bool json)
     const double cap_gpu = 256.0 / sched.latency(id, gpu_idx, 256);
     ServingNode gpu_engine(&sched, id, gpu_idx);
     EngineConfig probe = cfg;
-    probe.heterogeneous = false;
+    probe.lanes.clear();
     probe.arrivalQps = 0.5 * cap_cpu;
     const double cpu_tail = engine.run(probe).aggregate.p99Latency;
     probe.arrivalQps = 0.5 * cap_gpu;
@@ -925,32 +918,33 @@ cmdHetero(const std::string& model_name, bool json)
     HillClimbConfig tune;
     tune.slaSeconds = sla;
     tune.thresholdGrid = {16, 64, 128, 256,
-                          QueryScheduler::kNoGpuThreshold};
+                          QueryScheduler::kNoThreshold};
     tune.startIndex = 2;
     tune.epochSeconds = cfg.simSeconds;
     const HillClimbResult hc =
         hillClimbThreshold(tune, [&](int64_t threshold) {
-            sched.setGpuThreshold(id, threshold);
+            sched.setThreshold(PlatformKind::kGpu, id, threshold);
             engine.run(cfg);
         });
 
     // Re-serve at the tuned threshold for the final split report.
-    sched.setGpuThreshold(id, hc.bestThreshold);
+    sched.setThreshold(PlatformKind::kGpu, id, hc.bestThreshold);
     const EngineResult tuned = engine.run(cfg);
+    const LaneResult& gpu_lane = tuned.lanes.front();
     const double gpu_share =
         tuned.aggregate.samplesServed > 0
-            ? static_cast<double>(tuned.gpuLaneStats.samplesServed) /
+            ? static_cast<double>(gpu_lane.stats.samplesServed) /
                   static_cast<double>(tuned.aggregate.samplesServed)
             : 0.0;
     const auto threshold_label = [](int64_t t) {
-        return t == QueryScheduler::kNoGpuThreshold
+        return t == QueryScheduler::kNoThreshold
                    ? std::string("none")
                    : std::to_string(t);
     };
-    // JSON encodes "route nothing" as -1: kNoGpuThreshold is int64
-    // max, which does not survive a round trip through a JSON double.
+    // JSON encodes "route nothing" as -1: kNoThreshold is int64 max,
+    // which does not survive a round trip through a JSON double.
     const auto threshold_json = [](int64_t t) {
-        return t == QueryScheduler::kNoGpuThreshold
+        return t == QueryScheduler::kNoThreshold
                    ? static_cast<long long>(-1)
                    : static_cast<long long>(t);
     };
@@ -979,7 +973,7 @@ cmdHetero(const std::string& model_name, bool json)
         std::printf("  \"gpuSampleShare\": %.4f,\n", gpu_share);
         std::printf("  \"deferredTickets\": %llu\n",
                     static_cast<unsigned long long>(
-                        tuned.deferredTickets));
+                        gpu_lane.deferredTickets));
         std::printf("}\n");
         return 0;
     }
@@ -1006,7 +1000,7 @@ cmdHetero(const std::string& model_name, bool json)
                 TextTable::fmt(hc.best.qps, 0).c_str(),
                 TextTable::fmtSeconds(hc.best.p99).c_str(),
                 TextTable::fmtPercent(gpu_share).c_str(),
-                static_cast<unsigned long long>(tuned.deferredTickets));
+                static_cast<unsigned long long>(gpu_lane.deferredTickets));
     if (!hc.anyFeasible) {
         std::printf("no threshold on the grid held the SLA; reported "
                     "point has the least-bad tail\n");

@@ -32,7 +32,7 @@
 # env-cache atomics.
 #
 # The `sched` label covers the heterogeneous scheduling suites
-# (threshold router, GPU lane, hill-climb tuner): the lane is driven
+# (threshold router, accelerator lanes, hill-climb tuner): a lane is driven
 # from every worker thread under the batch-queue lock and the tuner
 # reads the shared metrics registry, so those paths run under both
 # sanitizers too.
@@ -43,11 +43,10 @@
 # per-node histogram merge folds atomics written by those workers, so
 # both sanitizers rerun them.
 #
-# The `pim` label covers the near-memory offload suites: the PIM
-# serving lane is the same batch-queue-driven accumulation lane as
-# the GPU one, submitted to from every worker thread and drained at
-# shutdown, so its routing and conservation tests run under both
-# sanitizers alongside the analytical-model invariants.
+# The `pim` label covers the near-memory offload suites: the
+# analytical-model invariants and the env-knob surface. The PIM
+# serving lane is the same AccelLane as the GPU one, so its routing
+# and conservation tests run with the GPU lane's under `serving`.
 #
 # The `disk` label covers the persistent far-tier suites: DiskTier
 # hands out payloads copied from a shared page buffer pool under its
