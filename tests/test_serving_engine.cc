@@ -464,24 +464,6 @@ struct Fnv {
     }
 };
 
-/** One configured lane's share of a result, in configuration order. */
-struct LaneView {
-    PlatformKind kind;
-    int64_t threshold;
-    uint64_t deferredTickets;
-    ServingStats stats;
-};
-
-std::vector<LaneView>
-laneViews(const EngineResult& r)
-{
-    std::vector<LaneView> v;
-    for (const LaneResult& l : r.lanes) {
-        v.push_back({l.kind, l.threshold, l.deferredTickets, l.stats});
-    }
-    return v;
-}
-
 /** Hash of every virtual-time field of a node run. */
 uint64_t
 digestResult(const EngineResult& r)
@@ -494,7 +476,7 @@ digestResult(const EngineResult& r)
     d.mix(r.meanSlowdown);
     d.mix(r.maxSlowdown);
     d.mix(r.batchesExecuted);
-    for (const LaneView& l : laneViews(r)) {
+    for (const LaneResult& l : r.lanes) {
         d.mix(static_cast<uint64_t>(l.kind));
         d.mix(static_cast<uint64_t>(l.threshold));
         d.mix(l.deferredTickets);
@@ -549,7 +531,7 @@ TEST_F(ServingEngineTest, LaneDigestsArePinned)
         }
         ServingNode engine(&sched_, ModelId::kRM1, 0);
         const EngineResult r = engine.run(cfg);
-        EXPECT_EQ(laneViews(r).size(), size_t{p.gpu} + size_t{p.pim});
+        EXPECT_EQ(r.lanes.size(), size_t{p.gpu} + size_t{p.pim});
         EXPECT_EQ(digestResult(r), p.digest)
             << std::hex << digestResult(r) << std::dec << ": gpu "
             << p.gpu << " pim " << p.pim << ", " << p.workers
