@@ -15,10 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cstring>
 #include <tuple>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/compiled_net.h"
@@ -241,6 +243,145 @@ TEST(StoreDifferentialVariants, MeanPooling)
         expectTensorsIdentical("y", dense.get("y"), backed.get("y"));
     }
     EXPECT_GT(store.stats().total.lookups, 0u);
+}
+
+/** FNV-1a over the 8 bytes of each mixed word, plus raw byte runs. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void bytes(const void* p, size_t n)
+    {
+        const auto* c = static_cast<const unsigned char*>(p);
+        for (size_t i = 0; i < n; ++i) {
+            h = (h ^ c[i]) * 1099511628211ull;
+        }
+    }
+    void mix(uint64_t v) { bytes(&v, sizeof(v)); }
+    void mix(double v) { mix(std::bit_cast<uint64_t>(v)); }
+    /** Every field except the wall-clock diskSeconds. */
+    void mix(const ShardCounters& c)
+    {
+        for (uint64_t v :
+             {c.lookups, c.hits, c.nearFetches, c.farFetches,
+              c.diskFetches, c.evictions, c.updates, c.prefetchedRows,
+              c.promotedRows, c.demotedRows, c.bytesFromCache,
+              c.bytesFromNear, c.bytesFromFar, c.bytesFromDisk,
+              c.cacheBytesUsed}) {
+            mix(v);
+        }
+        mix(c.simSeconds);
+    }
+};
+
+/**
+ * FNV-1a over the store's accounting (every ShardCounters field but
+ * the measured diskSeconds, per shard and in total, plus the modeled
+ * cost histogram) and over the outputs of store-backed SLS, SLWS,
+ * SLMean and Gather, recorded before the store's pooling loop moved
+ * into the op. One table whose cache / near / far split serves every
+ * tier, on the simulated and on the disk far tier (promotion off, so
+ * no background thread moves a counter), serially under both ISA
+ * tiers: counter interleaving is only deterministic at width 1.
+ */
+TEST(StoreDifferentialVariants, AccountingDigestsArePinned)
+{
+    constexpr int64_t kRows = 4096;
+    constexpr int64_t kDim = 19;  // two AVX2 vectors plus a tail
+    Rng rng(29);
+    Tensor table({kRows, kDim});
+    for (int64_t i = 0; i < table.numel(); ++i) {
+        table.data<float>()[i] = rng.nextFloat(-1.0f, 1.0f);
+    }
+    const ZipfSampler zipf(static_cast<uint64_t>(kRows), 0.8);
+    std::vector<int32_t> len;
+    std::vector<int64_t> idx;
+    std::vector<float> w;
+    for (int b = 0; b < 48; ++b) {
+        len.push_back(b % 9 == 0 ? 0 : static_cast<int32_t>(
+                                           1 + rng.nextBounded(40)));
+        for (int32_t p = 0; p < len.back(); ++p) {
+            idx.push_back(static_cast<int64_t>(zipf.sample(rng)));
+            w.push_back(rng.nextFloat(-2.0f, 2.0f));
+        }
+    }
+    const auto n_idx = static_cast<int64_t>(idx.size());
+
+    // {accounting, outputs} per far tier: simulated, disk.
+    const uint64_t pinned[2][2] = {
+        {0x87890b987ab59d04ull, 0x79df59529e618b90ull},
+        {0x32c0a7ad4a2f1248ull, 0x79df59529e618b90ull},
+    };
+    for (FarTierKind far : {FarTierKind::kSimulated, FarTierKind::kDisk}) {
+        for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+            IsaScope tier(isa);
+            IntraOpScope threads(1);
+            StoreConfig cfg;
+            cfg.numShards = 3;
+            cfg.cacheBytesPerShard = 2u << 10;
+            cfg.nearTierFraction = 0.4;
+            cfg.farTier = far;
+            cfg.disk.pageBytes = 1024;
+            cfg.disk.bufferPages = 8;
+            cfg.disk.promoteThreshold = 0;
+            EmbeddingStore store(cfg);
+            store.addTable("table", table);
+            Workspace ws;
+            ws.set("table", Tensor::shapeOnly({kRows, kDim}));
+            ws.set("idx", Tensor::fromInt64s({n_idx}, idx));
+            ws.set("len", Tensor::fromInt32s(
+                              {static_cast<int64_t>(len.size())}, len));
+            ws.set("w", Tensor::fromFloats({n_idx}, w));
+            ws.attachStore(&store);
+            ASSERT_EQ(store.diskTierActive(), far == FarTierKind::kDisk);
+
+            Fnv outputs;
+            for (SlsKind kind : {SlsKind::kSum, SlsKind::kWeightedSum,
+                                 SlsKind::kMean}) {
+                OperatorPtr op = makeSparseLengthsReduce(
+                    kind, "pool", "table",
+                    kind == SlsKind::kWeightedSum ? "w" : "", "idx",
+                    "len", "y");
+                op->inferShapes(ws);
+                op->run(ws);
+                const Tensor& y = ws.get("y");
+                outputs.bytes(y.data<float>(), y.byteSize());
+            }
+            // Write-through on a near and a far row, one of them hot.
+            for (int64_t row : {int64_t{0}, kRows - 1}) {
+                store.update(0, row, w.data());
+            }
+            OperatorPtr gather = makeGather("gather", "table", "idx", "g");
+            gather->inferShapes(ws);
+            gather->run(ws);
+            const Tensor& g = ws.get("g");
+            outputs.bytes(g.data<float>(), g.byteSize());
+
+            const StoreStats stats = store.stats();
+            Fnv accounting;
+            accounting.mix(static_cast<uint64_t>(stats.perShard.size()));
+            for (const ShardCounters& c : stats.perShard) {
+                accounting.mix(c);
+            }
+            accounting.mix(stats.total);
+            accounting.mix(static_cast<uint64_t>(stats.costHistogram.size()));
+            for (const auto& [cost, count] : stats.costHistogram) {
+                accounting.mix(cost);
+                accounting.mix(count);
+            }
+            const int t = far == FarTierKind::kDisk ? 1 : 0;
+            // Every tier served: cache, near, and the far kind.
+            EXPECT_GT(stats.total.hits, 0u);
+            EXPECT_GT(stats.total.nearFetches, 0u);
+            EXPECT_GT(t == 1 ? stats.total.diskFetches
+                             : stats.total.farFetches,
+                      0u);
+            EXPECT_EQ(accounting.h, pinned[t][0])
+                << farTierKindName(far) << " " << kernelIsaName(isa)
+                << std::hex << " accounting 0x" << accounting.h;
+            EXPECT_EQ(outputs.h, pinned[t][1])
+                << farTierKindName(far) << " " << kernelIsaName(isa)
+                << std::hex << " outputs 0x" << outputs.h;
+        }
+    }
 }
 
 /** A locally materialized table blob overrides the attached store. */
