@@ -45,5 +45,5 @@ main()
     check(rm1_dsb.back() < 0.10,
           "a very large DSB leaves only the mispredict-refill "
           "component");
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -49,5 +49,5 @@ main()
           "gather efficiency is a first-order lever for "
           "embedding-dominated models (the near-memory-processing "
           "opportunity)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

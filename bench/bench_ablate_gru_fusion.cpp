@@ -61,5 +61,5 @@ main()
     check(sw_fused.get(ModelId::kDIEN, kBdw, 16).seconds <
               sw_unrolled.get(ModelId::kDIEN, kBdw, 16).seconds,
           "fusion also removes per-step dispatch overhead on CPUs");
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -47,5 +47,5 @@ main()
               sweep.get(ModelId::kRM2, 0, 256).seconds * 1.02,
           "exclusive L3 never hurts the gather-heavy models "
           "meaningfully (victim capacity helps the zipf head)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

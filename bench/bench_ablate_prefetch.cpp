@@ -47,5 +47,5 @@ main()
           "embedding-dominated RM2 is nearly prefetch-insensitive "
           "(random gathers stay exposed) - the paper's "
           "irregular-access premise");
-    return 0;
+    return recstack::bench::exitStatus();
 }

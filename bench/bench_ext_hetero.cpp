@@ -262,5 +262,5 @@ main()
                   TextTable::fmtSeconds(st.heteroP99[3]) + " vs " +
                   TextTable::fmtSeconds(st.cpuP99[3]) + " p99)");
     }
-    return 0;
+    return recstack::bench::exitStatus();
 }

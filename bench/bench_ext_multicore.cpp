@@ -61,5 +61,5 @@ main()
         all_valid &= s >= 1.0 && s <= kCores + 1e-9;
     }
     check(all_valid, "scaling estimates stay within [1, cores]");
-    return 0;
+    return recstack::bench::exitStatus();
 }

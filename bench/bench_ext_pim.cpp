@@ -292,5 +292,5 @@ main()
     check(tasklet_monotone, "offload time is monotone nonincreasing "
                             "in tasklets/DPU (saturating at pipeline "
                             "fill / WRAM limit)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -105,5 +105,5 @@ main()
     check(intensity[index_of(ModelId::kRM3)] > bdw_ridge,
           "RM3 sits above the ridge point: compute-bound (Fig. 10's "
           "core-bound result in roofline terms)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

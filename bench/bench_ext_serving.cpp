@@ -162,5 +162,5 @@ main()
                      "(the scheduling opportunity DeepRecSys exploits)");
 
     engineSection(sched);
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -77,5 +77,5 @@ main()
         sum += frac;
     }
     check(sum > 0.999 && sum < 1.001, "breakdown fractions sum to 1");
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -87,5 +87,5 @@ main()
         }
     }
     check(conserve, "TopDown level-1 slices sum to 100% of slots");
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -67,5 +67,5 @@ main()
     check(clx_relief, "Cascade Lake's wider FMA hardware decreases "
                       "functional-unit pressure (core-bound stalls "
                       "drop sharply)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

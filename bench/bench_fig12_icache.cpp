@@ -44,5 +44,5 @@ main()
     check(mpki(ModelId::kRM2) < mpki(ModelId::kNCF),
           "long runs of identical SparseLengthsSum ops keep RM2's "
           "instruction working set hot");
-    return 0;
+    return recstack::bench::exitStatus();
 }

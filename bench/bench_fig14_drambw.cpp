@@ -52,5 +52,5 @@ main()
           "RM2 is the congestion outlier among RM1/RM2/DIN/DIEN");
     check(congestion(ModelId::kRM2, 4096) >= congestion(ModelId::kRM2, 64),
           "congestion grows with batch size (more concurrent lookups)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

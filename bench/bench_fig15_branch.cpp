@@ -57,5 +57,5 @@ main()
     check(bdw_rate(ModelId::kRM1) > bdw_rate(ModelId::kRM3),
           "data-dependent embedding segment loops (RM1) mispredict "
           "more than GEMM loops (RM3)");
-    return 0;
+    return recstack::bench::exitStatus();
 }

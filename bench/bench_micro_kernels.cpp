@@ -268,9 +268,9 @@ runSimdTierCheck()
     }
 
     bench::checkHeader();
-    bench::check(min_speedup >= 2.0,
-                 "FC-heavy models (RM1, WnD) run >=2x faster "
-                 "single-thread on the avx2 kernel tier");
+    bench::checkHostTimed(min_speedup >= 2.0,
+                          "FC-heavy models (RM1, WnD) run >=2x faster "
+                          "single-thread on the avx2 kernel tier");
 }
 
 }  // namespace
@@ -292,5 +292,5 @@ main(int argc, char** argv)
     ::benchmark::RunSpecifiedBenchmarks();
     ::benchmark::Shutdown();
     recstack::runSimdTierCheck();
-    return 0;
+    return recstack::bench::exitStatus();
 }

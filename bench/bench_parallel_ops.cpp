@@ -133,12 +133,12 @@ runBench()
 
     bench::checkHeader();
     if (hw >= 8) {
-        bench::check(speedup_8t_b256 >= 2.0,
-                     "FC-heavy model gains >=2x per-batch at 8 "
-                     "threads, batch >= 256");
-        bench::check(engine_wide < engine_serial,
-                     "serving workers' per-batch host seconds drop "
-                     "when kernels widen");
+        bench::checkHostTimed(speedup_8t_b256 >= 2.0,
+                              "FC-heavy model gains >=2x per-batch at 8 "
+                              "threads, batch >= 256");
+        bench::checkHostTimed(engine_wide < engine_serial,
+                              "serving workers' per-batch host seconds "
+                              "drop when kernels widen");
     } else {
         std::printf(
             "  [SKIPPED   ] machine has %u hardware threads; the "
@@ -154,5 +154,5 @@ int
 main()
 {
     recstack::runBench();
-    return 0;
+    return recstack::bench::exitStatus();
 }

@@ -1,5 +1,6 @@
 #include "ops/embedding.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string_view>
 #include <vector>
@@ -107,6 +108,27 @@ storeRef(const Workspace& ws, const std::string& blob,
     ref.store = store;
     ref.table = table;
     return ref;
+}
+
+/**
+ * The one row walk of the lookup kernels: fn(p, row) for each p in
+ * [lo, hi), ascending, with row the payload of table row indices[p].
+ * A store-backed table resolves it under the store's shard lock; a
+ * dense blob is read in place. Pooling and copying happen in fn, so
+ * both backings share one loop and one fp32 order.
+ */
+template <class Fn>
+void
+visitRows(const StoreRef& ref, const float* data, int64_t dim,
+          const int64_t* indices, int64_t lo, int64_t hi, Fn&& fn)
+{
+    if (ref.store != nullptr) {
+        ref.store->forEachRow(ref.table, indices, lo, hi, fn);
+        return;
+    }
+    for (int64_t p = lo; p < hi; ++p) {
+        fn(p, data + indices[p] * dim);
+    }
 }
 
 /**
@@ -245,37 +267,32 @@ SparseLengthsReduceOp::run(Workspace& ws)
     const int64_t dim = data_t.dim(1);
     const int64_t batch = len_t.numel();
 
-    const std::vector<int64_t> offsets =
+    const std::vector<int64_t> offset_vec =
         segmentOffsets(slsKindInfo(kind_).prefix, name(), lengths, batch,
                        indices, idx_t.numel(), rows);
+    const int64_t* offsets = offset_vec.data();
     // Each chunk owns a disjoint band of output rows and pools its
-    // lookups in the same ascending order as the serial cursor; the
-    // store path preserves that order exactly, and rowAdd /
-    // rowAddScaled / rowScale keep the per-element order on every ISA
-    // tier (bit-identical pooling).
+    // lookups in ascending order, one row visit over the band's
+    // lookups with a segment cursor; rowAdd / rowAddScaled / rowScale
+    // keep the per-element order on every ISA tier, so pooling is
+    // bit-identical across tiers, widths and table backings.
     const KernelIsa isa = activeKernelIsa();
     parallelFor(0, batch, poolingGrain(dim, idx_t.numel(), batch),
                 [&](int64_t lo, int64_t hi) {
-        if (sref.store != nullptr) {
-            sref.store->lookupSum(sref.table, indices, offsets.data(),
-                                  lo, hi, y, w);
-        } else {
-            for (int64_t b = lo; b < hi; ++b) {
-                float* yrow = y + b * dim;
-                for (int64_t d = 0; d < dim; ++d) {
-                    yrow[d] = 0.0f;
-                }
-                for (int64_t p = offsets[static_cast<size_t>(b)];
-                     p < offsets[static_cast<size_t>(b) + 1]; ++p) {
-                    const float* row = data + indices[p] * dim;
-                    if (w != nullptr) {
-                        kern::rowAddScaled(isa, yrow, row, w[p], dim);
-                    } else {
-                        kern::rowAdd(isa, yrow, row, dim);
-                    }
-                }
+        std::fill(y + lo * dim, y + hi * dim, 0.0f);
+        int64_t seg = lo;  // the output row lookup p pools into
+        visitRows(sref, data, dim, indices, offsets[lo], offsets[hi],
+                  [&](int64_t p, const float* row) {
+            while (p >= offsets[seg + 1]) {
+                ++seg;  // past a finished or empty segment
             }
-        }
+            float* yrow = y + seg * dim;
+            if (w != nullptr) {
+                kern::rowAddScaled(isa, yrow, row, w[p], dim);
+            } else {
+                kern::rowAdd(isa, yrow, row, dim);
+            }
+        });
         if (kind_ == SlsKind::kMean) {
             for (int64_t b = lo; b < hi; ++b) {
                 if (lengths[b] > 0) {
@@ -369,14 +386,10 @@ GatherOp::run(Workspace& ws)
     const KernelIsa isa = activeKernelIsa();
     parallelFor(0, lookups, grainForCost(static_cast<uint64_t>(dim)),
                 [=](int64_t lo, int64_t hi) {
-        if (sref.store != nullptr) {
-            sref.store->lookupGather(sref.table, indices, lo, hi, y);
-            return;
-        }
-        for (int64_t i = lo; i < hi; ++i) {
-            kern::rowCopy(isa, y + i * dim, data + indices[i] * dim,
-                          dim);
-        }
+        visitRows(sref, data, dim, indices, lo, hi,
+                  [&](int64_t i, const float* row) {
+            kern::rowCopy(isa, y + i * dim, row, dim);
+        });
     });
 }
 

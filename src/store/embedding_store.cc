@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -76,13 +77,6 @@ percentileOfCountMap(const std::map<double, uint64_t>& hist, double p)
         }
     }
     return hist.rbegin()->first;
-}
-
-bool
-envFlagSet(const char* name)
-{
-    const char* v = std::getenv(name);
-    return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
 }
 
 /**
@@ -183,14 +177,12 @@ EmbeddingStore::EmbeddingStore(StoreConfig config)
     RECSTACK_CHECK(config_.nearTierFraction >= 0.0 &&
                        config_.nearTierFraction <= 1.0,
                    "nearTierFraction must be in [0, 1]");
-    farTierDiskActive_ = config_.farTier == FarTierKind::kDisk &&
-                         !diskTierDisabledByEnv();
     shards_.reserve(static_cast<size_t>(config_.numShards));
     for (int s = 0; s < config_.numShards; ++s) {
         auto shard = std::make_unique<Shard>();
         shard->cache = std::make_unique<RowCache>(
             config_.policy, config_.cacheBytesPerShard);
-        if (farTierDiskActive_) {
+        if (diskTierActive()) {
             // Promotion targets use CLOCK: evicting (demoting) a
             // promoted row is free — the disk copy is authoritative.
             shard->promoted = std::make_unique<RowCache>(
@@ -234,7 +226,7 @@ EmbeddingStore::registerTable(const std::string& name, TableInfo info,
     maxDim_ = std::max(maxDim_, info.dim);
     const int id = static_cast<int>(tables_.size());
 
-    if (farTierDiskActive_ && info.materialized &&
+    if (diskTierActive() && info.materialized &&
         info.nearRows < info.rows) {
         RECSTACK_CHECK(!diskFinalized_.load(std::memory_order_acquire),
                        "disk-tier stores must receive every table "
@@ -316,13 +308,25 @@ EmbeddingStore::tableId(const std::string& name) const
     return it == tableByName_.end() ? -1 : it->second;
 }
 
-const EmbeddingStore::TableInfo&
-EmbeddingStore::tableInfo(int table) const
+const EmbeddingStore::Table&
+EmbeddingStore::tableAt(int table) const
 {
     RECSTACK_CHECK(table >= 0 &&
                        table < static_cast<int>(tables_.size()),
                    "table id " << table << " out of range");
-    return tables_[static_cast<size_t>(table)].info;
+    return tables_[static_cast<size_t>(table)];
+}
+
+EmbeddingStore::Table&
+EmbeddingStore::tableAt(int table)
+{
+    return const_cast<Table&>(std::as_const(*this).tableAt(table));
+}
+
+const EmbeddingStore::TableInfo&
+EmbeddingStore::tableInfo(int table) const
+{
+    return tableAt(table).info;
 }
 
 size_t
@@ -353,7 +357,7 @@ EmbeddingStore::startPrefetchThreadLocked()
 void
 EmbeddingStore::ensureDiskReady()
 {
-    if (!farTierDiskActive_ ||
+    if (!diskTierActive() ||
         diskFinalized_.load(std::memory_order_acquire)) {
         return;
     }
@@ -381,48 +385,44 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
 {
     const uint64_t row_bytes =
         static_cast<uint64_t>(t.info.dim) * sizeof(float);
-    ++shard.counters.lookups;
+    ShardCounters& c = shard.counters;
+    ++c.lookups;
     const uint64_t key = rowKey(table, row);
+    // One modeled tier charge: count the fetch and its bytes, add its
+    // cost to simSeconds and the histogram, then cache the row unless
+    // the cache served it.
+    const auto charge = [&](const float* src, uint64_t& fetches,
+                            uint64_t& bytes, double cost, bool fill) {
+        ++fetches;
+        bytes += row_bytes;
+        c.simSeconds += cost;
+        ++shard.costs[cost];
+        if (fill) {
+            shard.cache->insert(key, src, row_bytes, &c.evictions);
+        }
+        return src;
+    };
     const float* cached = shard.cache->find(key);
     if (cached != nullptr) {
-        ++shard.counters.hits;
-        shard.counters.bytesFromCache += row_bytes;
-        const double cost = config_.cacheHitLatencySeconds;
-        shard.counters.simSeconds += cost;
-        ++shard.costs[cost];
-        return cached;
+        return charge(cached, c.hits, c.bytesFromCache,
+                      config_.cacheHitLatencySeconds, false);
     }
     RECSTACK_CHECK(t.info.materialized,
                    "lookup on declared-only store table '"
                        << t.info.name << "'");
+    const double near_cost = fetchCost(
+        config_.nearLatencySeconds, config_.nearBandwidthGBs, row_bytes);
     if (row < t.info.nearRows) {
-        const float* src = t.data.data<float>() + row * t.info.dim;
-        ++shard.counters.nearFetches;
-        shard.counters.bytesFromNear += row_bytes;
-        const double cost = fetchCost(config_.nearLatencySeconds,
-                                      config_.nearBandwidthGBs,
-                                      row_bytes);
-        shard.counters.simSeconds += cost;
-        ++shard.costs[cost];
-        shard.cache->insert(key, src, row_bytes,
-                            &shard.counters.evictions);
-        return src;
+        return charge(t.data.data<float>() + row * t.info.dim,
+                      c.nearFetches, c.bytesFromNear, near_cost, true);
     }
-    if (farTierDiskActive_) {
+    if (diskTierActive()) {
         // Promoted slab: a DRAM copy of a hot disk row. Charged as a
         // near fetch — it is the near tier for disk-resident rows.
         const float* prom = shard.promoted->find(key);
         if (prom != nullptr) {
-            ++shard.counters.nearFetches;
-            shard.counters.bytesFromNear += row_bytes;
-            const double cost = fetchCost(config_.nearLatencySeconds,
-                                          config_.nearBandwidthGBs,
-                                          row_bytes);
-            shard.counters.simSeconds += cost;
-            ++shard.costs[cost];
-            shard.cache->insert(key, prom, row_bytes,
-                                &shard.counters.evictions);
-            return prom;
+            return charge(prom, c.nearFetches, c.bytesFromNear,
+                          near_cost, true);
         }
         RECSTACK_CHECK(diskTier_ != nullptr,
                        "disk fetch before the tier was finalized");
@@ -433,9 +433,9 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
         RECSTACK_CHECK(ok, "row " << row << " of table '"
                                   << t.info.name
                                   << "' missing from the disk tier");
-        ++shard.counters.diskFetches;
-        shard.counters.bytesFromDisk += row_bytes;
-        shard.counters.diskSeconds += dt;
+        ++c.diskFetches;
+        c.bytesFromDisk += row_bytes;
+        c.diskSeconds += dt;
         ++shard.diskCosts[diskCostBucket(dt)];
         if (config_.disk.promoteThreshold > 0) {
             uint32_t& h =
@@ -452,84 +452,23 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
             }
         }
         shard.cache->insert(key, shard.scratch.data(), row_bytes,
-                            &shard.counters.evictions);
+                            &c.evictions);
         return shard.scratch.data();
     }
     // Simulated far tier: the cold tail stays in DRAM and the fetch
     // is charged modeled cost — fully deterministic.
-    const float* src = t.data.data<float>() + row * t.info.dim;
-    ++shard.counters.farFetches;
-    shard.counters.bytesFromFar += row_bytes;
-    const double cost = fetchCost(config_.farLatencySeconds,
-                                  config_.farBandwidthGBs, row_bytes);
-    shard.counters.simSeconds += cost;
-    ++shard.costs[cost];
-    shard.cache->insert(key, src, row_bytes, &shard.counters.evictions);
-    return src;
-}
-
-void
-EmbeddingStore::lookupSum(int table, const int64_t* indices,
-                          const int64_t* offsets, int64_t b_lo,
-                          int64_t b_hi, float* out, const float* weights)
-{
-    ensureDiskReady();
-    const Table& t = tables_[static_cast<size_t>(
-        static_cast<uint64_t>(table))];
-    const int64_t dim = t.info.dim;
-    RECSTACK_SPAN("store.lookup_sum",
-                  {{"table", table},
-                   {"rows", offsets[b_hi] - offsets[b_lo]}});
-    for (int64_t b = b_lo; b < b_hi; ++b) {
-        float* yrow = out + b * dim;
-        for (int64_t d = 0; d < dim; ++d) {
-            yrow[d] = 0.0f;
-        }
-        for (int64_t p = offsets[b]; p < offsets[b + 1]; ++p) {
-            const int64_t row = indices[p];
-            Shard& shard = *shards_[shardOf(table, row)];
-            std::lock_guard<std::mutex> lock(shard.mu);
-            const float* src = fetchRowLocked(t, table, row, shard);
-            if (weights != nullptr) {
-                const float scale = weights[p];
-                for (int64_t d = 0; d < dim; ++d) {
-                    yrow[d] += scale * src[d];
-                }
-            } else {
-                for (int64_t d = 0; d < dim; ++d) {
-                    yrow[d] += src[d];
-                }
-            }
-        }
-    }
-}
-
-void
-EmbeddingStore::lookupGather(int table, const int64_t* indices,
-                             int64_t lo, int64_t hi, float* out)
-{
-    ensureDiskReady();
-    const Table& t = tables_[static_cast<size_t>(
-        static_cast<uint64_t>(table))];
-    const int64_t dim = t.info.dim;
-    RECSTACK_SPAN("store.gather", {{"table", table}, {"rows", hi - lo}});
-    for (int64_t i = lo; i < hi; ++i) {
-        const int64_t row = indices[i];
-        float* dst = out + i * dim;
-        Shard& shard = *shards_[shardOf(table, row)];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        const float* src = fetchRowLocked(t, table, row, shard);
-        std::memcpy(dst, src,
-                    static_cast<size_t>(dim) * sizeof(float));
-    }
+    return charge(t.data.data<float>() + row * t.info.dim, c.farFetches,
+                  c.bytesFromFar,
+                  fetchCost(config_.farLatencySeconds,
+                            config_.farBandwidthGBs, row_bytes),
+                  true);
 }
 
 void
 EmbeddingStore::update(int table, int64_t row, const float* values)
 {
+    Table& t = tableAt(table);
     ensureDiskReady();
-    Table& t = tables_[static_cast<size_t>(
-        static_cast<uint64_t>(table))];
     RECSTACK_CHECK(t.info.materialized,
                    "update on declared-only store table '"
                        << t.info.name << "'");
@@ -544,7 +483,7 @@ EmbeddingStore::update(int table, int64_t row, const float* values)
     // Write-through under the same lock readers of this row take, so
     // a reader sees either the old or the new payload, never a blend,
     // and any cached copy is refreshed before the lock is released.
-    if (farTierDiskActive_ && row >= t.info.nearRows) {
+    if (diskTierActive() && row >= t.info.nearRows) {
         RECSTACK_CHECK(diskTier_ != nullptr &&
                            diskTier_->writeRow(key, values),
                        "disk write-through failed for row "
@@ -561,8 +500,7 @@ EmbeddingStore::update(int table, int64_t row, const float* values)
 void
 EmbeddingStore::warmRow(int table, int64_t row)
 {
-    const Table& t = tables_[static_cast<size_t>(
-        static_cast<uint64_t>(table))];
+    const Table& t = tableAt(table);
     if (!t.info.materialized || row < 0 || row >= t.info.rows) {
         return;
     }
@@ -575,7 +513,7 @@ EmbeddingStore::warmRow(int table, int64_t row)
         return;  // already hot
     }
     const float* src = nullptr;
-    if (farTierDiskActive_ && row >= t.info.nearRows) {
+    if (diskTierActive() && row >= t.info.nearRows) {
         if (diskTier_ == nullptr || shard.scratch.empty()) {
             return;  // tier not finalized yet; demand path will
         }
@@ -598,18 +536,9 @@ EmbeddingStore::warmRow(int table, int64_t row)
 }
 
 void
-EmbeddingStore::prefetch(int table, const int64_t* indices,
-                         int64_t count)
-{
-    ensureDiskReady();
-    for (int64_t i = 0; i < count; ++i) {
-        warmRow(table, indices[i]);
-    }
-}
-
-void
 EmbeddingStore::prefetchAsync(int table, std::vector<int64_t> indices)
 {
+    tableAt(table);  // reject a bad id here, not on the prefetch thread
     ensureDiskReady();
     // Coalesce duplicates before queueing: a batch's index stream
     // repeats hot rows heavily, and each warmRow pays a shard-lock
@@ -642,9 +571,7 @@ EmbeddingStore::servicePromotions()
         }
         for (size_t i = 0; i < n; ++i) {
             const uint64_t key = pending[i];
-            const int table = static_cast<int>(key >> 40);
-            const Table& t =
-                tables_[static_cast<size_t>(table)];
+            const Table& t = tableAt(static_cast<int>(key >> 40));
             const size_t row_bytes =
                 static_cast<size_t>(t.info.dim) * sizeof(float);
             std::lock_guard<std::mutex> lock(shard.mu);
@@ -677,11 +604,11 @@ EmbeddingStore::prefetchLoop()
             std::unique_lock<std::mutex> lock(prefetchMu_);
             const auto ready = [this] {
                 return prefetchStop_ || !prefetchQueue_.empty() ||
-                       (farTierDiskActive_ &&
+                       (diskTierActive() &&
                         promoPending_.load(
                             std::memory_order_acquire));
             };
-            if (farTierDiskActive_) {
+            if (diskTierActive()) {
                 // Timed wait: promotion work can arrive without a
                 // reliably-paired notify (the demand path signals
                 // outside this mutex), so sweep periodically.
@@ -698,7 +625,7 @@ EmbeddingStore::prefetchLoop()
                 prefetchBusy_ = true;
                 has_task = true;
             }
-            if (farTierDiskActive_ &&
+            if (diskTierActive() &&
                 promoPending_.load(std::memory_order_acquire)) {
                 promoBusy_ = true;
                 do_promo = true;
@@ -753,7 +680,7 @@ EmbeddingStore::stats() const
             out.diskSecondsHistogram[cost] += count;
         }
     }
-    out.diskTierActive = farTierDiskActive_;
+    out.diskTierActive = diskTierActive();
     if (diskTier_ != nullptr) {
         out.diskTier = diskTier_->stats();
     }
@@ -864,12 +791,6 @@ EmbeddingStore::farTierFraction(int table, double zipf) const
         cache_rows, static_cast<uint64_t>(info.nearRows));
     const ZipfSampler sampler(static_cast<uint64_t>(info.rows), zipf);
     return 1.0 - sampler.cdf(covered);
-}
-
-bool
-EmbeddingStore::diskTierDisabledByEnv()
-{
-    return envFlagSet("RECSTACK_DISABLE_DISK_TIER");
 }
 
 void

@@ -33,17 +33,19 @@
  *        per-shard promoted DRAM slab; the slab's CLOCK evictions are
  *        the demotions (the disk copy is authoritative, so demotion
  *        never writes).
- *  - lookupSum / lookupGather serve batched reads with numerics
- *    bit-identical to reading a dense Workspace blob: cached, near,
- *    promoted and disk copies are all verbatim row payloads and
- *    pooling order is the caller's.
+ *  - forEachRow resolves a lookup stream to row payloads, in order,
+ *    and hands each to the caller under its shard lock. The store
+ *    never pools or copies: the embedding ops (ops/embedding.cc) run
+ *    the one pooling and copy loop for dense and store-backed tables
+ *    alike, and cached, near, promoted and disk copies are all
+ *    verbatim row payloads, so results are bit-identical to reading
+ *    a dense Workspace blob.
  *  - prefetchAsync warms the cache with the next batch's indices on a
  *    background thread (the classic double-buffered embedding
  *    prefetch), overlapping far-tier fetches with current-batch
  *    compute. Indices are deduplicated per task before queueing.
  *
- * Env hatches: RECSTACK_DISABLE_DISK_TIER=1 forces farTier back to
- * kSimulated, and RECSTACK_STORE_DIR picks the page-file directory
+ * Env knob: RECSTACK_STORE_DIR picks the page-file directory
  * (default: a fresh temp dir removed with the store).
  */
 
@@ -59,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/span.h"
 #include "store/disk_tier.h"
 #include "store/row_cache.h"
 #include "store/spline_index.h"
@@ -112,7 +115,7 @@ struct StoreConfig {
     double farLatencySeconds = 2.0e-6;       ///< CXL/NVM/remote-style
     double farBandwidthGBs = 8.0;
     /// Far-tier backing; kSimulated keeps every pre-disk default
-    /// byte-identical. RECSTACK_DISABLE_DISK_TIER=1 overrides kDisk.
+    /// byte-identical.
     FarTierKind farTier = FarTierKind::kSimulated;
     /// Disk-tier knobs (ignored under kSimulated).
     DiskTierOptions disk;
@@ -229,21 +232,28 @@ class EmbeddingStore
     size_t numTables() const { return tables_.size(); }
 
     /**
-     * Segment-pooled batched read, the store-side half of
-     * SparseLengthsSum / SLWS / SLMean: for each output row b in
-     * [b_lo, b_hi), zero out[b*dim, (b+1)*dim) then accumulate the
-     * rows selected by indices[offsets[b], offsets[b+1]) in ascending
-     * order — the identical fp32 order of the dense kernels, so
-     * results are bit-identical. `weights`, when non-null, scales
-     * each row (SLWS's fused multiply-add order).
+     * Ordered row visit, the store's half of every lookup kernel:
+     * for each p in [lo, hi), ascending, calls fn(p, row) with the
+     * verbatim payload of row indices[p] (cache copy, backing row,
+     * promoted slab or disk read) and charges one demand read. fn
+     * runs under that row's shard lock: it must consume the row
+     * before returning and must not call back into the store. One
+     * `store.rows` span covers the call.
      */
-    void lookupSum(int table, const int64_t* indices,
-                   const int64_t* offsets, int64_t b_lo, int64_t b_hi,
-                   float* out, const float* weights = nullptr);
-
-    /** Row-copy batched read (Gather): out[i] = table[indices[i]]. */
-    void lookupGather(int table, const int64_t* indices, int64_t lo,
-                      int64_t hi, float* out);
+    template <class Fn>
+    void forEachRow(int table, const int64_t* indices, int64_t lo,
+                    int64_t hi, Fn&& fn)
+    {
+        const Table& t = tableAt(table);
+        ensureDiskReady();
+        RECSTACK_SPAN("store.rows", {{"table", table}, {"rows", hi - lo}});
+        for (int64_t p = lo; p < hi; ++p) {
+            const int64_t row = indices[p];
+            Shard& shard = *shards_[shardOf(table, row)];
+            std::lock_guard<std::mutex> lock(shard.mu);
+            fn(p, fetchRowLocked(t, table, row, shard));
+        }
+    }
 
     /**
      * Write one row through to the backing table (DRAM or disk page)
@@ -251,9 +261,6 @@ class EmbeddingStore
      * observes the stale payload.
      */
     void update(int table, int64_t row, const float* values);
-
-    /** Synchronously warm the cache with these rows (no demand stats). */
-    void prefetch(int table, const int64_t* indices, int64_t count);
 
     /**
      * Queue the next batch's indices for cache warming on the
@@ -309,17 +316,14 @@ class EmbeddingStore
 
     const StoreConfig& config() const { return config_; }
 
-    /**
-     * True when the far tier is actually disk-backed: configured
-     * kDisk and not overridden by RECSTACK_DISABLE_DISK_TIER.
-     */
-    bool diskTierActive() const { return farTierDiskActive_; }
+    /** True when the far tier is disk-backed (farTier == kDisk). */
+    bool diskTierActive() const
+    {
+        return config_.farTier == FarTierKind::kDisk;
+    }
     /** The live disk tier, or nullptr before the first lookup /
      *  when inactive. */
     const DiskTier* diskTier() const { return diskTier_.get(); }
-
-    /** True when RECSTACK_DISABLE_DISK_TIER is set to non-zero. */
-    static bool diskTierDisabledByEnv();
 
     /**
      * The store's row-partition function, exposed so fleet placement
@@ -363,6 +367,10 @@ class EmbeddingStore
 
     int registerTable(const std::string& name, TableInfo info,
                       Tensor data);
+    /// The table with this id; panics "table id ... out of range"
+    /// for any id outside [0, numTables()).
+    const Table& tableAt(int table) const;
+    Table& tableAt(int table);
     size_t shardOf(int table, int64_t row) const;
     /// Returns the row payload (cache copy, backing row, promoted
     /// slab, or per-shard scratch filled from disk), valid while the
@@ -384,7 +392,6 @@ class EmbeddingStore
     std::vector<std::unique_ptr<Shard>> shards_;
 
     // Disk far tier (all null/empty under kSimulated).
-    bool farTierDiskActive_ = false;
     std::unique_ptr<DiskTier::Builder> diskBuilder_;
     std::unique_ptr<DiskTier> diskTier_;
     std::string diskDir_;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -37,6 +38,32 @@ makeStore(int64_t rows, int64_t dim, StoreConfig cfg)
     return store;
 }
 
+/** Sum rows indices[0, n) of table 0 into out[0, dim) (the SLS shape). */
+void
+sumRows(EmbeddingStore& store, const int64_t* indices, int64_t n,
+        float* out)
+{
+    const int64_t dim = store.tableInfo(0).dim;
+    std::fill(out, out + dim, 0.0f);
+    store.forEachRow(0, indices, 0, n, [&](int64_t, const float* row) {
+        for (int64_t d = 0; d < dim; ++d) {
+            out[d] += row[d];
+        }
+    });
+}
+
+/** Copy rows indices[lo, hi) of table 0 to out rows [lo, hi). */
+void
+copyRows(EmbeddingStore& store, const int64_t* indices, int64_t lo,
+         int64_t hi, float* out)
+{
+    const int64_t dim = store.tableInfo(0).dim;
+    store.forEachRow(0, indices, lo, hi, [&](int64_t p, const float* row) {
+        std::memcpy(out + p * dim, row,
+                    static_cast<size_t>(dim) * sizeof(float));
+    });
+}
+
 /** Drive `batches` demand batches of Zipf(alpha) pooled lookups. */
 void
 drive(EmbeddingStore& store, int64_t rows, int64_t dim, double alpha,
@@ -45,11 +72,10 @@ drive(EmbeddingStore& store, int64_t rows, int64_t dim, double alpha,
     const ZipfSampler zipf(static_cast<uint64_t>(rows), alpha);
     Rng rng(seed);
     std::vector<int64_t> indices(static_cast<size_t>(per_batch));
-    const int64_t offsets[2] = {0, per_batch};
     std::vector<float> out(static_cast<size_t>(dim));
     for (int b = 0; b < batches; ++b) {
         fillZipfIndices(zipf, rng, indices.data(), per_batch);
-        store.lookupSum(0, indices.data(), offsets, 0, 1, out.data());
+        sumRows(store, indices.data(), per_batch, out.data());
     }
 }
 
@@ -130,11 +156,9 @@ TEST(StoreCacheMath, SequentialScanDefeatsBothPolicies)
         for (int64_t i = 0; i < rows; ++i) {
             indices[static_cast<size_t>(i)] = i;
         }
-        const int64_t offsets[2] = {0, rows};
         std::vector<float> out(static_cast<size_t>(dim));
         for (int pass = 0; pass < 3; ++pass) {
-            store->lookupSum(0, indices.data(), offsets, 0, 1,
-                             out.data());
+            sumRows(*store, indices.data(), rows, out.data());
         }
         const StoreStats stats = store->stats();
         EXPECT_EQ(stats.total.hits, 0u)
@@ -227,7 +251,7 @@ TEST(StoreLiveness, NoStaleRowAfterUpdate)
             std::memcpy(&shadow[static_cast<size_t>(r * dim)],
                         row.data(), sizeof(float) * row.size());
         } else {
-            store->lookupGather(0, &r, 0, 1, got.data());
+            copyRows(*store, &r, 0, 1, got.data());
             ASSERT_EQ(std::memcmp(
                           got.data(),
                           &shadow[static_cast<size_t>(r * dim)],
@@ -349,7 +373,19 @@ TEST(StoreEdgeCases, ZeroLookupHitRateIsZero)
     EXPECT_EQ(zero.hitRate(), 0.0);
 }
 
-// --- Prefetch and the env hatch. --------------------------------------
+TEST(StoreDeathTest, UpdateRejectsTableIdOutOfRange)
+{
+    // The id is checked before the store indexes its table list, so a
+    // bad id dies with the diagnostic rather than reading past it.
+    auto store = makeStore(64, 8, StoreConfig{});
+    std::vector<float> row(8, 1.0f);
+    EXPECT_DEATH(store->update(-1, 0, row.data()),
+                 "table id -1 out of range");
+    EXPECT_DEATH(store->update(1, 0, row.data()),
+                 "table id 1 out of range");
+}
+
+// --- Prefetch. --------------------------------------------------------
 
 TEST(StorePrefetch, AsyncPrefetchCoalescesDuplicateIndices)
 {
@@ -389,10 +425,9 @@ TEST(StorePrefetch, AsyncPrefetchTurnsDemandMissesIntoHits)
     EXPECT_EQ(stats.total.lookups, 0u);
     EXPECT_GT(stats.total.prefetchedRows, 0u);
 
-    const int64_t offsets[2] = {0,
-                                static_cast<int64_t>(indices.size())};
     std::vector<float> out(static_cast<size_t>(dim));
-    store->lookupSum(0, indices.data(), offsets, 0, 1, out.data());
+    sumRows(*store, indices.data(), static_cast<int64_t>(indices.size()),
+            out.data());
     stats = store->stats();
     EXPECT_EQ(stats.total.lookups, indices.size());
     EXPECT_EQ(stats.total.hits, indices.size())
@@ -421,14 +456,12 @@ TEST(StoreConcurrency, ParallelLookupsUpdatesAndPrefetch)
             Rng rng(100 + static_cast<uint64_t>(t));
             std::vector<int64_t> indices(
                 static_cast<size_t>(kPerBatch));
-            const int64_t offsets[2] = {0, kPerBatch};
             std::vector<float> out(static_cast<size_t>(dim));
             std::vector<float> row(static_cast<size_t>(dim), 1.5f);
             for (int b = 0; b < kBatchesPerThread; ++b) {
                 fillZipfIndices(zipf, rng, indices.data(), kPerBatch);
                 store->prefetchAsync(0, indices);
-                store->lookupSum(0, indices.data(), offsets, 0, 1,
-                                 out.data());
+                sumRows(*store, indices.data(), kPerBatch, out.data());
                 store->update(
                     0,
                     static_cast<int64_t>(rng.nextBounded(

@@ -6,8 +6,8 @@
  * widths on both executors), spline-vs-binary-search property tests
  * over adversarial key sets, DiskTier page/pool mechanics, the
  * crash-consistency reopen path, write-through updates, the
- * promotion/demotion loop, and the env hatches. Runs under `ctest -L
- * disk` and both sanitizer passes (`-L sanitize`).
+ * promotion/demotion loop, and the page-file directory env knob. Runs
+ * under `ctest -L disk` and both sanitizer passes (`-L sanitize`).
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -88,6 +89,32 @@ makeStore(int64_t rows, int64_t dim, StoreConfig cfg)
     }
     store->addTable("t0", std::move(table));
     return store;
+}
+
+/** Sum rows indices[0, n) of table 0 into out[0, dim) (the SLS shape). */
+void
+sumRows(EmbeddingStore& store, const int64_t* indices, int64_t n,
+        float* out)
+{
+    const int64_t dim = store.tableInfo(0).dim;
+    std::fill(out, out + dim, 0.0f);
+    store.forEachRow(0, indices, 0, n, [&](int64_t, const float* row) {
+        for (int64_t d = 0; d < dim; ++d) {
+            out[d] += row[d];
+        }
+    });
+}
+
+/** Copy rows indices[lo, hi) of table 0 to out rows [lo, hi). */
+void
+copyRows(EmbeddingStore& store, const int64_t* indices, int64_t lo,
+         int64_t hi, float* out)
+{
+    const int64_t dim = store.tableInfo(0).dim;
+    store.forEachRow(0, indices, lo, hi, [&](int64_t p, const float* row) {
+        std::memcpy(out + p * dim, row,
+                    static_cast<size_t>(dim) * sizeof(float));
+    });
 }
 
 float
@@ -659,7 +686,7 @@ TEST_F(DiskFixture, WholeTableServesFromDiskBitExact)
         indices[static_cast<size_t>(i)] = i;
     }
     std::vector<float> out(static_cast<size_t>(rows * dim));
-    store->lookupGather(0, indices.data(), 0, rows, out.data());
+    copyRows(*store, indices.data(), 0, rows, out.data());
     for (int64_t r = 0; r < rows; ++r) {
         for (int64_t d = 0; d < dim; ++d) {
             ASSERT_EQ(out[static_cast<size_t>(r * dim + d)],
@@ -692,7 +719,7 @@ TEST_F(DiskFixture, UpdateWritesThroughToDisk)
     std::vector<float> updated(static_cast<size_t>(dim), 9.25f);
     store->update(0, cold, updated.data());
     std::vector<float> got(static_cast<size_t>(dim));
-    store->lookupGather(0, &cold, 0, 1, got.data());
+    copyRows(*store, &cold, 0, 1, got.data());
     EXPECT_EQ(std::memcmp(got.data(), updated.data(),
                           static_cast<size_t>(dim) * sizeof(float)),
               0)
@@ -718,7 +745,7 @@ TEST_F(DiskFixture, PromotionMovesHotDiskRowsToDram)
     std::vector<float> got(static_cast<size_t>(dim));
     for (int pass = 0; pass < 6; ++pass) {
         for (int64_t r : hot) {
-            store->lookupGather(0, &r, 0, 1, got.data());
+            copyRows(*store, &r, 0, 1, got.data());
         }
         store->drainPrefetch();  // let the promotion loop run
     }
@@ -730,7 +757,7 @@ TEST_F(DiskFixture, PromotionMovesHotDiskRowsToDram)
     // Promoted rows now serve as near fetches, bit-exact.
     store->resetStats();
     for (int64_t r : hot) {
-        store->lookupGather(0, &r, 0, 1, got.data());
+        copyRows(*store, &r, 0, 1, got.data());
         for (int64_t d = 0; d < dim; ++d) {
             ASSERT_EQ(got[static_cast<size_t>(d)], expectedCell(r, d));
         }
@@ -746,7 +773,7 @@ TEST_F(DiskFixture, PromotionMovesHotDiskRowsToDram)
     auto tiny_store = makeStore(rows, dim, tiny);
     for (int pass = 0; pass < 6; ++pass) {
         for (int64_t r : hot) {
-            tiny_store->lookupGather(0, &r, 0, 1, got.data());
+            copyRows(*tiny_store, &r, 0, 1, got.data());
         }
         tiny_store->drainPrefetch();
     }
@@ -774,14 +801,12 @@ TEST_F(DiskFixture, ConcurrentLookupsUpdatesPrefetchAndPromotion)
             const ZipfSampler zipf(static_cast<uint64_t>(rows), 0.7);
             Rng rng(200 + static_cast<uint64_t>(t));
             std::vector<int64_t> indices(128);
-            const int64_t offsets[2] = {0, 128};
             std::vector<float> out(static_cast<size_t>(dim));
             std::vector<float> row(static_cast<size_t>(dim), 2.5f);
             for (int b = 0; b < 40; ++b) {
                 fillZipfIndices(zipf, rng, indices.data(), 128);
                 store->prefetchAsync(0, indices);
-                store->lookupSum(0, indices.data(), offsets, 0, 1,
-                                 out.data());
+                sumRows(*store, indices.data(), 128, out.data());
                 store->update(
                     0,
                     static_cast<int64_t>(rng.nextBounded(
@@ -817,25 +842,7 @@ TEST_F(DiskFixture, ServingEngineRunsOnDiskBackedStore)
     EXPECT_GT(result.aggregate.samplesServed, 0u);
 }
 
-// --- Env hatches. -----------------------------------------------------
-
-TEST_F(DiskFixture, DisableDiskTierHatchForcesSimulated)
-{
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_DISK_TIER", "1", 1), 0);
-    EXPECT_TRUE(EmbeddingStore::diskTierDisabledByEnv());
-    {
-        auto store = makeStore(512, 8, diskStoreConfig(dir_));
-        EXPECT_FALSE(store->diskTierActive());
-        std::vector<int64_t> idx = {500, 501, 502};
-        std::vector<float> out(3 * 8);
-        store->lookupGather(0, idx.data(), 0, 3, out.data());
-        const StoreStats stats = store->stats();
-        EXPECT_GT(stats.total.farFetches, 0u) << "not simulated";
-        EXPECT_EQ(stats.total.diskFetches, 0u);
-    }
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_DISK_TIER"), 0);
-    EXPECT_FALSE(EmbeddingStore::diskTierDisabledByEnv());
-}
+// --- Env knob. -------------------------------------------------------
 
 TEST_F(DiskFixture, StoreDirEnvPicksPageFileDirectory)
 {
@@ -846,7 +853,7 @@ TEST_F(DiskFixture, StoreDirEnvPicksPageFileDirectory)
         auto store = makeStore(512, 8, cfg);
         std::vector<int64_t> idx = {400};
         std::vector<float> out(8);
-        store->lookupGather(0, idx.data(), 0, 1, out.data());
+        copyRows(*store, idx.data(), 0, 1, out.data());
         ASSERT_NE(store->diskTier(), nullptr);
         EXPECT_EQ(store->diskTier()->path().rfind(dir_ + "/", 0), 0u)
             << store->diskTier()->path();

@@ -18,7 +18,7 @@
 #      undocumented;
 #   5. every ctest label the docs tell the reader to run (`ctest -L
 #      foo`, `-L 'a|b'`) is actually assigned to some test in
-#      tests/CMakeLists.txt or tools/CMakeLists.txt, so a doc cannot
+#      tests/, tools/ or bench/CMakeLists.txt, so a doc cannot
 #      recommend a label that selects nothing;
 #   6. every metric or span name registered in src/ (a quoted
 #      "subsystem.name" passed to a registry counter/gauge/histogram,
@@ -95,12 +95,13 @@ done <<<"$cmds"
 
 # -- 5. ctest labels named in docs select real tests ---------------
 # Known labels: LABELS arguments of recstack_test() /
-# set_tests_properties() in the two test-defining CMakeLists, plus
+# set_tests_properties() in the three test-defining CMakeLists, plus
 # `unit` (the recstack_test default) and `integration`.
 known_labels=$(
     {
         grep -hoE 'LABELS [a-z" ;|]+' tests/CMakeLists.txt \
-            tools/CMakeLists.txt | sed -E 's/^LABELS //'
+            tools/CMakeLists.txt bench/CMakeLists.txt |
+            sed -E 's/^LABELS //'
         echo "unit integration"
     } | tr '";| ' '\n' | sort -u
 )

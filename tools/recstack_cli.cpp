@@ -519,8 +519,7 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     cfg.cacheBytesPerShard = 256u << 10;
     cfg.nearTierFraction = 0.5;
     // Real disk far tier: cold rows in a page file behind the
-    // radix-spline index. RECSTACK_DISABLE_DISK_TIER=1 falls back to
-    // the simulated tier, RECSTACK_STORE_DIR picks the directory.
+    // radix-spline index; RECSTACK_STORE_DIR picks the directory.
     cfg.farTier = FarTierKind::kDisk;
     const StoreBackedModel store_model(model, cfg);
     EmbeddingStore& store = store_model.store();
