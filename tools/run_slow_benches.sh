@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Runs the benches whose PAPER-CHECK claims are too slow for the
 # tier-1 ctest run: every bench/bench_* binary that bench/CMakeLists.txt
-# marks SLOW, i.e. every bench that is not a ctest with label `paper`.
+# does not register as a ctest with label `paper`.
 # Those are the five figure sweeps (fig03/05/06/14/16, from half a
 # minute to a few minutes each) plus the benches that take well over
 # ~7 s on a 4-core host.
