@@ -12,11 +12,13 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "store/embedding_store.h"
+#include "store/row_cache.h"
 
 namespace recstack {
 namespace {
@@ -432,6 +434,230 @@ TEST(StorePrefetch, AsyncPrefetchTurnsDemandMissesIntoHits)
     EXPECT_EQ(stats.total.lookups, indices.size());
     EXPECT_EQ(stats.total.hits, indices.size())
         << "a prefetched batch must be all demand hits";
+}
+
+// --- RowCache on its own. ----------------------------------------------
+
+/** FNV-1a over the 8 bytes of each mixed word, plus raw byte runs. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void bytes(const void* p, size_t n)
+    {
+        const auto* c = static_cast<const unsigned char*>(p);
+        for (size_t i = 0; i < n; ++i) {
+            h = (h ^ c[i]) * 1099511628211ull;
+        }
+    }
+    void mix(uint64_t v) { bytes(&v, sizeof(v)); }
+};
+
+/** A (table, row) cache key the way the store builds them. */
+uint64_t
+cacheKey(uint64_t table, uint64_t row)
+{
+    return (table << 40) | row;
+}
+
+/**
+ * FNV-1a over a seeded find/insert/refresh/erase sequence through
+ * RowCache under both policies: every call's hit or miss, the payload
+ * bytes a hit returns, the eviction count, bytesUsed() and entries()
+ * after the call. Rows of 19 and 32 floats share capacities that force
+ * evictions; the sequence also inserts rows larger than the capacity
+ * (bypass), refreshes with a mismatched size (which erases), and runs
+ * a capacity-0 cache. Recorded on the std::list + std::unordered_map
+ * cache: any layout must keep exactly this replacement order.
+ */
+TEST(RowCache, ReplacementDigestsArePinned)
+{
+    constexpr size_t kCapacities[3] = {1000, 4000, 0};
+    // [policy: lru, clock][capacity]
+    const uint64_t pinned[2][3] = {
+        {0xac601c4c82abd93dull, 0x775b1c7703bb1173ull,
+         0x14b41cd4438b57f8ull},
+        {0xb01a1ec00b03dcdeull, 0x3c80c322174d294cull,
+         0x14b41cd4438b57f8ull},
+    };
+    for (CachePolicy policy : {CachePolicy::kLRU, CachePolicy::kClock}) {
+        for (int ci = 0; ci < 3; ++ci) {
+            const size_t capacity = kCapacities[ci];
+            RowCache cache(policy, capacity);
+            const ZipfSampler zipf(96, 0.9);
+            Rng rng(41);
+            std::vector<float> row(300);
+            constexpr size_t kOversizeBytes = 300 * sizeof(float);
+            uint64_t evictions = 0;
+            uint64_t hits = 0;
+            Fnv f;
+            for (int i = 0; i < 6000; ++i) {
+                const uint64_t r = zipf.sample(rng);
+                const uint64_t key = cacheKey(r % 3, r * 7919);
+                const size_t bytes = (r % 3 == 0 ? 32 : 19) * sizeof(float);
+                for (float& v : row) {
+                    v = rng.nextFloat(-1.0f, 1.0f);
+                }
+                const uint64_t op = rng.nextBounded(20);
+                f.mix(op);
+                if (op < 9) {
+                    const float* p = cache.find(key);
+                    f.mix(uint64_t{p != nullptr});
+                    if (p != nullptr) {
+                        ++hits;
+                        f.bytes(p, bytes);
+                    }
+                } else if (op < 14) {
+                    cache.insert(key, row.data(), bytes, &evictions);
+                } else if (op < 16) {
+                    f.mix(uint64_t{cache.refresh(key, row.data(), bytes)});
+                } else if (op == 16) {
+                    f.mix(uint64_t{cache.refresh(key, row.data(),
+                                                 bytes + sizeof(float))});
+                } else if (op < 19) {
+                    cache.erase(key);
+                } else {
+                    cache.insert(key, row.data(), kOversizeBytes,
+                                 &evictions);
+                }
+                f.mix(evictions);
+                f.mix(static_cast<uint64_t>(cache.bytesUsed()));
+                f.mix(static_cast<uint64_t>(cache.entries()));
+            }
+            if (capacity == 0) {
+                EXPECT_EQ(hits, 0u);
+                EXPECT_EQ(evictions, 0u);
+                EXPECT_EQ(cache.entries(), 0u);
+            } else {
+                EXPECT_GT(hits, 0u);
+                EXPECT_GT(evictions, 0u);
+                EXPECT_LE(cache.bytesUsed(), capacity);
+            }
+            const int p = policy == CachePolicy::kLRU ? 0 : 1;
+            EXPECT_EQ(f.h, pinned[p][ci])
+                << cachePolicyName(policy) << " capacity " << capacity
+                << std::hex << " digest 0x" << f.h;
+        }
+    }
+}
+
+/**
+ * Index and slot-pool edge cases, checked against a model of which
+ * rows were written: every resident key returns its last payload,
+ * entries() counts them and bytesUsed() sums their sizes after every
+ * call. A dense key set at the index's highest load forms long probe
+ * runs whatever the hash, so erasing every third key removes entries
+ * from the middle of runs; re-inserting them, and evictions under a
+ * small capacity, reuse freed slots with the other row size; the first
+ * rows must survive every index resize the later inserts trigger.
+ */
+TEST(RowCache, IndexEdgeCasesKeepPayloadsAndAccounting)
+{
+    for (CachePolicy policy : {CachePolicy::kLRU, CachePolicy::kClock}) {
+        for (size_t capacity : {size_t{1} << 30, size_t{2000}}) {
+            SCOPED_TRACE(std::string(cachePolicyName(policy)) +
+                         " capacity " + std::to_string(capacity));
+            RowCache cache(policy, capacity);
+            constexpr uint64_t kKeys = 3000;
+            // Last payload written per key; its size is the row size.
+            std::vector<std::vector<float>> model(kKeys);
+            const auto keyOf = [](uint64_t i) {
+                return cacheKey(i % 2, i * 64);
+            };
+            const auto payloadFor = [](uint64_t i, int version) {
+                std::vector<float> v((i + version) % 2 == 0 ? 19 : 32);
+                for (size_t d = 0; d < v.size(); ++d) {
+                    v[d] = static_cast<float>(i) * 100.0f +
+                           static_cast<float>(version) +
+                           static_cast<float>(d) * 1e-3f;
+                }
+                return v;
+            };
+            uint64_t evictions = 0;
+            const auto check = [&] {
+                size_t resident = 0;
+                size_t bytes = 0;
+                for (uint64_t i = 0; i < kKeys; ++i) {
+                    const float* p = cache.find(keyOf(i));
+                    if (p == nullptr) {
+                        continue;
+                    }
+                    ASSERT_FALSE(model[i].empty()) << "key " << i;
+                    ASSERT_EQ(std::memcmp(p, model[i].data(),
+                                          model[i].size() * sizeof(float)),
+                              0)
+                        << "key " << i;
+                    ++resident;
+                    bytes += model[i].size() * sizeof(float);
+                }
+                ASSERT_EQ(cache.entries(), resident);
+                ASSERT_EQ(cache.bytesUsed(), bytes);
+            };
+            const auto put = [&](uint64_t i, int version) {
+                model[i] = payloadFor(i, version);
+                cache.insert(keyOf(i), model[i].data(),
+                             model[i].size() * sizeof(float), &evictions);
+            };
+            const auto drop = [&](uint64_t i) {
+                cache.erase(keyOf(i));
+                model[i].clear();
+            };
+
+            // Grow through every index resize, checking sparsely.
+            for (uint64_t i = 0; i < kKeys; ++i) {
+                put(i, 0);
+                if (i % 97 == 0) {
+                    ASSERT_NO_FATAL_FAILURE(check());
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(check());
+            if (capacity > kKeys * 32 * sizeof(float)) {
+                EXPECT_EQ(cache.entries(), kKeys);
+                EXPECT_EQ(evictions, 0u);
+                // The first rows survived every resize.
+                EXPECT_NE(cache.find(keyOf(0)), nullptr);
+            } else {
+                EXPECT_GT(evictions, 0u);
+            }
+            // Erase every third key, scattered across probe runs.
+            for (uint64_t i = 0; i < kKeys; i += 3) {
+                drop((i * 7) % kKeys);
+                if (i % 60 == 0) {
+                    ASSERT_NO_FATAL_FAILURE(check());
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(check());
+            // Reuse the freed slots with the other row size.
+            for (uint64_t i = 0; i < kKeys; i += 3) {
+                const uint64_t k = (i * 7) % kKeys;
+                put(k, 1);
+                if (i % 60 == 0) {
+                    ASSERT_NO_FATAL_FAILURE(check());
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(check());
+            // Size-mismatched refresh erases; matching refresh rewrites.
+            for (uint64_t i = 1; i < kKeys; i += 5) {
+                std::vector<float> v = payloadFor(i, 2);
+                const bool resident = !model[i].empty() &&
+                                      cache.find(keyOf(i)) != nullptr;
+                const bool same = resident && v.size() == model[i].size();
+                EXPECT_EQ(cache.refresh(keyOf(i), v.data(),
+                                        v.size() * sizeof(float)),
+                          same);
+                if (same) {
+                    model[i] = v;
+                } else if (resident) {
+                    model[i].clear();
+                }
+            }
+            ASSERT_NO_FATAL_FAILURE(check());
+            // Drain: the cache ends empty and reports zero bytes.
+            for (uint64_t i = 0; i < kKeys; ++i) {
+                drop(i);
+            }
+            EXPECT_EQ(cache.entries(), 0u);
+            EXPECT_EQ(cache.bytesUsed(), 0u);
+        }
+    }
 }
 
 // --- Concurrency (the TSan target of `ctest -L sanitize`). ------------
