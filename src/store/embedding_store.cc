@@ -390,7 +390,9 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
     const uint64_t key = rowKey(table, row);
     // One modeled tier charge: count the fetch and its bytes, add its
     // cost to simSeconds and the histogram, then cache the row unless
-    // the cache served it.
+    // the cache served it. A cache hit is not refilled, so no fill
+    // mutates the cache src points into; forEachRow's fn consumes the
+    // returned payload before the next fetch can mutate shard.cache.
     const auto charge = [&](const float* src, uint64_t& fetches,
                             uint64_t& bytes, double cost, bool fill) {
         ++fetches;
@@ -419,6 +421,8 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
     if (diskTierActive()) {
         // Promoted slab: a DRAM copy of a hot disk row. Charged as a
         // near fetch — it is the near tier for disk-resident rows.
+        // Filling shard.cache from prom mutates only that cache, so
+        // prom stays valid for the caller.
         const float* prom = shard.promoted->find(key);
         if (prom != nullptr) {
             return charge(prom, c.nearFetches, c.bytesFromNear,
@@ -576,6 +580,7 @@ EmbeddingStore::servicePromotions()
                 static_cast<size_t>(t.info.dim) * sizeof(float);
             std::lock_guard<std::mutex> lock(shard.mu);
             shard.hotness[key & (kHotnessSlots - 1)] = 0;
+            // A residency test: no slab payload is read after insert.
             if (shard.promoted->find(key) != nullptr) {
                 continue;  // already promoted
             }
