@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "uarch/cache_hierarchy.h"
 
 namespace recstack {
@@ -139,6 +140,85 @@ TEST(CacheHierarchy, TableIIConfigsConstruct)
     EXPECT_EQ(clx.l2().sizeBytes(), 1024ull * 1024);
     EXPECT_EQ(bdw.access(0, false), HitLevel::kDram);
     EXPECT_EQ(clx.access(0, false), HitLevel::kDram);
+}
+
+/** FNV-1a over the 8 bytes of each mixed word. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+        }
+    }
+};
+
+/**
+ * FNV-1a over a seeded mixed trace through the Table II hierarchies,
+ * Broadwell (inclusive L3) and Cascade Lake (exclusive L3): every
+ * access's HitLevel, plus each level's hits()/misses() every 1024
+ * accesses and at the end. A third of the trace cycles 40 lines
+ * through each of 48 sets (a 2 MB stride maps to one set at every
+ * level), which overflows even the 20-way L3, so back-invalidation and
+ * victim fills both run; the rest mixes a hot set, a sequential
+ * stream and random lines over 48 MB. Recorded on the timestamped
+ * Line{tag, lru, valid} cache: any cache layout must keep exactly
+ * these levels.
+ */
+TEST(CacheHierarchy, LevelDigestsArePinned)
+{
+    struct Case {
+        const char* name;
+        CpuConfig cfg;
+        uint64_t pinned;
+    };
+    const Case cases[] = {
+        {"broadwell", broadwellConfig(), 0x0c43ddb0f3b8e37cull},
+        {"cascade-lake", cascadeLakeConfig(), 0x1f961189c88ccd96ull},
+    };
+    constexpr uint64_t kBase = 0x5a0000000000ull;
+    constexpr uint64_t kStride = 2ull << 20;
+    constexpr uint64_t kRegionLines = (48ull << 20) / 64;
+    for (const Case& c : cases) {
+        CacheHierarchy h(c.cfg);
+        Rng rng(2024);
+        uint64_t cursor = 0;
+        uint64_t levels[4] = {0, 0, 0, 0};
+        Fnv f;
+        auto mixCounters = [&] {
+            for (const Cache* cache : {&h.l1(), &h.l2(), &h.l3()}) {
+                f.mix(cache->hits());
+                f.mix(cache->misses());
+            }
+        };
+        for (int i = 0; i < 200000; ++i) {
+            const uint64_t kind = rng.nextBounded(6);
+            uint64_t addr;
+            if (kind < 2) {
+                addr = kBase + rng.nextBounded(48) * 64 +
+                       rng.nextBounded(40) * kStride;
+            } else if (kind == 2) {
+                addr = kBase + (kRegionLines + rng.nextBounded(512)) * 64;
+            } else if (kind == 3) {
+                addr = kBase + (cursor++ % kRegionLines) * 64;
+            } else {
+                addr = kBase + rng.nextBounded(kRegionLines) * 64;
+            }
+            const HitLevel level =
+                h.access(addr + rng.nextBounded(64), rng.nextBool(0.3));
+            ++levels[static_cast<int>(level)];
+            f.mix(static_cast<uint64_t>(level));
+            if ((i & 1023) == 1023) {
+                mixCounters();
+            }
+        }
+        mixCounters();
+        for (uint64_t n : levels) {
+            EXPECT_GT(n, 0u) << c.name;
+        }
+        EXPECT_EQ(f.h, c.pinned)
+            << c.name << std::hex << " digest 0x" << f.h;
+    }
 }
 
 }  // namespace

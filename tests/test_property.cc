@@ -47,11 +47,11 @@ class ReferenceLru
     {
     }
 
-    bool access(uint64_t addr)
+    /** Hit, or fill at MRU and report the LRU victim (UINT64_MAX: none). */
+    bool access(uint64_t addr, uint64_t* evicted)
     {
         const uint64_t line = addr / lineBytes_;
-        const uint64_t set = line % sets_;
-        auto& order = lru_[set];
+        auto& order = lru_[line % sets_];
         for (auto it = order.begin(); it != order.end(); ++it) {
             if (*it == line) {
                 order.erase(it);
@@ -59,11 +59,26 @@ class ReferenceLru
                 return true;
             }
         }
+        *evicted = UINT64_MAX;
         order.push_front(line);
         if (order.size() > ways_) {
+            *evicted = order.back() * lineBytes_;
             order.pop_back();
         }
         return false;
+    }
+
+    bool probe(uint64_t addr) const
+    {
+        const uint64_t line = addr / lineBytes_;
+        const auto& order = lru_[line % sets_];
+        return std::find(order.begin(), order.end(), line) != order.end();
+    }
+
+    void erase(uint64_t addr)
+    {
+        const uint64_t line = addr / lineBytes_;
+        lru_[line % sets_].remove(line);
     }
 
   private:
@@ -73,7 +88,12 @@ class ReferenceLru
     std::vector<std::list<uint64_t>> lru_;
 };
 
-/** Random trace: every access must agree with the reference model. */
+/**
+ * Random trace: every access, insert, probe and invalidate must agree
+ * with the reference model, including the victim each fill evicts.
+ * Geometries cover direct-mapped through 20-way, and 12 sets (the
+ * modulo index path) next to power-of-two set counts.
+ */
 class CacheDifferential : public ::testing::TestWithParam<int>
 {
 };
@@ -84,8 +104,11 @@ TEST_P(CacheDifferential, MatchesReferenceLru)
         uint64_t size;
         int ways;
     };
-    const Geom geoms[] = {{1024, 1}, {2048, 2}, {8192, 4}, {32768, 8}};
-    const Geom g = geoms[GetParam() % 4];
+    const Geom geoms[] = {{1024, 1},  {2048, 2},   {8192, 4},
+                          {32768, 8}, {2304, 3},   {11264, 11},
+                          {40960, 20}};
+    constexpr int kGeoms = sizeof(geoms) / sizeof(geoms[0]);
+    const Geom g = geoms[GetParam() % kGeoms];
 
     Cache cache(g.size, g.ways);
     ReferenceLru ref(g.size, g.ways);
@@ -103,13 +126,36 @@ TEST_P(CacheDifferential, MatchesReferenceLru)
             line = rng.nextBounded(footprint_lines);
         }
         const uint64_t addr = line * 64;
-        ASSERT_EQ(cache.access(addr), ref.access(addr))
-            << "divergence at access " << i << " addr " << addr;
+        const uint64_t op = rng.nextBounded(10);
+        if (op < 6) {
+            uint64_t got = 0;
+            uint64_t want = 0;
+            const bool hit = ref.access(addr, &want);
+            ASSERT_EQ(cache.access(addr, &got), hit)
+                << "divergence at access " << i << " addr " << addr;
+            if (!hit) {
+                ASSERT_EQ(got, want) << "victim at access " << i;
+            }
+        } else if (op < 8) {
+            uint64_t got = 0;
+            uint64_t want = 0;
+            const bool present = ref.access(addr, &want);
+            cache.insert(addr, &got);
+            if (!present) {
+                ASSERT_EQ(got, want) << "victim at insert " << i;
+            }
+        } else if (op == 8) {
+            ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+                << "divergence at probe " << i << " addr " << addr;
+        } else {
+            cache.invalidate(addr);
+            ref.erase(addr);
+        }
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Traces, CacheDifferential,
-                         ::testing::Range(0, 8));
+                         ::testing::Range(0, 14));
 
 /**
  * Build an unrolled single-sample GRU with the SAME weight blobs as a
