@@ -1,5 +1,7 @@
 #include "uarch/cache.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace recstack {
@@ -29,128 +31,82 @@ Cache::Cache(uint64_t size_bytes, int ways, int line_bytes)
              static_cast<uint64_t>(lineBytes_));
     RECSTACK_CHECK(sets_ > 0, "cache smaller than one set");
     // Non-power-of-two set counts are allowed (22 MB L3s exist); the
-    // index is taken modulo sets_.
-    lines_.assign(sets_ * static_cast<uint64_t>(ways_), Line{});
+    // index is then taken modulo sets_.
+    setMask_ = sets_ - 1;
+    maskSets_ = (sets_ & setMask_) == 0;
+    keys_.assign(sets_ * static_cast<uint64_t>(ways_), 0);
 }
 
 uint64_t
-Cache::setIndex(uint64_t addr) const
+Cache::setBase(uint64_t line) const
 {
-    return (addr >> lineShift_) % sets_;
+    const uint64_t set = maskSets_ ? line & setMask_ : line % sets_;
+    return set * static_cast<uint64_t>(ways_);
 }
 
-uint64_t
-Cache::tagOf(uint64_t addr) const
+bool
+Cache::moveToFront(uint64_t addr, uint64_t* evicted)
 {
-    return addr >> lineShift_;
-}
+    const uint64_t line = addr >> lineShift_;
+    const uint64_t key = line + 1;
+    uint64_t* set = keys_.data() + setBase(line);
 
-uint64_t
-Cache::lineAddr(uint64_t tag, uint64_t set) const
-{
-    (void)set;
-    return tag << lineShift_;
+    // Stop at the hit, the first empty way, or the last (LRU) way.
+    int w = 0;
+    while (w < ways_ - 1 && set[w] != key && set[w] != 0) {
+        ++w;
+    }
+    const uint64_t old = set[w];
+    const bool hit = old == key;
+    if (!hit && evicted != nullptr) {
+        *evicted = old == 0 ? UINT64_MAX : (old - 1) << lineShift_;
+    }
+    std::copy_backward(set, set + w, set + w + 1);
+    set[0] = key;
+    return hit;
 }
 
 bool
 Cache::access(uint64_t addr, uint64_t* evicted)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    ++clock_;
-
-    Line* lru_line = base;
-    for (int w = 0; w < ways_; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = clock_;
-            ++hits_;
-            return true;
-        }
-        if (!line.valid) {
-            lru_line = &line;  // prefer invalid victims
-        } else if (lru_line->valid && line.lru < lru_line->lru) {
-            lru_line = &line;
-        }
-    }
-    ++misses_;
-    if (evicted != nullptr) {
-        *evicted = lru_line->valid ? lineAddr(lru_line->tag, set)
-                                   : UINT64_MAX;
-    }
-    lru_line->valid = true;
-    lru_line->tag = tag;
-    lru_line->lru = clock_;
-    return false;
+    const bool hit = moveToFront(addr, evicted);
+    ++(hit ? hits_ : misses_);
+    return hit;
 }
 
 bool
 Cache::probe(uint64_t addr) const
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    const Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    for (int w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            return true;
-        }
-    }
-    return false;
+    const uint64_t line = addr >> lineShift_;
+    // Empty ways hold 0, which no key equals.
+    const uint64_t* set = keys_.data() + setBase(line);
+    return std::find(set, set + ways_, line + 1) != set + ways_;
 }
 
 void
 Cache::insert(uint64_t addr, uint64_t* evicted)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    ++clock_;
-
-    Line* lru_line = base;
-    for (int w = 0; w < ways_; ++w) {
-        Line& line = base[w];
-        if (line.valid && line.tag == tag) {
-            line.lru = clock_;
-            return;  // already present
-        }
-        if (!line.valid) {
-            lru_line = &line;
-        } else if (lru_line->valid && line.lru < lru_line->lru) {
-            lru_line = &line;
-        }
-    }
-    if (evicted != nullptr) {
-        *evicted = lru_line->valid ? lineAddr(lru_line->tag, set)
-                                   : UINT64_MAX;
-    }
-    lru_line->valid = true;
-    lru_line->tag = tag;
-    lru_line->lru = clock_;
+    moveToFront(addr, evicted);
 }
 
 void
 Cache::invalidate(uint64_t addr)
 {
-    const uint64_t set = setIndex(addr);
-    const uint64_t tag = tagOf(addr);
-    Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
-    for (int w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == tag) {
-            base[w].valid = false;
-            return;
-        }
+    const uint64_t line = addr >> lineShift_;
+    uint64_t* set = keys_.data() + setBase(line);
+    uint64_t* end = set + ways_;
+    uint64_t* it = std::find(set, end, line + 1);
+    if (it != end) {
+        std::copy(it + 1, end, it);
+        end[-1] = 0;
     }
 }
 
 void
 Cache::reset()
 {
-    for (auto& line : lines_) {
-        line = Line{};
-    }
+    std::fill(keys_.begin(), keys_.end(), 0);
     hits_ = misses_ = 0;
-    clock_ = 0;
 }
 
 }  // namespace recstack

@@ -6,6 +6,13 @@
  * Set-associative cache with true-LRU replacement. Used for L1D, L2,
  * L3 and L1I in the microarchitecture simulator. Tag-only (no data):
  * the simulator cares about hit/miss behaviour, not contents.
+ *
+ * Each set is one array of `ways` 8-byte keys kept in recency order,
+ * most recently used first. A key is the line number plus one, so 0
+ * marks an empty way, and the valid keys always form a prefix of the
+ * set. A hit moves its key to way 0; a miss fills way 0 and evicts
+ * the last way when the set is full. There are no timestamps and no
+ * victim scan, and the eviction order is the same as true LRU.
  */
 
 #include <cstdint>
@@ -53,25 +60,22 @@ class Cache
     uint64_t misses() const { return misses_; }
 
   private:
-    struct Line {
-        uint64_t tag = 0;
-        uint64_t lru = 0;   // larger = more recent
-        bool valid = false;
-    };
+    /** First way of the set holding @c line. */
+    uint64_t setBase(uint64_t line) const;
 
-    uint64_t setIndex(uint64_t addr) const;
-    uint64_t tagOf(uint64_t addr) const;
-    uint64_t lineAddr(uint64_t tag, uint64_t set) const;
+    /** Shared by access() and insert(); returns true on hit. */
+    bool moveToFront(uint64_t addr, uint64_t* evicted);
 
     uint64_t sizeBytes_;
     int ways_;
     int lineBytes_;
     int lineShift_;
     uint64_t sets_;
-    uint64_t clock_ = 0;
+    uint64_t setMask_;       // sets_ - 1 when sets_ is a power of two
+    bool maskSets_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    std::vector<Line> lines_;   // sets_ * ways_, set-major
+    std::vector<uint64_t> keys_;   // sets_ * ways_, set-major, MRU first
 };
 
 }  // namespace recstack
