@@ -60,7 +60,7 @@ class Cache
     uint64_t misses() const { return misses_; }
 
   private:
-    /** First way of the set holding @c line. */
+    /** Index in keys_ of the first way of @c line's set. */
     uint64_t setBase(uint64_t line) const;
 
     /** Shared by access() and insert(); returns true on hit. */
@@ -71,8 +71,8 @@ class Cache
     int lineBytes_;
     int lineShift_;
     uint64_t sets_;
-    uint64_t setMask_;       // sets_ - 1 when sets_ is a power of two
-    bool maskSets_;
+    uint64_t setMask_;   // sets_ - 1
+    bool maskSets_;      // sets_ is a power of two: set = line & setMask_
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     std::vector<uint64_t> keys_;   // sets_ * ways_, set-major, MRU first

@@ -6,7 +6,7 @@
 #           the concurrency suites (thread pool, serving engine,
 #           parallel kernels, plan-vs-interpreted equivalence, the
 #           sharded embedding store's lock/prefetch machinery).
-#   asan  — RECSTACK_SANITIZE=address build, `ctest -L 'plan|store|disk|serving|obs|sched|simd|fleet|pim'`:
+#   asan  — RECSTACK_SANITIZE=address build, `ctest -L 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch'`:
 #           the compiled-net planner/arena suites plus the embedding
 #           store. Arena aliasing assigns overlapping
 #           [offset, offset+bytes) ranges to blobs with disjoint
@@ -56,6 +56,13 @@
 # fixed-size regions an off-by-one row/page computation would
 # overrun (ASan).
 #
+# The `uarch` label (ASan pass only) covers the microarchitecture
+# simulator's cache, cache-hierarchy and CPU-model suites. Each cache
+# set is a slice of one flat key array that hits, fills and
+# invalidations shift in place through raw pointers, so a way count or
+# set index off by one would silently read or write the neighbouring
+# set.
+#
 # Usage: tools/run_sanitize_checks.sh [tsan|asan|all]   (default: all)
 #
 # Build trees land in build-tsan/ and build-asan/ next to build/ and
@@ -78,9 +85,9 @@ run_pass() {
 
 case "${mode}" in
     tsan) run_pass thread build-tsan 'sanitize|store|disk|serving|obs|sched|simd|fleet|pim' ;;
-    asan) run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim' ;;
+    asan) run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch' ;;
     all)
-        run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim'
+        run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch'
         run_pass thread build-tsan 'sanitize|store|disk|serving|obs|sched|simd|fleet|pim'
         ;;
     *)
