@@ -22,6 +22,11 @@ main(int argc, char** argv)
 {
     const std::string model_name = argc > 1 ? argv[1] : "RM1";
     const int64_t batch = argc > 2 ? std::atoll(argv[2]) : 16;
+    if (batch <= 0) {
+        std::fprintf(stderr, "BATCH must be a positive integer, got '%s'\n",
+                     argv[2]);
+        return 2;
+    }
     const ModelId id = modelFromName(model_name);
 
     // --- 1. Real numerics on a scaled-down instance ---------------

@@ -14,8 +14,9 @@
 #      the source tree, so the docs cannot describe knobs that were
 #      renamed or removed;
 #   4. every CLI subcommand the binary's usage() advertises is
-#      mentioned in README.md, so a new `recstack <cmd>` cannot ship
-#      undocumented;
+#      mentioned in README.md and has a `cli_<cmd>` smoke test in
+#      tools/CMakeLists.txt, so a new `recstack <cmd>` cannot ship
+#      undocumented or untested;
 #   5. every ctest label the docs tell the reader to run (`ctest -L
 #      foo`, `-L 'a|b'`) is actually assigned to some test in
 #      tests/, tools/ or bench/CMakeLists.txt, so a doc cannot
@@ -81,7 +82,7 @@ while IFS= read -r name; do
     fi
 done <<<"$names"
 
-# -- 4. every usage() subcommand is documented in README -----------
+# -- 4. every usage() subcommand is documented in README and tested -
 # The usage text lists one "  recstack <cmd> ..." line per
 # subcommand; pull the command words out of the CLI source.
 cmds=$(grep -oE '"  recstack [a-z]+' tools/recstack_cli.cpp |
@@ -90,6 +91,10 @@ while IFS= read -r cmd; do
     [ -z "$cmd" ] && continue
     if ! grep -qE "recstack ${cmd}\b" README.md; then
         err "CLI subcommand 'recstack ${cmd}' is not documented in README.md"
+    fi
+    if ! grep -qE "add_test\(NAME cli_${cmd}([[:space:]]|\$)" \
+        tools/CMakeLists.txt; then
+        err "CLI subcommand 'recstack ${cmd}' has no cli_${cmd} smoke test in tools/CMakeLists.txt"
     fi
 done <<<"$cmds"
 

@@ -20,8 +20,10 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -87,6 +89,35 @@ usage()
         "  recstack custom <CONFIG> <BATCH>         characterize a "
         "user-defined model\n");
     return 2;
+}
+
+/**
+ * Parse a positive integer (BATCH, --nodes) or positive real (SLA_MS)
+ * argument.
+ * Anything else — trailing junk, zero, a negative, inf or nan — names
+ * the argument on stderr and exits 2, like usage().
+ */
+template <typename T>
+T
+positiveArg(const char* name, const char* text)
+{
+    T value{};
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc() || ptr != end || !(value > 0) ||
+        !std::isfinite(static_cast<double>(value))) {
+        std::fprintf(stderr, "%s must be a positive %s, got '%s'\n", name,
+                     std::is_integral_v<T> ? "integer" : "number", text);
+        std::exit(2);
+    }
+    return value;
+}
+
+/** True if argv[i] is absent or exactly @p flag, and nothing follows. */
+bool
+optionalFlag(int argc, char** argv, int i, const char* flag)
+{
+    return argc == i || (argc == i + 1 && std::strcmp(argv[i], flag) == 0);
 }
 
 int
@@ -1350,27 +1381,31 @@ main(int argc, char** argv)
     if (cmd == "platforms") {
         return cmdPlatforms();
     }
-    if (cmd == "run" && argc >= 4) {
-        return cmdRun(argv[2], std::atoll(argv[3]),
-                      argc > 4 ? argv[4] : "");
+    // BATCH is argv[3] for every subcommand that takes one.
+    const auto batch = [&] { return positiveArg<int64_t>("BATCH", argv[3]); };
+    if (cmd == "run" && (argc == 4 || argc == 5)) {
+        return cmdRun(argv[2], batch(), argc > 4 ? argv[4] : "");
     }
-    if (cmd == "sweep" && argc >= 3) {
-        const bool csv = argc > 3 && std::strcmp(argv[3], "--csv") == 0;
-        return cmdSweep(argv[2], csv);
+    if (cmd == "sweep" && optionalFlag(argc, argv, 3, "--csv")) {
+        return cmdSweep(argv[2], argc > 3);
     }
-    if (cmd == "topdown" && argc >= 5) {
-        return cmdTopdown(argv[2], std::atoll(argv[3]), argv[4]);
+    if (cmd == "topdown" && argc == 5) {
+        if (std::strcmp(argv[4], "bdw") != 0 &&
+            std::strcmp(argv[4], "clx") != 0) {
+            std::fprintf(stderr, "uarch must be bdw or clx, got '%s'\n",
+                         argv[4]);
+            return 2;
+        }
+        return cmdTopdown(argv[2], batch(), argv[4]);
     }
-    if (cmd == "schedule" && argc >= 4) {
-        return cmdSchedule(argv[2], std::atof(argv[3]));
+    if (cmd == "schedule" && argc == 4) {
+        return cmdSchedule(argv[2], positiveArg<double>("SLA_MS", argv[3]));
     }
-    if (cmd == "plan" && argc >= 4) {
-        const bool json = argc > 4 && std::strcmp(argv[4], "--json") == 0;
-        return cmdPlan(argv[2], std::atoll(argv[3]), json);
+    if (cmd == "plan" && optionalFlag(argc, argv, 4, "--json")) {
+        return cmdPlan(argv[2], batch(), argc > 4);
     }
-    if (cmd == "store" && argc >= 4) {
-        const bool json = argc > 4 && std::strcmp(argv[4], "--json") == 0;
-        return cmdStore(argv[2], std::atoll(argv[3]), json);
+    if (cmd == "store" && optionalFlag(argc, argv, 4, "--json")) {
+        return cmdStore(argv[2], batch(), argc > 4);
     }
     if (cmd == "obs" && argc >= 4) {
         std::string trace_path;
@@ -1384,22 +1419,20 @@ main(int argc, char** argv)
                 return usage();
             }
         }
-        return cmdObs(argv[2], std::atoll(argv[3]), trace_path, metrics);
+        return cmdObs(argv[2], batch(), trace_path, metrics);
     }
-    if (cmd == "hetero" && argc >= 3) {
-        const bool json = argc > 3 && std::strcmp(argv[3], "--json") == 0;
-        return cmdHetero(argv[2], json);
+    if (cmd == "hetero" && optionalFlag(argc, argv, 3, "--json")) {
+        return cmdHetero(argv[2], argc > 3);
     }
-    if (cmd == "pim" && argc >= 4) {
-        const bool json = argc > 4 && std::strcmp(argv[4], "--json") == 0;
-        return cmdPim(argv[2], std::atoll(argv[3]), json);
+    if (cmd == "pim" && optionalFlag(argc, argv, 4, "--json")) {
+        return cmdPim(argv[2], batch(), argc > 4);
     }
     if (cmd == "fleet" && argc >= 3) {
         int nodes = 4;
         bool json = false;
         for (int i = 3; i < argc; ++i) {
             if (std::strcmp(argv[i], "--nodes") == 0 && i + 1 < argc) {
-                nodes = std::atoi(argv[++i]);
+                nodes = positiveArg<int>("--nodes", argv[++i]);
             } else if (std::strcmp(argv[i], "--json") == 0) {
                 json = true;
             } else {
@@ -1408,14 +1441,14 @@ main(int argc, char** argv)
         }
         return cmdFleet(argv[2], nodes, json);
     }
-    if (cmd == "record" && argc >= 5) {
-        return cmdRecord(argv[2], std::atoll(argv[3]), argv[4]);
+    if (cmd == "record" && argc == 5) {
+        return cmdRecord(argv[2], batch(), argv[4]);
     }
-    if (cmd == "replay" && argc >= 3) {
+    if (cmd == "replay" && (argc == 3 || argc == 4)) {
         return cmdReplay(argv[2], argc > 3 ? argv[3] : "");
     }
-    if (cmd == "custom" && argc >= 4) {
-        return cmdCustom(argv[2], std::atoll(argv[3]));
+    if (cmd == "custom" && argc == 4) {
+        return cmdCustom(argv[2], batch());
     }
     return usage();
 }
