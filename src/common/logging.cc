@@ -6,12 +6,9 @@
 namespace recstack {
 namespace {
 
-bool g_verbose = true;
-
 const char* levelTag(LogLevel level)
 {
     switch (level) {
-      case LogLevel::kInform: return "info";
       case LogLevel::kWarn: return "warn";
       case LogLevel::kFatal: return "fatal";
       case LogLevel::kPanic: return "panic";
@@ -21,19 +18,10 @@ const char* levelTag(LogLevel level)
 
 }  // namespace
 
-void setVerbose(bool verbose) { g_verbose = verbose; }
-bool verbose() { return g_verbose; }
-
 namespace detail {
 
 void log(LogLevel level, const char* file, int line, const std::string& msg)
 {
-    if (level == LogLevel::kInform) {
-        if (g_verbose) {
-            std::fprintf(stdout, "%s\n", msg.c_str());
-        }
-        return;
-    }
     std::fprintf(stderr, "[%s] %s:%d: %s\n", levelTag(level), file, line,
                  msg.c_str());
 }

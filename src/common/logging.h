@@ -3,15 +3,14 @@
 
 /**
  * @file
- * Error and status reporting utilities, modeled after gem5's
- * fatal()/panic()/warn()/inform() conventions.
+ * Error reporting utilities, modeled after gem5's
+ * fatal()/panic()/warn() conventions.
  *
  * fatal()  — the run cannot continue because of a user error (bad
  *            configuration, invalid argument). Exits with code 1.
  * panic()  — an internal invariant was violated (a recstack bug).
  *            Aborts so a core dump / debugger is available.
  * warn()   — something is suspicious but the run can continue.
- * inform() — plain status output.
  */
 
 #include <sstream>
@@ -20,7 +19,7 @@
 namespace recstack {
 
 /** Severity of a log message. */
-enum class LogLevel { kInform, kWarn, kFatal, kPanic };
+enum class LogLevel { kWarn, kFatal, kPanic };
 
 namespace detail {
 
@@ -30,10 +29,6 @@ namespace detail {
 void log(LogLevel level, const char* file, int line, const std::string& msg);
 
 }  // namespace detail
-
-/** Global verbosity switch: when false, inform() output is suppressed. */
-void setVerbose(bool verbose);
-bool verbose();
 
 }  // namespace recstack
 
@@ -59,9 +54,6 @@ bool verbose();
 /** Suspicious-but-survivable condition. */
 #define RECSTACK_WARN(...) \
     RECSTACK_MSG_(::recstack::LogLevel::kWarn, false, __VA_ARGS__)
-/** Status message (suppressed unless verbose). */
-#define RECSTACK_INFORM(...) \
-    RECSTACK_MSG_(::recstack::LogLevel::kInform, false, __VA_ARGS__)
 
 /** Cheap always-on invariant check that panics with a message. */
 #define RECSTACK_CHECK(cond, ...)                                           \

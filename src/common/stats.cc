@@ -64,7 +64,7 @@ percentileOfSorted(const std::vector<double>& sorted, double p)
 }
 
 Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)),
+    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
       counts_(buckets, 0.0)
 {
     RECSTACK_CHECK(hi > lo && buckets > 0, "bad histogram geometry");
@@ -77,18 +77,6 @@ Histogram::add(double x, double weight)
     idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
     counts_[static_cast<size_t>(idx)] += weight;
     total_ += weight;
-}
-
-double
-Histogram::bucketLo(size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i);
-}
-
-double
-Histogram::bucketHi(size_t i) const
-{
-    return lo_ + width_ * static_cast<double>(i + 1);
 }
 
 double

@@ -59,8 +59,6 @@ class Histogram
     void add(double x, double weight = 1.0);
 
     size_t buckets() const { return counts_.size(); }
-    double bucketLo(size_t i) const;
-    double bucketHi(size_t i) const;
     double count(size_t i) const { return counts_[i]; }
     double total() const { return total_; }
 
@@ -69,7 +67,6 @@ class Histogram
 
   private:
     double lo_;
-    double hi_;
     double width_;
     std::vector<double> counts_;
     double total_ = 0.0;

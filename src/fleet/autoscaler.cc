@@ -6,6 +6,13 @@
 
 namespace recstack {
 namespace fleet {
+namespace {
+
+/// Drain only when p99 <= kDrainHeadroom * SLA: a fleet barely inside
+/// the SLA is left alone rather than probed downward.
+constexpr double kDrainHeadroom = 0.8;
+
+}  // namespace
 
 AutoscalerResult
 autoscale(const AutoscalerConfig& config, const FleetEpochFn& epoch_fn)
@@ -15,9 +22,6 @@ autoscale(const AutoscalerConfig& config, const FleetEpochFn& epoch_fn)
     RECSTACK_CHECK(config.maxNodes >= config.minNodes,
                    "maxNodes must be >= minNodes");
     RECSTACK_CHECK(config.maxEpochs >= 1, "need at least one epoch");
-    RECSTACK_CHECK(config.drainHeadroom > 0.0 &&
-                       config.drainHeadroom <= 1.0,
-                   "drain headroom must be in (0, 1]");
     RECSTACK_CHECK(epoch_fn != nullptr, "need an epoch function");
 
     AutoscalerResult result;
@@ -45,7 +49,7 @@ autoscale(const AutoscalerConfig& config, const FleetEpochFn& epoch_fn)
                 next = nodes + 1;  // scale up
             }
         } else if (nodes > config.minNodes &&
-                   p99 <= config.drainHeadroom * config.slaP99Seconds) {
+                   p99 <= kDrainHeadroom * config.slaP99Seconds) {
             // Plenty of headroom: probe one node smaller, unless that
             // size is already known to violate (memoized verdicts
             // keep the walk from oscillating).

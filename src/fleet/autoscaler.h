@@ -39,9 +39,6 @@ struct AutoscalerConfig {
     /// Epoch budget: the walk stops after this many fleet runs even
     /// if it has not converged.
     int maxEpochs = 24;
-    /// Drain only when p99 <= drainHeadroom * SLA — a fleet barely
-    /// inside the SLA is left alone rather than probed downward.
-    double drainHeadroom = 0.8;
 };
 
 /** One epoch of the scaling walk. */

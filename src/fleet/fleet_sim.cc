@@ -15,6 +15,14 @@ namespace recstack {
 namespace fleet {
 namespace {
 
+/// Consistent-hash ring points per node.
+constexpr int kVirtualNodesPerNode = 128;
+/// Per-node latency histogram shape (fleet tails are merged from
+/// these, so every node uses the same one).
+constexpr double kHistogramLoSeconds = 0.0;
+constexpr double kHistogramHiSeconds = 1.0;
+constexpr size_t kHistogramBuckets = 1000;
+
 /**
  * Analytic twin of one ServingNode: BatchQueue's walk over the shared
  * admission step (serve/admission.h) run sequentially instead of
@@ -45,9 +53,8 @@ class VirtualNode
           maxWait_(config.maxWaitSeconds),
           horizon_(config.simSeconds), factors_(factors),
           remotePerSample_(remote_seconds_per_sample),
-          histogram_(config.histogramLoSeconds,
-                     config.histogramHiSeconds,
-                     config.histogramBuckets)
+          histogram_(kHistogramLoSeconds, kHistogramHiSeconds,
+                     kHistogramBuckets)
     {
         readyTime_.assign(static_cast<size_t>(workers_), 0.0);
         active_.assign(static_cast<size_t>(workers_), true);
@@ -326,7 +333,7 @@ FleetSimulator::simulate(const FleetConfig& config,
                       traffic.userZipf);
     Rng user_rng(traffic.seed ^ 0x7f4a7c159e3779b9ull);
     Router router(config.policy, M, traffic.seed ^ 0xa0761d6478bd642full,
-                  config.virtualNodesPerNode);
+                  kVirtualNodesPerNode);
     const bool needs_depth = config.policy == RoutePolicy::kPowerOfTwo;
     std::vector<double> depths(static_cast<size_t>(M), 0.0);
 
@@ -360,9 +367,9 @@ FleetSimulator::simulate(const FleetConfig& config,
 
     // Per-node stats + the two tail views: exact (pooled latencies)
     // and merged-histogram (the metrics-pipeline roll-up).
-    result.mergedHistogram.lo = config.histogramLoSeconds;
-    result.mergedHistogram.hi = config.histogramHiSeconds;
-    result.mergedHistogram.counts.assign(config.histogramBuckets, 0);
+    result.mergedHistogram.lo = kHistogramLoSeconds;
+    result.mergedHistogram.hi = kHistogramHiSeconds;
+    result.mergedHistogram.counts.assign(kHistogramBuckets, 0);
     std::vector<double> pooled;
     double fleet_horizon = config.simSeconds;
     double total_busy = 0.0;

@@ -71,7 +71,6 @@ struct FleetConfig {
     int numNodes = 4;
     RoutePolicy policy = RoutePolicy::kPowerOfTwo;
     PlacementConfig placement;
-    int virtualNodesPerNode = 128;  ///< consistent-hash ring points
     /// Per-node serving knobs (the EngineConfig subset the virtual
     /// node prices with).
     int workersPerNode = 2;
@@ -83,11 +82,6 @@ struct FleetConfig {
     /// scales with total arrivals) — the hook the differential test
     /// uses to replay a node through the real threaded ServingNode.
     bool captureTraces = false;
-    /// Per-node latency histogram bounds (fleet tails are merged from
-    /// these, so every node must use the same shape).
-    double histogramLoSeconds = 0.0;
-    double histogramHiSeconds = 1.0;
-    size_t histogramBuckets = 1000;
 };
 
 /** One node's view of a fleet run. */

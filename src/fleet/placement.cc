@@ -9,18 +9,6 @@
 namespace recstack {
 namespace fleet {
 
-const char*
-placementKindName(PlacementKind kind)
-{
-    switch (kind) {
-        case PlacementKind::kReplicated:
-            return "replicated";
-        case PlacementKind::kRowPartitioned:
-            return "row_partitioned";
-    }
-    return "unknown";
-}
-
 PlacementView::PlacementView(const PlacementConfig& config,
                              int num_nodes,
                              const WorkloadSpec& workload)

@@ -42,8 +42,6 @@ enum class PlacementKind {
     kRowPartitioned,
 };
 
-const char* placementKindName(PlacementKind kind);
-
 /** Placement policy knobs. */
 struct PlacementConfig {
     PlacementKind kind = PlacementKind::kReplicated;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <unordered_map>
 
@@ -23,13 +22,6 @@ size_t
 alignUp(size_t n)
 {
     return (n + kArenaAlign - 1) & ~(kArenaAlign - 1);
-}
-
-bool
-planningDisabledByEnv()
-{
-    const char* v = std::getenv("RECSTACK_DISABLE_PLANNING");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 /// blob name -> indices of schedule ops that read it.
@@ -317,7 +309,7 @@ CompiledNet::compileCount()
 }
 
 CompiledNet::CompiledNet(const NetDef& net, CompileOptions opts)
-    : net_(&net), planMemory_(opts.planMemory && !planningDisabledByEnv())
+    : net_(&net), planMemory_(opts.planMemory)
 {
     net.validate();
     ops_.reserve(net.opCount());

@@ -33,10 +33,10 @@
  * The source NetDef must outlive the CompiledNet (unfused operators
  * are referenced, not copied).
  *
- * Set RECSTACK_DISABLE_PLANNING=1 in the environment to disable arena
- * aliasing (activations fall back to per-blob workspace allocations)
- * while keeping fusion and the compiled fast path — the escape hatch
- * when debugging a suspected aliasing problem.
+ * CompileOptions::planMemory = false turns arena aliasing off
+ * (activations fall back to per-blob workspace allocations) while
+ * keeping fusion and the compiled fast path; the plan-equivalence
+ * suite compares the two when an aliasing problem is suspected.
  */
 
 #include <cstdint>
@@ -59,9 +59,8 @@ struct CompileOptions {
     /// stay byte-identical with the paper's framework-granularity
     /// measurements.
     bool fuseOps = true;
-    /// Emit the liveness-based arena plan. Additionally gated at
-    /// compile time by the RECSTACK_DISABLE_PLANNING environment
-    /// variable.
+    /// Emit the liveness-based arena plan. Off, activations are
+    /// per-blob workspace allocations — what the characterizer uses.
     bool planMemory = true;
 };
 
@@ -172,8 +171,6 @@ class CompiledNet
     size_t originalOpCount() const { return net_->opCount(); }
     const std::vector<FusionDecision>& fusions() const { return fusions_; }
     const std::vector<BlobInfo>& blobs() const { return blobs_; }
-    /** False when opts.planMemory was off or the env hatch is set. */
-    bool planningEnabled() const { return planMemory_; }
 
     /**
      * The (memoized, thread-safe) specialization for @c batch. @c ws

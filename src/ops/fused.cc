@@ -60,18 +60,6 @@ actElemCost(FusedAct act)
 
 }  // namespace
 
-const char*
-fusedActName(FusedAct act)
-{
-    switch (act) {
-      case FusedAct::kNone: return "none";
-      case FusedAct::kRelu: return "relu";
-      case FusedAct::kSigmoid: return "sigmoid";
-      case FusedAct::kTanh: return "tanh";
-    }
-    return "?";
-}
-
 FusedFCOp::FusedFCOp(std::string name, std::vector<std::string> xs,
                      std::string w, std::string b, std::string y,
                      FusedAct act)

@@ -21,9 +21,6 @@ namespace recstack {
 /** Activation applied by a fused FC ("none" = plain FC). */
 enum class FusedAct { kNone, kRelu, kSigmoid, kTanh };
 
-/** Printable activation name ("relu", ...). */
-const char* fusedActName(FusedAct act);
-
 /**
  * Fused concat + fully-connected + activation:
  *

@@ -1,35 +1,8 @@
 #include "platform/platform.h"
 
-#include <cstdlib>
 #include <string>
 
 namespace recstack {
-namespace {
-
-/** Positive numeric env override, or @c fallback when unset/invalid. */
-double
-envPositive(const char* name, double fallback)
-{
-    const char* raw = std::getenv(name);
-    if (raw == nullptr || *raw == '\0') {
-        return fallback;
-    }
-    char* end = nullptr;
-    const double v = std::strtod(raw, &end);
-    if (end == raw || v <= 0.0) {
-        return fallback;
-    }
-    return v;
-}
-
-int
-envPositiveInt(const char* name, int fallback)
-{
-    return static_cast<int>(
-        envPositive(name, static_cast<double>(fallback)));
-}
-
-}  // namespace
 
 CpuConfig
 broadwellConfig()
@@ -150,19 +123,6 @@ PimConfig
 upmemPimConfig()
 {
     PimConfig p;
-    p.ranks = envPositiveInt("RECSTACK_PIM_RANKS", p.ranks);
-    p.dpusPerRank =
-        envPositiveInt("RECSTACK_PIM_DPUS_PER_RANK", p.dpusPerRank);
-    p.taskletsPerDpu =
-        envPositiveInt("RECSTACK_PIM_TASKLETS", p.taskletsPerDpu);
-    p.rankInternalGBs =
-        envPositive("RECSTACK_PIM_RANK_GBS", p.rankInternalGBs);
-    p.xferGBs = envPositive("RECSTACK_PIM_XFER_GBS", p.xferGBs);
-    p.xferLatencySec =
-        envPositive("RECSTACK_PIM_XFER_LAT_US",
-                    p.xferLatencySec * 1e6) *
-        1e-6;
-    p.name = "UPMEM PIM (" + std::to_string(p.ranks) + " ranks)";
     p.host = broadwellConfig();
     return p;
 }

@@ -148,9 +148,11 @@ struct PimConfig {
     /// constraint).
     uint64_t wramBytesPerDpu = 64 * 1024;
     /// Host->DPU / DPU->host batched-copy bandwidth and per-transfer
-    /// launch latency (rank-level serial copies; far below DDR).
+    /// launch latency (rank-level serial copies; far below DDR). The
+    /// latency is 20 us written as us * 1e-6, one ulp under 20.0e-6:
+    /// the value every pinned PIM figure was recorded with.
     double xferGBs = 8.0;
-    double xferLatencySec = 20.0e-6;
+    double xferLatencySec = 20.0 * 1e-6;
     /// Host-side framework dispatch per offloaded operator.
     double hostDispatchSec = 3.0e-6;
     /// CPU that runs the non-offloaded operators (FC, GRU, concat,
@@ -185,18 +187,8 @@ GpuConfig gtx1080TiConfig();
 GpuConfig t4Config();
 
 /**
- * The UPMEM-style PIM instance (Broadwell host), with every knob
- * overridable from the environment without a rebuild:
- *
- *   RECSTACK_PIM_RANKS          ranks
- *   RECSTACK_PIM_DPUS_PER_RANK  dpusPerRank
- *   RECSTACK_PIM_TASKLETS       taskletsPerDpu
- *   RECSTACK_PIM_RANK_GBS       rankInternalGBs
- *   RECSTACK_PIM_XFER_GBS       xferGBs
- *   RECSTACK_PIM_XFER_LAT_US    xferLatencySec (microseconds)
- *
- * Values are read at call time (no caching), so tests and sweeps can
- * setenv between calls. Invalid / non-positive values are ignored.
+ * The UPMEM-style PIM instance (Broadwell host) with PimConfig's
+ * defaults. Sweeps vary its fields on the returned copy.
  */
 PimConfig upmemPimConfig();
 

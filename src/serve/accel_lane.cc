@@ -76,9 +76,9 @@ AccelLane::advanceTo(double now)
 void
 AccelLane::submit(const BatchTicket& ticket, double now)
 {
-    // Fire any window expiry that came due strictly before this
-    // hand-off, so launches interleave with submissions in virtual-
-    // time order.
+    // Fire any window expiry due at or before this hand-off, so
+    // launches interleave with submissions in virtual-time order and
+    // a window expiring exactly now launches without these samples.
     advanceTo(now);
     for (double arrival : ticket.arrivals) {
         pending_.push_back({arrival, now});

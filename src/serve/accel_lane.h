@@ -44,6 +44,27 @@
  * had continued without filling the batch — so a lane-side drain
  * never completes a sample *earlier* than the live admission rules
  * would have.
+ *
+ * Why the lane keeps its own accumulation rule instead of running on
+ * admissionStep (serve/admission.h), the rule BatchQueue and the
+ * fleet twin share. It differs in three ways, each on purpose:
+ *
+ *  - its window counts from hand-off, not from the original arrival.
+ *    A deferred sample has already spent its CPU-side batching delay;
+ *    the lane batches what it is handed, so its window is its own
+ *    queueing delay;
+ *  - its launches queue behind the device (launch = max(trigger,
+ *    device ready)). A CPU walk starts when its worker is free, so the
+ *    step has no device frontier;
+ *  - a window that expires exactly at a hand-off fires first, without
+ *    the handed-off samples: submit() runs advanceTo(now) before they
+ *    join. The step admits an arrival at the expiry instant first.
+ *
+ * Parameterising the step with a window origin, a device frontier and
+ * a tie order would add three inputs that only this caller sets, to
+ * replace a loop of a few lines. ServingEngineTest.LaneAccumulationRule
+ * pins the three rules and the drain instant directly, and
+ * ServingEngineTest.LaneDigestsArePinned pins whole-node lane stats.
  */
 
 #include <cstdint>

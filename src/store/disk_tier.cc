@@ -84,8 +84,6 @@ DiskTier::Builder::Builder(std::string path, DiskTierConfig config)
                        (config_.pageBytes &
                         (config_.pageBytes - 1)) == 0,
                    "disk tier pageBytes must be a power of two >= 512");
-    RECSTACK_CHECK(config_.bufferPages >= 1,
-                   "disk tier needs at least one buffer page");
     fd_ = ::open(path_.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
     RECSTACK_CHECK(fd_ >= 0, "cannot create disk tier file '"
                                  << path_ << "' (errno " << errno
@@ -221,6 +219,8 @@ DiskTier::Builder::finish()
 std::unique_ptr<DiskTier>
 DiskTier::open(const std::string& path, DiskTierConfig config)
 {
+    RECSTACK_CHECK(config.bufferPages >= 1,
+                   "disk tier needs at least one buffer page");
     auto tier = std::unique_ptr<DiskTier>(new DiskTier());
     tier->path_ = path;
     tier->config_ = config;
@@ -330,32 +330,13 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
     tier->index_ = std::make_unique<SplineIndex>(
         std::move(keys), tier->config_.spline);
 
-    tier->mapOrOpen(/*fresh_file=*/false);
-    tier->setupPool();
-    return tier;
-}
-
-void
-DiskTier::mapOrOpen(bool /*fresh_file*/)
-{
-    if (config_.directIO) {
-#ifdef O_DIRECT
-        const int dfd = ::open(path_.c_str(), O_RDWR | O_DIRECT);
-        if (dfd >= 0) {
-            ::close(fd_);
-            fd_ = dfd;
-            directIOActive_ = true;
-        }
-        // else: filesystem refuses O_DIRECT (tmpfs etc.) -> keep the
-        // plain descriptor, pread path still exercised.
-#endif
-        return;  // pread mode, direct or buffered
-    }
-    void* m = ::mmap(nullptr, fileBytes_, PROT_READ | PROT_WRITE,
-                     MAP_SHARED, fd_, 0);
+    void* m = ::mmap(nullptr, tier->fileBytes_, PROT_READ | PROT_WRITE,
+                     MAP_SHARED, tier->fd_, 0);
     RECSTACK_CHECK(m != MAP_FAILED, "disk tier mmap failed (errno "
                                         << errno << ")");
-    map_ = static_cast<uint8_t*>(m);
+    tier->map_ = static_cast<uint8_t*>(m);
+    tier->setupPool();
+    return tier;
 }
 
 void
@@ -406,13 +387,7 @@ void
 DiskTier::loadPageLocked(uint64_t page, uint8_t* frame)
 {
     const auto t0 = std::chrono::steady_clock::now();
-    if (map_ != nullptr) {
-        std::memcpy(frame, map_ + page * config_.pageBytes,
-                    config_.pageBytes);
-    } else {
-        preadAll(fd_, frame, config_.pageBytes,
-                 static_cast<off_t>(page * config_.pageBytes));
-    }
+    std::memcpy(frame, map_ + page * config_.pageBytes, config_.pageBytes);
     stats_.readSeconds += secondsSince(t0);
     ++stats_.pageLoads;
 }
@@ -504,27 +479,15 @@ DiskTier::writeRow(uint64_t key, const float* src)
     }
     const uint64_t page = loc->page;
     std::lock_guard<std::mutex> lock(mu_);
-    if (map_ != nullptr) {
-        std::memcpy(map_ + page * config_.pageBytes + loc->offset, src,
-                    loc->bytes);
-        // Refresh any pooled copy so readers never see the old page.
-        for (Frame& f : frames_) {
-            if (f.page == page) {
-                std::memcpy(pool_ + (&f - frames_.data()) *
-                                        config_.pageBytes +
-                                loc->offset,
-                            src, loc->bytes);
-            }
+    std::memcpy(map_ + page * config_.pageBytes + loc->offset, src,
+                loc->bytes);
+    // Refresh any pooled copy so readers never see the old page.
+    for (Frame& f : frames_) {
+        if (f.page == page) {
+            std::memcpy(pool_ + (&f - frames_.data()) * config_.pageBytes +
+                            loc->offset,
+                        src, loc->bytes);
         }
-    } else {
-        // pread mode: mutate the pooled frame (loading it first if
-        // needed) and write the whole aligned page back.
-        const size_t frame = fetchPageLocked(page);
-        std::memcpy(pool_ + frame * config_.pageBytes + loc->offset, src,
-                    loc->bytes);
-        pwriteAll(fd_, pool_ + frame * config_.pageBytes,
-                  config_.pageBytes,
-                  static_cast<off_t>(page * config_.pageBytes));
     }
     ++stats_.rowWrites;
     return true;
@@ -566,8 +529,6 @@ DiskTier::stats() const
     s.numDataPages = numDataPages_;
     s.fileBytes = fileBytes_;
     s.frameBytes = config_.bufferPages * config_.pageBytes;
-    s.directIOActive = directIOActive_;
-    s.mmapActive = map_ != nullptr;
     s.spline = index_->stats();
     return s;
 }

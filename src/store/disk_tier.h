@@ -30,10 +30,9 @@
  *  - **Page buffer pool**: `bufferPages` frames in one aligned
  *    preallocated slab, CLOCK second-chance replacement, a linear
  *    frame map (the pool is small by design). A pool hit costs a
- *    frame scan + memcpy; a miss reads the page via pread (optional
- *    O_DIRECT, falling back when the filesystem refuses it) or
- *    memcpy from an mmap of the file (the default — the kernel page
- *    cache then backs cold pages). Load time is **measured** wall
+ *    frame scan + memcpy; a miss copies the page from an mmap of the
+ *    file, so the kernel page cache backs cold pages. Row writes go
+ *    through the same mapping. Load time is **measured** wall
  *    clock, not modeled: DiskTierStats::readSeconds is real I/O.
  *
  * Thread safety: one internal mutex serializes pool and stats
@@ -56,14 +55,12 @@ namespace recstack {
 /** Knobs of one disk tier instance. */
 struct DiskTierConfig {
     /// Fixed page size; header, key and data pages all use it. Must
-    /// be a power of two >= 512 (O_DIRECT alignment).
+    /// be a power of two >= 512, the page-file format's rule that
+    /// DiskTier::open checks in every header it reads.
     size_t pageBytes = 4096;
-    /// Bounded buffer pool capacity in frames (CLOCK replacement).
+    /// Bounded buffer pool capacity in frames (CLOCK replacement);
+    /// at least one.
     size_t bufferPages = 64;
-    /// Serve page loads with pread on an O_DIRECT descriptor instead
-    /// of the default mmap; falls back to plain pread where the
-    /// filesystem rejects O_DIRECT (e.g. tmpfs).
-    bool directIO = false;
     /// Keep the page file on destruction (crash/reopen tests); by
     /// default the tier unlinks its file.
     bool keepFile = false;
@@ -83,8 +80,6 @@ struct DiskTierStats {
     uint64_t numDataPages = 0;
     uint64_t fileBytes = 0;
     uint64_t frameBytes = 0;     ///< resident buffer pool slab
-    bool directIOActive = false; ///< O_DIRECT actually in effect
-    bool mmapActive = false;
     SplineIndexStats spline;
 };
 
@@ -137,13 +132,14 @@ class DiskTier
     };
 
     /**
-     * Reopen an existing page file (e.g. after a crash). Panics with a
-     * diagnostic naming the path and the header field when the page
-     * size is not a power of two >= 512 or the data, key and table
-     * pages the header claims do not fit in the file; and naming the
-     * path, the table and the record field when a table's rows do not
-     * fit a page, its data region leaves the data pages, its key range
-     * leaves the key array, or its id repeats an earlier record.
+     * Reopen an existing page file (e.g. after a crash). Panics when
+     * config.bufferPages is 0; with a diagnostic naming the path and
+     * the header field when the page size is not a power of two >= 512
+     * or the data, key and table pages the header claims do not fit in
+     * the file; and naming the path, the table and the record field
+     * when a table's rows do not fit a page, its data region leaves
+     * the data pages, its key range leaves the key array, or its id
+     * repeats an earlier record.
      */
     static std::unique_ptr<DiskTier> open(const std::string& path,
                                           DiskTierConfig config = {});
@@ -198,7 +194,6 @@ class DiskTier
     DiskTier() = default;
 
     void setupPool();
-    void mapOrOpen(bool fresh_file);
     /// Where a stored row lives: page, byte offset in it, row bytes.
     struct RowLocation {
         uint64_t page = 0;
@@ -218,9 +213,8 @@ class DiskTier
     std::string path_;
     DiskTierConfig config_;
     int fd_ = -1;
-    uint8_t* map_ = nullptr;     ///< mmap base (mmap mode)
+    uint8_t* map_ = nullptr;     ///< mmap base of the whole file
     size_t fileBytes_ = 0;
-    bool directIOActive_ = false;
     uint64_t numDataPages_ = 0;
 
     std::vector<TableRecord> tables_;

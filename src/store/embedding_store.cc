@@ -239,15 +239,8 @@ EmbeddingStore::registerTable(const std::string& name, TableInfo info,
             const std::string path =
                 diskDir_ + "/store_" + std::to_string(::getpid()) +
                 "_" + std::to_string(seq.fetch_add(1)) + ".pages";
-            DiskTierConfig dc;
-            dc.pageBytes = config_.disk.pageBytes;
-            dc.bufferPages = config_.disk.bufferPages;
-            dc.directIO = config_.disk.directIO;
-            dc.keepFile = config_.disk.keepFile;
-            dc.spline.maxError = config_.disk.splineMaxError;
-            dc.spline.radixBits = config_.disk.splineRadixBits;
             diskBuilder_ =
-                std::make_unique<DiskTier::Builder>(path, dc);
+                std::make_unique<DiskTier::Builder>(path, config_.disk);
         }
         // Spill the cold tail to the page file and keep only the
         // near head resident — this is what lets tables larger than
@@ -407,13 +400,13 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
     const float* cached = shard.cache->find(key);
     if (cached != nullptr) {
         return charge(cached, c.hits, c.bytesFromCache,
-                      config_.cacheHitLatencySeconds, false);
+                      kCacheHitLatencySeconds, false);
     }
     RECSTACK_CHECK(t.info.materialized,
                    "lookup on declared-only store table '"
                        << t.info.name << "'");
-    const double near_cost = fetchCost(
-        config_.nearLatencySeconds, config_.nearBandwidthGBs, row_bytes);
+    const double near_cost =
+        fetchCost(kNearLatencySeconds, kNearBandwidthGBs, row_bytes);
     if (row < t.info.nearRows) {
         return charge(t.data.data<float>() + row * t.info.dim,
                       c.nearFetches, c.bytesFromNear, near_cost, true);
@@ -463,8 +456,8 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
     // is charged modeled cost — fully deterministic.
     return charge(t.data.data<float>() + row * t.info.dim, c.farFetches,
                   c.bytesFromFar,
-                  fetchCost(config_.farLatencySeconds,
-                            config_.farBandwidthGBs, row_bytes),
+                  fetchCost(kFarLatencySeconds, kFarBandwidthGBs,
+                            row_bytes),
                   true);
 }
 

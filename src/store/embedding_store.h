@@ -78,23 +78,31 @@ enum class FarTierKind {
 /** Printable far-tier name ("simulated" / "disk"). */
 const char* farTierKindName(FarTierKind kind);
 
-/** Disk far-tier knobs (used when StoreConfig::farTier == kDisk). */
-struct DiskTierOptions {
+/**
+ * Disk far-tier knobs (used when StoreConfig::farTier == kDisk): the
+ * page file's own DiskTierConfig plus where it lives and how rows
+ * are promoted off it.
+ */
+struct DiskTierOptions : DiskTierConfig {
     /// Page-file directory; "" resolves RECSTACK_STORE_DIR, then a
     /// fresh mkdtemp dir owned (and removed) by the store.
     std::string dir;
-    size_t pageBytes = 4096;
-    size_t bufferPages = 64;       ///< CLOCK page-buffer pool frames
-    bool directIO = false;         ///< pread/O_DIRECT instead of mmap
-    bool keepFile = false;         ///< survive store destruction
     /// Per-shard DRAM budget for rows promoted off the disk tier.
     size_t promotedBytesPerShard = 256u << 10;
     /// Demand fetches of a cold row before the promotion loop copies
     /// it into the promoted slab (0 disables promotion).
     uint32_t promoteThreshold = 4;
-    size_t splineMaxError = 32;    ///< learned-index corridor width
-    int splineRadixBits = 18;
 };
+
+/// Tier cost model: a per-row fetch pays the tier's latency plus
+/// bytes / bandwidth; a hot-row cache hit pays only its latency.
+/// Hits cost on-package SRAM-ish time, near fetches a local DRAM row
+/// read, far fetches a CXL/NVM/remote-style read.
+inline constexpr double kCacheHitLatencySeconds = 8e-9;
+inline constexpr double kNearLatencySeconds = 1.2e-7;
+inline constexpr double kNearBandwidthGBs = 64.0;
+inline constexpr double kFarLatencySeconds = 2.0e-6;
+inline constexpr double kFarBandwidthGBs = 8.0;
 
 /** Shard / cache / tier knobs of an EmbeddingStore. */
 struct StoreConfig {
@@ -108,12 +116,6 @@ struct StoreConfig {
     /// tier; the remainder lives in the far tier. The Zipf head is
     /// low row indices, so hot rows are near by construction.
     double nearTierFraction = 1.0;
-    /// Cost model: per-row fetch pays tier latency + bytes/bandwidth.
-    double cacheHitLatencySeconds = 8e-9;    ///< on-package SRAM-ish
-    double nearLatencySeconds = 1.2e-7;      ///< local DRAM row fetch
-    double nearBandwidthGBs = 64.0;
-    double farLatencySeconds = 2.0e-6;       ///< CXL/NVM/remote-style
-    double farBandwidthGBs = 8.0;
     /// Far-tier backing; kSimulated keeps every pre-disk default
     /// byte-identical.
     FarTierKind farTier = FarTierKind::kSimulated;
@@ -227,7 +229,6 @@ class EmbeddingStore
 
     /** Table id for a blob name, or -1 if this store does not own it. */
     int tableId(const std::string& name) const;
-    bool hasTable(const std::string& name) const { return tableId(name) >= 0; }
     const TableInfo& tableInfo(int table) const;
     size_t numTables() const { return tables_.size(); }
 

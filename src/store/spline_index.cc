@@ -7,6 +7,13 @@
 #include "common/logging.h"
 
 namespace recstack {
+namespace {
+
+/// log2 of the radix table size; clamped down for small key sets so
+/// the table never dwarfs the keys it indexes.
+constexpr int kRadixBits = 18;
+
+}  // namespace
 
 SplineIndex::SplineIndex(std::vector<uint64_t> sorted_keys,
                          SplineIndexConfig config)
@@ -14,8 +21,6 @@ SplineIndex::SplineIndex(std::vector<uint64_t> sorted_keys,
 {
     RECSTACK_CHECK(config_.maxError >= 1,
                    "spline maxError must be at least 1");
-    RECSTACK_CHECK(config_.radixBits >= 1 && config_.radixBits <= 30,
-                   "spline radixBits must be in [1, 30]");
     for (size_t i = 1; i < keys_.size(); ++i) {
         RECSTACK_CHECK(keys_[i - 1] < keys_[i],
                        "spline keys must be strictly increasing (key["
@@ -106,7 +111,7 @@ SplineIndex::buildRadixTable()
         return;
     }
     // Clamp the table so it never exceeds ~4 entries per key.
-    radixBits_ = config_.radixBits;
+    radixBits_ = kRadixBits;
     while (radixBits_ > 1 &&
            (size_t{1} << radixBits_) > 4 * std::max<size_t>(n, 1)) {
         --radixBits_;

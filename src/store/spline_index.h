@@ -47,9 +47,6 @@ struct SplineIndexConfig {
     /// inside a segment is wrong by at most this many slots, so the
     /// final search window is 2*maxError+1 keys.
     size_t maxError = 32;
-    /// log2 of the radix table size; clamped down for tiny key sets
-    /// so the table never dwarfs the keys it indexes.
-    int radixBits = 18;
 };
 
 /** Shape/size report of a built SplineIndex. */

@@ -8,12 +8,12 @@
 namespace recstack {
 
 GsharePredictor::GsharePredictor(int table_bits, int history_bits)
-    : tableBits_(table_bits), historyBits_(history_bits)
+    : tableBits_(table_bits)
 {
     RECSTACK_CHECK(table_bits > 0 && table_bits < 30, "bad table bits");
     RECSTACK_CHECK(history_bits >= 0 && history_bits <= 62,
                    "bad history bits");
-    historyMask_ = (1ull << historyBits_) - 1;
+    historyMask_ = (1ull << history_bits) - 1;
     table_.assign(1ull << tableBits_, 2);  // weakly taken
 }
 

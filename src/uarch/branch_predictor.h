@@ -31,14 +31,10 @@ class GsharePredictor
 
     void reset();
 
-    int tableBits() const { return tableBits_; }
-    int historyBits() const { return historyBits_; }
-
   private:
     uint64_t index(uint64_t pc) const;
 
     int tableBits_;
-    int historyBits_;
     uint64_t history_ = 0;
     uint64_t historyMask_;
     std::vector<uint8_t> table_;

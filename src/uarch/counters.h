@@ -76,12 +76,6 @@ struct CpuCounters {
     double beCycles() const { return beCoreCycles + beMemCycles(); }
 
     double ipc(int width) const;
-    double instructionsRetired() const
-    {
-        // recstack accounts in fused-uop granularity; retired
-        // instruction counts are reported in the same unit.
-        return static_cast<double>(uopsRetired);
-    }
     double imspki() const;    ///< i-cache misses per kilo-uop
     double mispredictsPerKuop() const;
 };

@@ -102,7 +102,6 @@ class ModulatedPoissonProcess
     /** Timestamp of the next accepted arrival (strictly increasing). */
     double next();
 
-    double baseRate() const { return process_.rate(); }
     const RateEnvelope& envelope() const { return envelope_; }
 
   private:

@@ -3,13 +3,11 @@
  * CompiledNet planner tests: fusion-pass structure, liveness/arena
  * invariants (aliased buffers never live together; planned bytes
  * never exceed the naive per-blob sum), profile equivalence with the
- * interpreted executor, the RECSTACK_DISABLE_PLANNING escape hatch,
- * and workspace safety when interpreted runs follow compiled ones.
+ * interpreted executor, and workspace safety when interpreted runs follow compiled ones.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 
 #include "graph/executor.h"
@@ -112,7 +110,6 @@ TEST(CompiledNetPlan, AliasedBlobsNeverLiveTogether)
     for (ModelId id : kAllModels) {
         const Model model = buildModel(id, testOptions());
         const auto net = CompiledNet::compile(model.net);
-        ASSERT_TRUE(net->planningEnabled());
         for (int64_t batch : {int64_t{1}, int64_t{64}, int64_t{1024}}) {
             Workspace ws;
             declareAll(model, batch, &ws);
@@ -187,25 +184,6 @@ TEST(CompiledNetPlan, PlansAreMemoizedPerBatch)
     const NetPlan* p128 = &net->plan(ws2, 128);
     EXPECT_NE(p64, p128);
     EXPECT_EQ(p128->batch, 128);
-}
-
-TEST(CompiledNetPlan, DisablePlanningEnvHatch)
-{
-    const Model model = buildModel(ModelId::kNCF, testOptions());
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_PLANNING", "1", 1), 0);
-    const auto hatched = CompiledNet::compile(model.net);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_PLANNING"), 0);
-    EXPECT_FALSE(hatched->planningEnabled());
-
-    Workspace ws;
-    declareAll(model, 64, &ws);
-    const NetPlan& plan = hatched->plan(ws, 64);
-    EXPECT_EQ(plan.arenaBytes, 0u);
-    for (size_t offset : plan.offsets) {
-        EXPECT_EQ(offset, kNoArenaOffset);
-    }
-    // Fusion still applies; only aliasing is off.
-    EXPECT_LT(hatched->opCount(), hatched->originalOpCount());
 }
 
 TEST(CompiledNetPlan, CompileCountIncrements)

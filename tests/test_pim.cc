@@ -2,15 +2,14 @@
  * @file
  * Tests of the analytical PIM platform (src/pim/): the row-partition
  * shard map, the zero-byte/transfer cost invariants, rank/tasklet
- * monotonicity up to the transfer bound, the env-knob config surface,
- * and the PIM threshold's argument check. The serving node's PIM lane
+ * monotonicity up to the transfer bound, and the PIM threshold's
+ * argument check. The serving node's PIM lane
  * runs the same lane tests as the GPU lane (test_serving_engine.cc,
  * AccelLaneTest).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <numeric>
 
 #include "core/characterizer.h"
@@ -233,41 +232,6 @@ TEST(PimModelTest, SimulateOffloadSkipsHostKernels)
     EXPECT_GT(r.lookups, 0u);
     EXPECT_GT(r.transferFraction(), 0.0);
     EXPECT_LE(r.transferFraction(), 1.0);
-}
-
-TEST(PimConfigTest, EnvKnobsOverrideDefaults)
-{
-    ASSERT_EQ(setenv("RECSTACK_PIM_RANKS", "32", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_TASKLETS", "4", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_RANK_GBS", "50.5", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_XFER_GBS", "12", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_XFER_LAT_US", "5", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_DPUS_PER_RANK", "128", 1), 0);
-    const PimConfig p = upmemPimConfig();
-    EXPECT_EQ(p.ranks, 32);
-    EXPECT_EQ(p.taskletsPerDpu, 4);
-    EXPECT_EQ(p.dpusPerRank, 128);
-    EXPECT_DOUBLE_EQ(p.rankInternalGBs, 50.5);
-    EXPECT_DOUBLE_EQ(p.xferGBs, 12.0);
-    EXPECT_NEAR(p.xferLatencySec, 5e-6, 1e-12);
-    EXPECT_NE(p.name.find("32 ranks"), std::string::npos);
-
-    // Invalid and non-positive values fall back to the defaults.
-    ASSERT_EQ(setenv("RECSTACK_PIM_RANKS", "banana", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_XFER_GBS", "-3", 1), 0);
-    ASSERT_EQ(setenv("RECSTACK_PIM_TASKLETS", "0", 1), 0);
-    const PimConfig fallback = upmemPimConfig();
-    const PimConfig defaults;
-    EXPECT_EQ(fallback.ranks, defaults.ranks);
-    EXPECT_DOUBLE_EQ(fallback.xferGBs, defaults.xferGBs);
-    EXPECT_EQ(fallback.taskletsPerDpu, defaults.taskletsPerDpu);
-
-    for (const char* knob :
-         {"RECSTACK_PIM_RANKS", "RECSTACK_PIM_TASKLETS",
-          "RECSTACK_PIM_RANK_GBS", "RECSTACK_PIM_XFER_GBS",
-          "RECSTACK_PIM_XFER_LAT_US", "RECSTACK_PIM_DPUS_PER_RANK"}) {
-        ASSERT_EQ(unsetenv(knob), 0);
-    }
 }
 
 TEST(PimPlatformTest, FifthPlatformIsPim)

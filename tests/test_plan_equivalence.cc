@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdlib>
 #include <cstring>
 #include <tuple>
 
@@ -95,7 +94,6 @@ expectCompiledMatchesInterpreted(const Model& model, int64_t batch)
     // Planning on: one CompiledNet, shared across thread widths the
     // way ServingNode shares it across workers.
     auto compiled = CompiledNet::compile(model.net);
-    ASSERT_TRUE(compiled->planningEnabled());
     for (int threads : {1, 8}) {
         SCOPED_TRACE("threads " + std::to_string(threads));
         Workspace ws;
@@ -147,17 +145,14 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_b" + std::to_string(std::get<1>(info.param));
     });
 
-/** Aliasing disabled (env hatch) must match aliasing enabled. */
+/** Aliasing disabled (planMemory = false) must match aliasing enabled. */
 TEST(PlanEquivalenceVariants, EscapeHatchMatchesPlannedNumerics)
 {
     const Model model = buildModel(ModelId::kDIEN, testOptions());
 
-    ASSERT_EQ(setenv("RECSTACK_DISABLE_PLANNING", "1", 1), 0);
-    auto unplanned = CompiledNet::compile(model.net);
-    ASSERT_EQ(unsetenv("RECSTACK_DISABLE_PLANNING"), 0);
+    auto unplanned =
+        CompiledNet::compile(model.net, CompileOptions{.planMemory = false});
     auto planned = CompiledNet::compile(model.net);
-    ASSERT_FALSE(unplanned->planningEnabled());
-    ASSERT_TRUE(planned->planningEnabled());
 
     ExecOptions opts;
     opts.mode = ExecMode::kNumericOnly;

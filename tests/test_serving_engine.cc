@@ -440,6 +440,88 @@ INSTANTIATE_TEST_SUITE_P(
         return ::testing::PrintToString(info.param);
     });
 
+/** A ticket handed to a lane: only the arrivals matter to it. */
+BatchTicket
+lanePayload(std::vector<double> arrivals)
+{
+    BatchTicket t;
+    t.arrivals = std::move(arrivals);
+    return t;
+}
+
+TEST_F(ServingEngineTest, LaneAccumulationRule)
+{
+    // One GPU lane (index 3) driven directly, a case per rule that
+    // sets the lane apart from admissionStep (accel_lane.h).
+    constexpr double kWait = 1e-3;
+    const AccelLaneConfig cfg{.platformIdx = 3, .maxBatch = 4,
+                              .maxWaitSeconds = kWait};
+    using Reason = AccelLaunch::Reason;
+    const auto service = [&](int64_t batch) {
+        return sched_.latency(ModelId::kRM1, 3, batch);
+    };
+
+    {
+        SCOPED_TRACE("the window counts from hand-off, not arrival");
+        AccelLane lane(&sched_, ModelId::kRM1, cfg);
+        lane.submit(lanePayload({0.0, 0.001}), 1.0);
+        lane.advanceTo(1.0 + kWait / 2);
+        EXPECT_TRUE(lane.launches().empty());
+        lane.advanceTo(1.0 + kWait);
+        ASSERT_EQ(lane.launches().size(), 1u);
+        const AccelLaunch& l = lane.launches()[0];
+        EXPECT_EQ(l.launchTime, 1.0 + kWait);
+        EXPECT_EQ(l.reason, Reason::kWindow);
+        EXPECT_EQ(l.batch, 2);
+        EXPECT_EQ(l.completionTime, l.launchTime + service(2));
+        ASSERT_EQ(lane.latencies().size(), 2u);
+        EXPECT_EQ(lane.latencies()[0], l.completionTime - 0.0);
+        EXPECT_EQ(lane.latencies()[1], l.completionTime - 0.001);
+    }
+    {
+        SCOPED_TRACE("a window expiring at a hand-off fires first");
+        AccelLane lane(&sched_, ModelId::kRM1, cfg);
+        lane.submit(lanePayload({0.5}), 0.5);
+        // Three more would fill the batch of four if admitted first.
+        lane.submit(lanePayload({0.5, 0.5005, 0.501}), 0.5 + kWait);
+        ASSERT_EQ(lane.launches().size(), 1u);
+        EXPECT_EQ(lane.launches()[0].launchTime, 0.5 + kWait);
+        EXPECT_EQ(lane.launches()[0].reason, Reason::kWindow);
+        EXPECT_EQ(lane.launches()[0].batch, 1);
+        EXPECT_EQ(lane.pendingSamples(), 3);
+    }
+    {
+        SCOPED_TRACE("a launch while the device is busy queues behind it");
+        AccelLane lane(&sched_, ModelId::kRM1, cfg);
+        lane.submit(lanePayload({2.0, 2.0, 2.0, 2.0}), 2.0);
+        ASSERT_EQ(lane.launches().size(), 1u);
+        const double busy_until = lane.launches()[0].completionTime;
+        EXPECT_EQ(busy_until, 2.0 + service(4));
+        const double trigger = 2.0 + service(4) / 2;
+        lane.submit(lanePayload({2.0, 2.0, 2.0, 2.0}), trigger);
+        ASSERT_EQ(lane.launches().size(), 2u);
+        const AccelLaunch& second = lane.launches()[1];
+        EXPECT_EQ(second.reason, Reason::kFull);
+        EXPECT_GT(second.launchTime, trigger);
+        EXPECT_EQ(second.launchTime, busy_until);
+        EXPECT_EQ(second.completionTime, busy_until + service(4));
+    }
+    {
+        SCOPED_TRACE("drain launches at the oldest submit + window");
+        AccelLane lane(&sched_, ModelId::kRM1, cfg);
+        lane.submit(lanePayload({3.0}), 3.0);
+        lane.submit(lanePayload({3.0001}), 3.0002);
+        EXPECT_TRUE(lane.launches().empty());
+        lane.drain();
+        ASSERT_EQ(lane.launches().size(), 1u);
+        EXPECT_EQ(lane.launches()[0].launchTime, 3.0 + kWait);
+        EXPECT_EQ(lane.launches()[0].reason, Reason::kDrain);
+        EXPECT_EQ(lane.launches()[0].batch, 2);
+        EXPECT_EQ(lane.pendingSamples(), 0);
+        EXPECT_EQ(lane.samplesServed(), 2u);
+    }
+}
+
 /** FNV-1a over the 8 bytes of each mixed word. */
 struct Fnv {
     uint64_t h = 1469598103934665603ull;

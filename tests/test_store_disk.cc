@@ -434,34 +434,6 @@ TEST_F(DiskFixture, RoundTripAndPoolEviction)
     EXPECT_EQ(stats.spline.numKeys, 690u);
 }
 
-TEST_F(DiskFixture, DirectIOModeRoundTrips)
-{
-    DiskTierConfig cfg;
-    cfg.pageBytes = 512;
-    cfg.bufferPages = 4;
-    cfg.directIO = true;  // falls back to plain pread on tmpfs
-    const std::string path = dir_ + "/direct.pages";
-    DiskTier::Builder builder(path, cfg);
-    builder.beginTable(0, 16);
-    for (int64_t r = 0; r < 300; ++r) {
-        std::vector<float> row(16);
-        for (int64_t d = 0; d < 16; ++d) {
-            row[static_cast<size_t>(d)] = expectedCell(r, d);
-        }
-        builder.appendRow(r, row.data());
-    }
-    auto tier = builder.finish();
-    EXPECT_FALSE(tier->stats().mmapActive);
-    std::vector<float> got(16);
-    for (int64_t r = 0; r < 300; ++r) {
-        ASSERT_TRUE(
-            tier->readRow(static_cast<uint64_t>(r), got.data()));
-        for (int64_t d = 0; d < 16; ++d) {
-            ASSERT_EQ(got[static_cast<size_t>(d)], expectedCell(r, d));
-        }
-    }
-}
-
 TEST_F(DiskFixture, ReopenAfterCrashReverifies)
 {
     DiskTierConfig cfg;
@@ -579,6 +551,15 @@ TEST_F(DiskFixture, FileTruncatedAfterHeaderIsRejected)
     EXPECT_DEATH(DiskTier::open(path, keptConfig()),
                  "corrupt.pages' header: numDataPages [0-9]+ exceeds "
                  "the file's 1 pages");
+}
+
+TEST_F(DiskFixture, ZeroBufferPagesIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    DiskTierConfig cfg = keptConfig();
+    cfg.bufferPages = 0;
+    EXPECT_DEATH(DiskTier::open(path, cfg),
+                 "disk tier needs at least one buffer page");
 }
 
 // --- Table records: each one is checked against the header. ----------

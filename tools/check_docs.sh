@@ -30,8 +30,11 @@
 #      the tree, so a deleted or renamed file cannot linger in them;
 #   8. every quoted "RECSTACK_*" name in src/ and tools/ (the
 #      environment variables the code reads) has a row in the env
-#      table of docs/reproduction.md — the reverse of check 3, so a
-#      new knob cannot ship undocumented.
+#      table of docs/reproduction.md, so a new knob cannot ship
+#      undocumented; and every row of that table names a variable
+#      some quoted "RECSTACK_*" string in src/, tools/ or tests/
+#      reads, so a deleted knob cannot keep its row (check 3 alone
+#      accepts any mention, e.g. a test's comment).
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -180,6 +183,16 @@ while IFS= read -r name; do
         err "src/ or tools/ reads ${name}, which has no row in the env table of docs/reproduction.md"
     fi
 done <<<"$read_names"
+quoted_names=$(grep -rhoE '"RECSTACK_[A-Z0-9_]+"' src tools tests |
+    tr -d '"' | sort -u || true)
+row_names=$(grep -oE '^\| `RECSTACK_[A-Z0-9_]+' <<<"$env_rows" |
+    sed -E 's/^\| `//' || true)
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qxF "$name" <<<"$quoted_names"; then
+        err "docs/reproduction.md has an env row for ${name}, which no quoted \"${name}\" in src/, tools/ or tests/ reads"
+    fi
+done <<<"$row_names"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

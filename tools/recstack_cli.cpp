@@ -439,8 +439,6 @@ cmdPlan(const std::string& model, int64_t batch, bool json)
                     static_cast<long long>(batch));
         std::printf("  \"originalOps\": %zu,\n  \"compiledOps\": %zu,\n",
                     net.originalOpCount(), net.opCount());
-        std::printf("  \"planningEnabled\": %s,\n",
-                    net.planningEnabled() ? "true" : "false");
         std::printf("  \"kernelIsa\": \"%s\",\n",
                     kernelIsaName(plan.kernelIsa));
         std::printf("  \"naiveActivationBytes\": %zu,\n",
@@ -479,12 +477,10 @@ cmdPlan(const std::string& model, int64_t batch, bool json)
     }
 
     std::printf("%s @ batch %lld: %zu ops compiled to %zu (%zu fusions)"
-                ", kernel tier %s%s\n\n",
+                ", kernel tier %s\n\n",
                 c.model(id).name.c_str(), static_cast<long long>(batch),
                 net.originalOpCount(), net.opCount(),
-                net.fusions().size(), kernelIsaName(plan.kernelIsa),
-                net.planningEnabled() ? ""
-                                      : "  [planning disabled]");
+                net.fusions().size(), kernelIsaName(plan.kernelIsa));
 
     TextTable fusions({"pass", "fused op", "absorbed"});
     for (const FusionDecision& f : net.fusions()) {
@@ -704,7 +700,7 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     TextTable tiers({"tier", "rows", "bytes", "p99 cost"});
     tiers.addRow({"cache", std::to_string(stats.total.hits),
                   std::to_string(stats.total.bytesFromCache),
-                  TextTable::fmtSeconds(cfg.cacheHitLatencySeconds)});
+                  TextTable::fmtSeconds(kCacheHitLatencySeconds)});
     tiers.addRow({"near", std::to_string(stats.total.nearFetches),
                   std::to_string(stats.total.bytesFromNear),
                   TextTable::fmtSeconds(stats.costPercentile(0.99))});

@@ -44,7 +44,7 @@
 # both sanitizers rerun them.
 #
 # The `pim` label covers the near-memory offload suites: the
-# analytical-model invariants and the env-knob surface. The PIM
+# analytical-model invariants and the threshold's argument check. The PIM
 # serving lane is the same AccelLane as the GPU one, so its routing
 # and conservation tests run with the GPU lane's under `serving`.
 #
