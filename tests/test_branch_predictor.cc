@@ -167,6 +167,61 @@ TEST(BranchStream, BroadwellVsCascadeLakeOrdering)
     EXPECT_LT(mc.mispredicts, mb.mispredicts);
 }
 
+/** FNV-1a over the 8 bytes of each mixed word. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
+        }
+    }
+};
+
+/**
+ * FNV-1a over simulateBranchStream's (simulated, mispredicts) and then
+ * the predictor's predict() at each branch site, across every pairing
+ * of taken probability (the no-loop ends 0 and 1, periods 5, 2, 10 and
+ * 1000), randomness, count and loop predictor. Each stream runs once
+ * whole, so the 10^6 streams carry the loop phase through 1000
+ * periods, and once more on the trained predictor under the default
+ * 2048-branch cap. Recorded on the modulo-indexed loop.
+ */
+TEST(BranchPredictor, StreamDigestsArePinned)
+{
+    Fnv f;
+    uint64_t stream_id = 0;
+    for (bool loop : {false, true}) {
+        for (double p : {0.0, 0.2, 0.5, 0.9, 0.999, 1.0}) {
+            for (double randomness : {0.0, 0.3, 1.0}) {
+                for (uint64_t count : {1ull, 7ull, 2048ull, 1000000ull}) {
+                    GsharePredictor bp(12, 10);
+                    Rng rng(100 + stream_id);
+                    BranchStream s;
+                    s.count = count;
+                    s.takenProbability = p;
+                    s.randomness = randomness;
+                    const uint64_t pc_base = 0x1000 + 0x40 * stream_id;
+                    const auto r = simulateBranchStream(bp, s, pc_base, rng,
+                                                        count, loop);
+                    f.mix(r.simulated);
+                    f.mix(r.mispredicts);
+                    const auto capped = simulateBranchStream(bp, s, pc_base,
+                                                             rng, 2048, loop);
+                    f.mix(capped.simulated);
+                    f.mix(capped.mispredicts);
+                    for (uint64_t site = 0; site < 4; ++site) {
+                        f.mix(uint64_t{bp.predict(pc_base + 16 * site)});
+                    }
+                    f.mix(rng.next());
+                    ++stream_id;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(f.h, 0x652cd7e943b6ed92ull) << std::hex << "digest 0x" << f.h;
+}
+
 /** Sweep randomness: mispredict rate grows monotonically-ish. */
 class RandomnessSweep : public ::testing::TestWithParam<double>
 {

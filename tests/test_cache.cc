@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for the set-associative LRU cache against analytically
- * known access traces.
+ * Unit tests for the set-associative LRU cache: analytically known
+ * access traces, pinned replacement digests, and a differential check
+ * of every hit and victim against a reference list-based LRU.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <vector>
 
 #include "common/rng.h"
 #include "uarch/cache.h"
@@ -262,6 +268,249 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(GeomParam{4096, 1}, GeomParam{4096, 4},
                       GeomParam{32 * 1024, 8}, GeomParam{256 * 1024, 8},
                       GeomParam{1024 * 1024, 16}));
+
+
+/** Reference LRU cache: per-set ordered lists, obviously correct. */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(uint64_t size_bytes, int ways, int line_bytes = 64)
+        : ways_(static_cast<size_t>(ways)),
+          sets_(size_bytes /
+                (static_cast<uint64_t>(ways) *
+                 static_cast<uint64_t>(line_bytes))),
+          lineBytes_(static_cast<uint64_t>(line_bytes)),
+          lru_(sets_)
+    {
+    }
+
+    /** Hit, or fill at MRU and report the LRU victim (UINT64_MAX: none). */
+    bool access(uint64_t addr, uint64_t* evicted)
+    {
+        const uint64_t line = addr / lineBytes_;
+        auto& order = lru_[line % sets_];
+        for (auto it = order.begin(); it != order.end(); ++it) {
+            if (*it == line) {
+                order.erase(it);
+                order.push_front(line);
+                return true;
+            }
+        }
+        *evicted = UINT64_MAX;
+        order.push_front(line);
+        if (order.size() > ways_) {
+            *evicted = order.back() * lineBytes_;
+            order.pop_back();
+        }
+        return false;
+    }
+
+    bool probe(uint64_t addr) const
+    {
+        const uint64_t line = addr / lineBytes_;
+        const auto& order = lru_[line % sets_];
+        return std::find(order.begin(), order.end(), line) != order.end();
+    }
+
+    void erase(uint64_t addr)
+    {
+        const uint64_t line = addr / lineBytes_;
+        lru_[line % sets_].remove(line);
+    }
+
+    /** Lines of set @c set, most recently used first. */
+    const std::list<uint64_t>& order(uint64_t set) const
+    {
+        return lru_[set];
+    }
+
+  private:
+    size_t ways_;
+    uint64_t sets_;
+    uint64_t lineBytes_;
+    std::vector<std::list<uint64_t>> lru_;
+};
+
+/**
+ * Random trace: every access, insert, probe and invalidate must agree
+ * with the reference model, including the victim each fill evicts.
+ * Geometries cover direct-mapped through 20-way, and 12 sets (the
+ * modulo index path) next to power-of-two set counts.
+ */
+class CacheDifferential : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(CacheDifferential, MatchesReferenceLru)
+{
+    struct Geom {
+        uint64_t size;
+        int ways;
+    };
+    const Geom geoms[] = {{1024, 1},  {2048, 2},   {8192, 4},
+                          {32768, 8}, {2304, 3},   {11264, 11},
+                          {40960, 20}};
+    constexpr int kGeoms = sizeof(geoms) / sizeof(geoms[0]);
+    const Geom g = geoms[GetParam() % kGeoms];
+
+    Cache cache(g.size, g.ways);
+    ReferenceLru ref(g.size, g.ways);
+    Rng rng(1000 + static_cast<uint64_t>(GetParam()));
+
+    // Mix of sequential runs and random jumps over a footprint ~4x
+    // the cache to exercise evictions heavily.
+    const uint64_t footprint_lines = g.size / 64 * 4;
+    uint64_t cursor = 0;
+    for (int i = 0; i < 20000; ++i) {
+        uint64_t line;
+        if (rng.nextBool(0.5)) {
+            line = cursor++ % footprint_lines;
+        } else {
+            line = rng.nextBounded(footprint_lines);
+        }
+        const uint64_t addr = line * 64;
+        const uint64_t op = rng.nextBounded(10);
+        if (op < 6) {
+            uint64_t got = 0;
+            uint64_t want = 0;
+            const bool hit = ref.access(addr, &want);
+            ASSERT_EQ(cache.access(addr, &got), hit)
+                << "divergence at access " << i << " addr " << addr;
+            if (!hit) {
+                ASSERT_EQ(got, want) << "victim at access " << i;
+            }
+        } else if (op < 8) {
+            uint64_t got = 0;
+            uint64_t want = 0;
+            const bool present = ref.access(addr, &want);
+            cache.insert(addr, &got);
+            if (!present) {
+                ASSERT_EQ(got, want) << "victim at insert " << i;
+            }
+        } else if (op == 8) {
+            ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+                << "divergence at probe " << i << " addr " << addr;
+        } else {
+            cache.invalidate(addr);
+            ref.erase(addr);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Traces, CacheDifferential,
+                         ::testing::Range(0, 14));
+
+/**
+ * Replays @c ways fresh fills on copies of two one-set caches: every
+ * valid line leaves LRU first, so the victim sequence spells out the
+ * whole recency order of the set.
+ */
+void
+expectSameRecencyOrder(const Cache& cache, const ReferenceLru& ref,
+                       int step)
+{
+    Cache c = cache;
+    ReferenceLru r = ref;
+    for (int k = 0; k < cache.ways(); ++k) {
+        const uint64_t addr = ((1u << 20) + k) * 64;
+        uint64_t got = 0;
+        uint64_t want = 0;
+        ASSERT_FALSE(r.access(addr, &want));
+        ASSERT_FALSE(c.access(addr, &got));
+        ASSERT_EQ(got, want) << "recency position " << cache.ways() - 1 - k
+                             << " after step " << step;
+    }
+}
+
+/**
+ * One set of 8 and one of 20 ways, driven through more than 3 x ways
+ * fills so the MRU slot wraps around the set several times. Between
+ * fills, a hit lands at every recency position, and an invalidation
+ * removes every position, with and without empty ways in the set.
+ * After every step the full recency order must equal the reference.
+ */
+TEST(Cache, RecencyOrderSurvivesWrap)
+{
+    for (int ways : {8, 20}) {
+        SCOPED_TRACE(ways);
+        const uint64_t size = static_cast<uint64_t>(ways) * 64;
+        Cache cache(size, ways);
+        ReferenceLru ref(size, ways);
+        ASSERT_EQ(cache.sets(), 1u);
+        uint64_t next_line = 1;
+        int step = 0;
+        int fills = 0;
+        auto fill = [&] {
+            const uint64_t addr = next_line++ * 64;
+            uint64_t got = 0;
+            uint64_t want = 0;
+            ASSERT_FALSE(ref.access(addr, &want));
+            ASSERT_FALSE(cache.access(addr, &got));
+            ASSERT_EQ(got, want) << "victim at step " << step;
+            ++fills;
+        };
+        auto lineAt = [&](int position) {
+            auto it = ref.order(0).begin();
+            std::advance(it, position);
+            return *it;
+        };
+        auto check = [&] {
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameRecencyOrder(cache, ref, step++));
+        };
+
+        for (int round = 0; round < 2; ++round) {
+            // A full set: a hit at each position, then a fill that
+            // evicts the LRU line and moves the MRU slot by one.
+            for (int w = 0; w < ways; ++w) {
+                fill();
+                check();
+                const uint64_t addr = lineAt(w) * 64;
+                uint64_t unused = 0;
+                ASSERT_TRUE(ref.access(addr, &unused));
+                ASSERT_TRUE(cache.access(addr));
+                check();
+            }
+            // Invalidate each position, hit the line now at that
+            // position while the set has a hole, then refill.
+            for (int w = 0; w < ways; ++w) {
+                const uint64_t gone = lineAt(w) * 64;
+                ref.erase(gone);
+                cache.invalidate(gone);
+                EXPECT_FALSE(cache.probe(gone));
+                check();
+                if (w < ways - 1) {
+                    const uint64_t addr = lineAt(w) * 64;
+                    uint64_t unused = 0;
+                    ASSERT_TRUE(ref.access(addr, &unused));
+                    ASSERT_TRUE(cache.access(addr));
+                    check();
+                }
+                fill();
+                check();
+            }
+            // Drain to a few lines, then hit the deepest and refill.
+            for (int w = ways - 1; w >= 3; --w) {
+                const uint64_t gone = lineAt(w) * 64;
+                ref.erase(gone);
+                cache.invalidate(gone);
+                check();
+            }
+            for (int k = 0; k < 3; ++k) {
+                const uint64_t addr = lineAt(2) * 64;
+                uint64_t unused = 0;
+                ASSERT_TRUE(ref.access(addr, &unused));
+                ASSERT_TRUE(cache.access(addr));
+                check();
+            }
+            for (int w = 3; w < ways; ++w) {
+                fill();
+                check();
+            }
+        }
+        EXPECT_GT(fills, 3 * ways);
+    }
+}
 
 }  // namespace
 }  // namespace recstack

@@ -1,7 +1,6 @@
 /**
  * @file
  * Property-based and differential tests:
- *  - the set-associative cache against a reference map-based LRU,
  *  - the unrolled GRU graph against the fused GRULayer operator,
  *  - CpuModel scaling properties across batch-like work scaling,
  *  - parallelFor partition properties (chunks exactly tile the range)
@@ -13,7 +12,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <list>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
@@ -27,135 +25,10 @@
 #include "ops/fc.h"
 #include "ops/gru.h"
 #include "ops/reshape.h"
-#include "uarch/cache.h"
 #include "uarch/cpu_model.h"
 
 namespace recstack {
 namespace {
-
-/** Reference LRU cache: per-set ordered lists, obviously correct. */
-class ReferenceLru
-{
-  public:
-    ReferenceLru(uint64_t size_bytes, int ways, int line_bytes = 64)
-        : ways_(static_cast<size_t>(ways)),
-          sets_(size_bytes /
-                (static_cast<uint64_t>(ways) *
-                 static_cast<uint64_t>(line_bytes))),
-          lineBytes_(static_cast<uint64_t>(line_bytes)),
-          lru_(sets_)
-    {
-    }
-
-    /** Hit, or fill at MRU and report the LRU victim (UINT64_MAX: none). */
-    bool access(uint64_t addr, uint64_t* evicted)
-    {
-        const uint64_t line = addr / lineBytes_;
-        auto& order = lru_[line % sets_];
-        for (auto it = order.begin(); it != order.end(); ++it) {
-            if (*it == line) {
-                order.erase(it);
-                order.push_front(line);
-                return true;
-            }
-        }
-        *evicted = UINT64_MAX;
-        order.push_front(line);
-        if (order.size() > ways_) {
-            *evicted = order.back() * lineBytes_;
-            order.pop_back();
-        }
-        return false;
-    }
-
-    bool probe(uint64_t addr) const
-    {
-        const uint64_t line = addr / lineBytes_;
-        const auto& order = lru_[line % sets_];
-        return std::find(order.begin(), order.end(), line) != order.end();
-    }
-
-    void erase(uint64_t addr)
-    {
-        const uint64_t line = addr / lineBytes_;
-        lru_[line % sets_].remove(line);
-    }
-
-  private:
-    size_t ways_;
-    uint64_t sets_;
-    uint64_t lineBytes_;
-    std::vector<std::list<uint64_t>> lru_;
-};
-
-/**
- * Random trace: every access, insert, probe and invalidate must agree
- * with the reference model, including the victim each fill evicts.
- * Geometries cover direct-mapped through 20-way, and 12 sets (the
- * modulo index path) next to power-of-two set counts.
- */
-class CacheDifferential : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(CacheDifferential, MatchesReferenceLru)
-{
-    struct Geom {
-        uint64_t size;
-        int ways;
-    };
-    const Geom geoms[] = {{1024, 1},  {2048, 2},   {8192, 4},
-                          {32768, 8}, {2304, 3},   {11264, 11},
-                          {40960, 20}};
-    constexpr int kGeoms = sizeof(geoms) / sizeof(geoms[0]);
-    const Geom g = geoms[GetParam() % kGeoms];
-
-    Cache cache(g.size, g.ways);
-    ReferenceLru ref(g.size, g.ways);
-    Rng rng(1000 + static_cast<uint64_t>(GetParam()));
-
-    // Mix of sequential runs and random jumps over a footprint ~4x
-    // the cache to exercise evictions heavily.
-    const uint64_t footprint_lines = g.size / 64 * 4;
-    uint64_t cursor = 0;
-    for (int i = 0; i < 20000; ++i) {
-        uint64_t line;
-        if (rng.nextBool(0.5)) {
-            line = cursor++ % footprint_lines;
-        } else {
-            line = rng.nextBounded(footprint_lines);
-        }
-        const uint64_t addr = line * 64;
-        const uint64_t op = rng.nextBounded(10);
-        if (op < 6) {
-            uint64_t got = 0;
-            uint64_t want = 0;
-            const bool hit = ref.access(addr, &want);
-            ASSERT_EQ(cache.access(addr, &got), hit)
-                << "divergence at access " << i << " addr " << addr;
-            if (!hit) {
-                ASSERT_EQ(got, want) << "victim at access " << i;
-            }
-        } else if (op < 8) {
-            uint64_t got = 0;
-            uint64_t want = 0;
-            const bool present = ref.access(addr, &want);
-            cache.insert(addr, &got);
-            if (!present) {
-                ASSERT_EQ(got, want) << "victim at insert " << i;
-            }
-        } else if (op == 8) {
-            ASSERT_EQ(cache.probe(addr), ref.probe(addr))
-                << "divergence at probe " << i << " addr " << addr;
-        } else {
-            cache.invalidate(addr);
-            ref.erase(addr);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Traces, CacheDifferential,
-                         ::testing::Range(0, 14));
 
 /**
  * Build an unrolled single-sample GRU with the SAME weight blobs as a
