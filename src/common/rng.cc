@@ -17,8 +17,6 @@ uint64_t splitMix64(uint64_t& x)
     return z ^ (z >> 31);
 }
 
-uint64_t rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed)
@@ -30,20 +28,6 @@ Rng::Rng(uint64_t seed)
 }
 
 uint64_t
-Rng::next()
-{
-    const uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-uint64_t
 Rng::nextBounded(uint64_t bound)
 {
     RECSTACK_CHECK(bound > 0, "nextBounded needs a positive bound");
@@ -51,12 +35,6 @@ Rng::nextBounded(uint64_t bound)
     // for the bounds used here and determinism is what matters.
     __uint128_t wide = static_cast<__uint128_t>(next()) * bound;
     return static_cast<uint64_t>(wide >> 64);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 float
@@ -82,12 +60,6 @@ Rng::nextGaussian()
     spareGaussian_ = v * mul;
     haveSpareGaussian_ = true;
     return u * mul;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    return nextDouble() < p;
 }
 
 ZipfSampler::ZipfSampler(uint64_t n, double exponent)

@@ -23,13 +23,27 @@ class Rng
     explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    uint64_t next();
+    uint64_t next()
+    {
+        const uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bound > 0. */
     uint64_t nextBounded(uint64_t bound);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform float in [lo, hi). */
     float nextFloat(float lo, float hi);
@@ -38,9 +52,14 @@ class Rng
     double nextGaussian();
 
     /** Bernoulli draw with probability p of returning true. */
-    bool nextBool(double p);
+    bool nextBool(double p) { return nextDouble() < p; }
 
   private:
+    static uint64_t rotl(uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     uint64_t state_[4];
     bool haveSpareGaussian_ = false;
     double spareGaussian_ = 0.0;

@@ -63,35 +63,4 @@ percentileOfSorted(const std::vector<double>& sorted, double p)
     return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0.0)
-{
-    RECSTACK_CHECK(hi > lo && buckets > 0, "bad histogram geometry");
-}
-
-void
-Histogram::add(double x, double weight)
-{
-    auto idx = static_cast<long>((x - lo_) / width_);
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-    counts_[static_cast<size_t>(idx)] += weight;
-    total_ += weight;
-}
-
-double
-Histogram::fractionAtLeast(double x) const
-{
-    if (total_ <= 0.0) {
-        return 0.0;
-    }
-    auto idx = static_cast<long>((x - lo_) / width_);
-    idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()));
-    double mass = 0.0;
-    for (size_t i = static_cast<size_t>(idx); i < counts_.size(); ++i) {
-        mass += counts_[i];
-    }
-    return mass / total_;
-}
-
 }  // namespace recstack

@@ -4,7 +4,7 @@
 /**
  * @file
  * Small numeric helpers shared across the characterization pipeline:
- * running summaries, geometric means, and fixed-bucket histograms.
+ * running summaries, geometric means and sample percentiles.
  */
 
 #include <cstddef>
@@ -46,31 +46,6 @@ double geomean(const std::vector<double>& values);
  * identical tail definitions.
  */
 double percentileOfSorted(const std::vector<double>& sorted, double p);
-
-/**
- * Fixed-width histogram over [lo, hi); out-of-range samples clamp to
- * the edge buckets. Used e.g. for functional-unit-usage distributions.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, size_t buckets);
-
-    void add(double x, double weight = 1.0);
-
-    size_t buckets() const { return counts_.size(); }
-    double count(size_t i) const { return counts_[i]; }
-    double total() const { return total_; }
-
-    /** Fraction of mass at or above the bucket containing x. */
-    double fractionAtLeast(double x) const;
-
-  private:
-    double lo_;
-    double width_;
-    std::vector<double> counts_;
-    double total_ = 0.0;
-};
 
 }  // namespace recstack
 

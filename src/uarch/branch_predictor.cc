@@ -17,33 +17,6 @@ GsharePredictor::GsharePredictor(int table_bits, int history_bits)
     table_.assign(1ull << tableBits_, 2);  // weakly taken
 }
 
-uint64_t
-GsharePredictor::index(uint64_t pc) const
-{
-    const uint64_t mask = (1ull << tableBits_) - 1;
-    return ((pc >> 2) ^ history_) & mask;
-}
-
-bool
-GsharePredictor::predict(uint64_t pc) const
-{
-    return table_[index(pc)] >= 2;
-}
-
-bool
-GsharePredictor::predictAndUpdate(uint64_t pc, bool taken)
-{
-    const uint64_t idx = index(pc);
-    const bool predicted = table_[idx] >= 2;
-    if (taken && table_[idx] < 3) {
-        ++table_[idx];
-    } else if (!taken && table_[idx] > 0) {
-        --table_[idx];
-    }
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
-    return predicted != taken;
-}
-
 void
 GsharePredictor::reset()
 {
@@ -73,9 +46,10 @@ simulateBranchStream(GsharePredictor& bp, const BranchStream& stream,
         period = static_cast<uint64_t>(std::lround(1.0 / p));
     }
 
-    // A branch group is a handful of static branch sites.
-    constexpr int kSites = 4;
+    // A branch group is four static branch sites.
+    constexpr uint64_t kSiteMask = 3;
 
+    uint64_t phase = 0;  // i % period
     for (uint64_t i = 0; i < n; ++i) {
         bool taken;
         bool patterned = false;
@@ -86,13 +60,15 @@ simulateBranchStream(GsharePredictor& bp, const BranchStream& stream,
             if (period == 0) {
                 taken = p >= 0.5;
             } else if (p >= 0.5) {
-                taken = (i % period) != 0;
+                taken = phase != 0;
             } else {
-                taken = (i % period) == 0;
+                taken = phase == 0;
             }
         }
-        const uint64_t pc =
-            pc_base + 16 * (i % static_cast<uint64_t>(kSites));
+        if (++phase == period) {
+            phase = 0;
+        }
+        const uint64_t pc = pc_base + 16 * (i & kSiteMask);
         const bool gshare_wrong = bp.predictAndUpdate(pc, taken);
         // The loop side-predictor captures the deterministic periodic
         // component once it has seen a full period.

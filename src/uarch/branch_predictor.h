@@ -24,15 +24,30 @@ class GsharePredictor
     GsharePredictor(int table_bits, int history_bits);
 
     /** Predicted direction for the branch at @c pc. */
-    bool predict(uint64_t pc) const;
+    bool predict(uint64_t pc) const { return table_[index(pc)] >= 2; }
 
     /** Train with the resolved outcome; returns true on mispredict. */
-    bool predictAndUpdate(uint64_t pc, bool taken);
+    bool predictAndUpdate(uint64_t pc, bool taken)
+    {
+        uint8_t& counter = table_[index(pc)];
+        const bool predicted = counter >= 2;
+        if (taken && counter < 3) {
+            ++counter;
+        } else if (!taken && counter > 0) {
+            --counter;
+        }
+        history_ = ((history_ << 1) | (taken ? 1 : 0)) & historyMask_;
+        return predicted != taken;
+    }
 
     void reset();
 
   private:
-    uint64_t index(uint64_t pc) const;
+    uint64_t index(uint64_t pc) const
+    {
+        const uint64_t mask = (1ull << tableBits_) - 1;
+        return ((pc >> 2) ^ history_) & mask;
+    }
 
     int tableBits_;
     uint64_t history_ = 0;

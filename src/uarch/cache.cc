@@ -25,51 +25,70 @@ Cache::Cache(uint64_t size_bytes, int ways, int line_bytes)
     : sizeBytes_(size_bytes), ways_(ways), lineBytes_(line_bytes)
 {
     RECSTACK_CHECK(ways_ > 0 && lineBytes_ > 0, "bad cache geometry");
+    RECSTACK_CHECK(ways_ <= kMaxWays, "cache of " << ways_
+                   << " ways: the ring head indexes at most " << kMaxWays);
     lineShift_ = log2exact(static_cast<uint64_t>(lineBytes_));
-    sets_ = sizeBytes_ /
-            (static_cast<uint64_t>(ways_) *
-             static_cast<uint64_t>(lineBytes_));
+    const uint64_t set_bytes = static_cast<uint64_t>(ways_) *
+                               static_cast<uint64_t>(lineBytes_);
+    sets_ = sizeBytes_ / set_bytes;
     RECSTACK_CHECK(sets_ > 0, "cache smaller than one set");
+    RECSTACK_CHECK(sets_ * set_bytes == sizeBytes_, "cache size "
+                   << sizeBytes_ << " B is not a whole number of "
+                   << set_bytes << " B sets");
     // Non-power-of-two set counts are allowed (22 MB L3s exist); the
     // index is then taken modulo sets_.
     setMask_ = sets_ - 1;
     maskSets_ = (sets_ & setMask_) == 0;
     keys_.assign(sets_ * static_cast<uint64_t>(ways_), 0);
+    heads_.assign(sets_, 0);
 }
 
-uint64_t
-Cache::setBase(uint64_t line) const
+int
+Cache::find(const uint64_t* set, uint64_t key) const
 {
-    const uint64_t set = maskSets_ ? line & setMask_ : line % sets_;
-    return set * static_cast<uint64_t>(ways_);
+    // One compare per way, no early exit: empty ways hold 0, which no
+    // key equals, and a key sits in at most one way.
+    int way = -1;
+    for (int w = 0; w < ways_; ++w) {
+        way = set[w] == key ? w : way;
+    }
+    return way;
 }
 
 bool
-Cache::moveToFront(uint64_t addr, uint64_t* evicted)
+Cache::touch(uint64_t addr, uint64_t* evicted)
 {
     const uint64_t line = addr >> lineShift_;
     const uint64_t key = line + 1;
-    uint64_t* set = keys_.data() + setBase(line);
-
-    // Stop at the hit, the first empty way, or the last (LRU) way.
-    int w = 0;
-    while (w < ways_ - 1 && set[w] != key && set[w] != 0) {
-        ++w;
+    const uint64_t s = setOf(line);
+    uint64_t* set = keys_.data() + s * static_cast<uint64_t>(ways_);
+    int head = heads_[s];
+    const int way = find(set, key);
+    if (way < 0) {
+        // The way behind the head holds the LRU key or an empty 0.
+        head = head == 0 ? ways_ - 1 : head - 1;
+        heads_[s] = static_cast<uint8_t>(head);
+        if (evicted != nullptr) {
+            const uint64_t old = set[head];
+            *evicted = old == 0 ? UINT64_MAX : (old - 1) << lineShift_;
+        }
+        set[head] = key;
+        return false;
     }
-    const uint64_t old = set[w];
-    const bool hit = old == key;
-    if (!hit && evicted != nullptr) {
-        *evicted = old == 0 ? UINT64_MAX : (old - 1) << lineShift_;
+    // The keys ahead of the hit move back one position.
+    for (int w = way; w != head;) {
+        const int ahead = w == 0 ? ways_ - 1 : w - 1;
+        set[w] = set[ahead];
+        w = ahead;
     }
-    std::copy_backward(set, set + w, set + w + 1);
-    set[0] = key;
-    return hit;
+    set[head] = key;
+    return true;
 }
 
 bool
 Cache::access(uint64_t addr, uint64_t* evicted)
 {
-    const bool hit = moveToFront(addr, evicted);
+    const bool hit = touch(addr, evicted);
     ++(hit ? hits_ : misses_);
     return hit;
 }
@@ -78,34 +97,45 @@ bool
 Cache::probe(uint64_t addr) const
 {
     const uint64_t line = addr >> lineShift_;
-    // Empty ways hold 0, which no key equals.
-    const uint64_t* set = keys_.data() + setBase(line);
-    return std::find(set, set + ways_, line + 1) != set + ways_;
+    const uint64_t* set =
+        keys_.data() + setOf(line) * static_cast<uint64_t>(ways_);
+    return find(set, line + 1) >= 0;
 }
 
 void
 Cache::insert(uint64_t addr, uint64_t* evicted)
 {
-    moveToFront(addr, evicted);
+    touch(addr, evicted);
 }
 
-void
+bool
 Cache::invalidate(uint64_t addr)
 {
     const uint64_t line = addr >> lineShift_;
-    uint64_t* set = keys_.data() + setBase(line);
-    uint64_t* end = set + ways_;
-    uint64_t* it = std::find(set, end, line + 1);
-    if (it != end) {
-        std::copy(it + 1, end, it);
-        end[-1] = 0;
+    const uint64_t s = setOf(line);
+    uint64_t* set = keys_.data() + s * static_cast<uint64_t>(ways_);
+    const int way = find(set, line + 1);
+    if (way < 0) {
+        return false;
     }
+    // The keys behind the removed one move up a position, and the
+    // last (LRU) position empties.
+    const int head = heads_[s];
+    const int last = head == 0 ? ways_ - 1 : head - 1;
+    for (int w = way; w != last;) {
+        const int behind = w + 1 == ways_ ? 0 : w + 1;
+        set[w] = set[behind];
+        w = behind;
+    }
+    set[last] = 0;
+    return true;
 }
 
 void
 Cache::reset()
 {
     std::fill(keys_.begin(), keys_.end(), 0);
+    std::fill(heads_.begin(), heads_.end(), 0);
     hits_ = misses_ = 0;
 }
 

@@ -7,12 +7,15 @@
  * L3 and L1I in the microarchitecture simulator. Tag-only (no data):
  * the simulator cares about hit/miss behaviour, not contents.
  *
- * Each set is one array of `ways` 8-byte keys kept in recency order,
- * most recently used first. A key is the line number plus one, so 0
- * marks an empty way, and the valid keys always form a prefix of the
- * set. A hit moves its key to way 0; a miss fills way 0 and evicts
- * the last way when the set is full. There are no timestamps and no
- * victim scan, and the eviction order is the same as true LRU.
+ * Each set is a ring of `ways` 8-byte keys with a one-byte head, the
+ * physical way of the most recently used key; recency position j
+ * lives at way (head + j) mod ways. A key is the line number plus
+ * one, so 0 marks an empty way, and the valid keys always form a
+ * prefix of the recency order. A miss steps the head back one way
+ * and overwrites that slot, which holds the LRU key (the victim) or
+ * an empty 0. A hit at recency position w shifts only the w keys
+ * ahead of it, and an invalidation closes the gap behind the removed
+ * key and empties the last position. The order is exactly true LRU.
  */
 
 #include <cstdint>
@@ -31,6 +34,9 @@ class Cache
      */
     Cache(uint64_t size_bytes, int ways, int line_bytes = 64);
 
+    /** Largest associativity the one-byte ring head can index. */
+    static constexpr int kMaxWays = 255;
+
     /**
      * Access the line containing @c addr.
      * @return true on hit. On miss the line is filled (allocate), and
@@ -45,8 +51,11 @@ class Cache
     /** Insert without lookup (exclusive-hierarchy victim fill). */
     void insert(uint64_t addr, uint64_t* evicted = nullptr);
 
-    /** Remove the line if present (back-invalidation). */
-    void invalidate(uint64_t addr);
+    /**
+     * Remove the line if present (back-invalidation, or an exclusive
+     * L3 handing a hit up to L2). @return true if it was present.
+     */
+    bool invalidate(uint64_t addr);
 
     /** Drop all contents. */
     void reset();
@@ -60,11 +69,17 @@ class Cache
     uint64_t misses() const { return misses_; }
 
   private:
-    /** Index in keys_ of the first way of @c line's set. */
-    uint64_t setBase(uint64_t line) const;
+    /** Set index of @c line. */
+    uint64_t setOf(uint64_t line) const
+    {
+        return maskSets_ ? line & setMask_ : line % sets_;
+    }
+
+    /** Physical way of @c key in @c set, or -1 when absent. */
+    int find(const uint64_t* set, uint64_t key) const;
 
     /** Shared by access() and insert(); returns true on hit. */
-    bool moveToFront(uint64_t addr, uint64_t* evicted);
+    bool touch(uint64_t addr, uint64_t* evicted);
 
     uint64_t sizeBytes_;
     int ways_;
@@ -75,7 +90,8 @@ class Cache
     bool maskSets_;      // sets_ is a power of two: set = line & setMask_
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
-    std::vector<uint64_t> keys_;   // sets_ * ways_, set-major, MRU first
+    std::vector<uint64_t> keys_;   // sets_ * ways_, set-major rings
+    std::vector<uint8_t> heads_;   // per set: physical way of the MRU key
 };
 
 }  // namespace recstack

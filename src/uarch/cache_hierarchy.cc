@@ -42,11 +42,7 @@ CacheHierarchy::access(uint64_t addr, bool is_write)
     if (l2_victim != UINT64_MAX) {
         l3_.insert(l2_victim);
     }
-    if (l3_.probe(addr)) {
-        l3_.invalidate(addr);
-        return HitLevel::kL3;
-    }
-    return HitLevel::kDram;
+    return l3_.invalidate(addr) ? HitLevel::kL3 : HitLevel::kDram;
 }
 
 void

@@ -224,6 +224,17 @@ TEST(Cache, RejectsNonPowerOfTwoLineSize)
     EXPECT_DEATH(Cache(1024, 2, 48), "power of two");
 }
 
+TEST(Cache, RejectsSizeThatIsNotWholeSets)
+{
+    // 1000 B / (2 ways x 64 B) leaves 104 B that no set could hold.
+    EXPECT_DEATH(Cache(1000, 2, 64), "not a whole number");
+}
+
+TEST(Cache, RejectsMoreWaysThanTheHeadIndexes)
+{
+    EXPECT_DEATH(Cache(256 * 64, 256, 64), "ring head");
+}
+
 /** Parameterized sweep: streaming through 2x capacity always misses
  *  on revisit; working set at half capacity always hits. */
 struct GeomParam {

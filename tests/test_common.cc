@@ -187,39 +187,6 @@ TEST(Percentile, EdgeCases)
     EXPECT_DEATH(percentileOfSorted({1.0}, 1.5), "quantile");
 }
 
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-5.0);   // clamps to first bucket
-    h.add(100.0);  // clamps to last bucket
-    EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-    EXPECT_DOUBLE_EQ(h.count(9), 2.0);
-    EXPECT_DOUBLE_EQ(h.total(), 4.0);
-}
-
-TEST(Histogram, FractionAtLeast)
-{
-    Histogram h(0.0, 8.0, 8);
-    for (int i = 0; i < 8; ++i) {
-        h.add(i + 0.5);
-    }
-    EXPECT_NEAR(h.fractionAtLeast(4.0), 0.5, 1e-12);
-    EXPECT_NEAR(h.fractionAtLeast(0.0), 1.0, 1e-12);
-    EXPECT_NEAR(h.fractionAtLeast(7.5), 0.125, 1e-12);
-}
-
-TEST(Histogram, WeightedAdds)
-{
-    Histogram h(0.0, 1.0, 2);
-    h.add(0.25, 3.0);
-    h.add(0.75, 1.0);
-    EXPECT_DOUBLE_EQ(h.count(0), 3.0);
-    EXPECT_DOUBLE_EQ(h.count(1), 1.0);
-    EXPECT_NEAR(h.fractionAtLeast(0.5), 0.25, 1e-12);
-}
-
 /** Zipf skew parameter sweep: all draws valid, mean decreases. */
 class ZipfSweep : public ::testing::TestWithParam<double>
 {
