@@ -7,6 +7,9 @@
 namespace recstack {
 namespace {
 
+/// Largest associativity the one-byte ring head can index.
+constexpr int kMaxWays = 255;
+
 int
 log2exact(uint64_t v)
 {

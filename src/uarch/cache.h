@@ -34,9 +34,6 @@ class Cache
      */
     Cache(uint64_t size_bytes, int ways, int line_bytes = 64);
 
-    /** Largest associativity the one-byte ring head can index. */
-    static constexpr int kMaxWays = 255;
-
     /**
      * Access the line containing @c addr.
      * @return true on hit. On miss the line is filled (allocate), and
