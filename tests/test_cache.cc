@@ -75,8 +75,9 @@ TEST(Cache, InvalidateRemovesLine)
     Cache c(1024, 2, 64);
     c.access(0x40);
     EXPECT_TRUE(c.probe(0x40));
-    c.invalidate(0x40);
+    EXPECT_TRUE(c.invalidate(0x40));
     EXPECT_FALSE(c.probe(0x40));
+    EXPECT_FALSE(c.invalidate(0x40));  // already gone
     EXPECT_FALSE(c.access(0x40));  // miss again
 }
 
@@ -280,7 +281,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GeomParam{32 * 1024, 8}, GeomParam{256 * 1024, 8},
                       GeomParam{1024 * 1024, 16}));
 
-
 /** Reference LRU cache: per-set ordered lists, obviously correct. */
 class ReferenceLru
 {
@@ -451,6 +451,16 @@ TEST(Cache, RecencyOrderSurvivesWrap)
         uint64_t next_line = 1;
         int step = 0;
         int fills = 0;
+        auto lineAt = [&](int position) {
+            auto it = ref.order(0).begin();
+            std::advance(it, position);
+            return *it * 64;
+        };
+        // Each step is checked against the full reference order.
+        auto check = [&] {
+            ASSERT_NO_FATAL_FAILURE(
+                expectSameRecencyOrder(cache, ref, step++));
+        };
         auto fill = [&] {
             const uint64_t addr = next_line++ * 64;
             uint64_t got = 0;
@@ -459,64 +469,48 @@ TEST(Cache, RecencyOrderSurvivesWrap)
             ASSERT_FALSE(cache.access(addr, &got));
             ASSERT_EQ(got, want) << "victim at step " << step;
             ++fills;
+            check();
         };
-        auto lineAt = [&](int position) {
-            auto it = ref.order(0).begin();
-            std::advance(it, position);
-            return *it;
+        auto hit = [&](int position) {
+            const uint64_t addr = lineAt(position);
+            uint64_t unused = 0;
+            ASSERT_TRUE(ref.access(addr, &unused));
+            ASSERT_TRUE(cache.access(addr));
+            check();
         };
-        auto check = [&] {
-            ASSERT_NO_FATAL_FAILURE(
-                expectSameRecencyOrder(cache, ref, step++));
+        auto drop = [&](int position) {
+            const uint64_t addr = lineAt(position);
+            ref.erase(addr);
+            cache.invalidate(addr);
+            EXPECT_FALSE(cache.probe(addr));
+            check();
         };
 
         for (int round = 0; round < 2; ++round) {
-            // A full set: a hit at each position, then a fill that
-            // evicts the LRU line and moves the MRU slot by one.
+            // A hit at each position, each after a fill that moves the
+            // MRU slot by one (the set fills up during round 0).
             for (int w = 0; w < ways; ++w) {
                 fill();
-                check();
-                const uint64_t addr = lineAt(w) * 64;
-                uint64_t unused = 0;
-                ASSERT_TRUE(ref.access(addr, &unused));
-                ASSERT_TRUE(cache.access(addr));
-                check();
+                hit(w);
             }
-            // Invalidate each position, hit the line now at that
-            // position while the set has a hole, then refill.
+            // Invalidate each position of the full set, hit the line
+            // now at that position while the set has a hole, refill.
             for (int w = 0; w < ways; ++w) {
-                const uint64_t gone = lineAt(w) * 64;
-                ref.erase(gone);
-                cache.invalidate(gone);
-                EXPECT_FALSE(cache.probe(gone));
-                check();
+                drop(w);
                 if (w < ways - 1) {
-                    const uint64_t addr = lineAt(w) * 64;
-                    uint64_t unused = 0;
-                    ASSERT_TRUE(ref.access(addr, &unused));
-                    ASSERT_TRUE(cache.access(addr));
-                    check();
+                    hit(w);
                 }
                 fill();
-                check();
             }
-            // Drain to a few lines, then hit the deepest and refill.
+            // Drain to three lines, rotate them, then refill.
             for (int w = ways - 1; w >= 3; --w) {
-                const uint64_t gone = lineAt(w) * 64;
-                ref.erase(gone);
-                cache.invalidate(gone);
-                check();
+                drop(w);
             }
             for (int k = 0; k < 3; ++k) {
-                const uint64_t addr = lineAt(2) * 64;
-                uint64_t unused = 0;
-                ASSERT_TRUE(ref.access(addr, &unused));
-                ASSERT_TRUE(cache.access(addr));
-                check();
+                hit(2);
             }
             for (int w = 3; w < ways; ++w) {
                 fill();
-                check();
             }
         }
         EXPECT_GT(fills, 3 * ways);
