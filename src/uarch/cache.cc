@@ -46,56 +46,6 @@ Cache::Cache(uint64_t size_bytes, int ways, int line_bytes)
     heads_.assign(sets_, 0);
 }
 
-int
-Cache::find(const uint64_t* set, uint64_t key) const
-{
-    // One compare per way, no early exit: empty ways hold 0, which no
-    // key equals, and a key sits in at most one way.
-    int way = -1;
-    for (int w = 0; w < ways_; ++w) {
-        way = set[w] == key ? w : way;
-    }
-    return way;
-}
-
-bool
-Cache::touch(uint64_t addr, uint64_t* evicted)
-{
-    const uint64_t line = addr >> lineShift_;
-    const uint64_t key = line + 1;
-    const uint64_t s = setOf(line);
-    uint64_t* set = keys_.data() + s * static_cast<uint64_t>(ways_);
-    int head = heads_[s];
-    const int way = find(set, key);
-    if (way < 0) {
-        // The way behind the head holds the LRU key or an empty 0.
-        head = head == 0 ? ways_ - 1 : head - 1;
-        heads_[s] = static_cast<uint8_t>(head);
-        if (evicted != nullptr) {
-            const uint64_t old = set[head];
-            *evicted = old == 0 ? UINT64_MAX : (old - 1) << lineShift_;
-        }
-        set[head] = key;
-        return false;
-    }
-    // The keys ahead of the hit move back one position.
-    for (int w = way; w != head;) {
-        const int ahead = w == 0 ? ways_ - 1 : w - 1;
-        set[w] = set[ahead];
-        w = ahead;
-    }
-    set[head] = key;
-    return true;
-}
-
-bool
-Cache::access(uint64_t addr, uint64_t* evicted)
-{
-    const bool hit = touch(addr, evicted);
-    ++(hit ? hits_ : misses_);
-    return hit;
-}
-
 bool
 Cache::probe(uint64_t addr) const
 {
@@ -103,12 +53,6 @@ Cache::probe(uint64_t addr) const
     const uint64_t* set =
         keys_.data() + setOf(line) * static_cast<uint64_t>(ways_);
     return find(set, line + 1) >= 0;
-}
-
-void
-Cache::insert(uint64_t addr, uint64_t* evicted)
-{
-    touch(addr, evicted);
 }
 
 bool
