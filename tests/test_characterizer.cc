@@ -11,6 +11,7 @@
 
 #include "core/regression_study.h"
 #include "core/sweep.h"
+#include "grid_digest.h"
 
 namespace recstack {
 namespace {
@@ -111,6 +112,18 @@ TEST(SweepCache, OptimalPlatformPicksFastest)
         EXPECT_LE(best_seconds,
                   sweep.get(ModelId::kRM3, p, 256).seconds + 1e-15);
     }
+}
+
+/**
+ * The tiny grid of grid_digest.h, read point by point through get():
+ * the serial path every faster fill must reproduce.
+ */
+TEST(SweepCache, GridDigestIsPinned)
+{
+    SweepCache sweep(allPlatformsWithPim(), digestGridOptions());
+    const uint64_t digest = gridDigest(sweep);
+    EXPECT_EQ(digest, kPinnedGridDigest)
+        << std::hex << "digest 0x" << digest;
 }
 
 TEST(SweepCache, PaperBatchAxes)
