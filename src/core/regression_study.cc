@@ -29,6 +29,8 @@ RegressionStudy
 runRegressionStudy(SweepCache& sweep, size_t platform_idx,
                    const std::vector<int64_t>& batches)
 {
+    RECSTACK_CHECK(platform_idx < sweep.platforms().size(),
+                   "platform index out of range");
     RECSTACK_CHECK(sweep.platforms()[platform_idx].kind ==
                        PlatformKind::kCpu,
                    "regression study needs a CPU platform");

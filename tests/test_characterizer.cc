@@ -177,6 +177,14 @@ TEST(RegressionStudy, RejectsGpuPlatform)
     EXPECT_DEATH(runRegressionStudy(sweep, 0, {4}), "CPU platform");
 }
 
+TEST(RegressionStudy, RejectsOutOfRangePlatform)
+{
+    SweepCache sweep({makeCpuPlatform(broadwellConfig())},
+                     testOptions());
+    EXPECT_DEATH(runRegressionStudy(sweep, 1, {4}),
+                 "platform index out of range");
+}
+
 
 TEST(Characterizer, SeedStability)
 {
