@@ -102,6 +102,7 @@ class Characterizer
     const NetPlan& memoryPlan(ModelId id, int64_t batch);
 
     const ModelOptions& options() const { return opts_; }
+    uint64_t seed() const { return seed_; }
 
     /**
      * Opt in to store-backed characterization for one model: a

@@ -1,5 +1,11 @@
 #include "core/sweep.h"
 
+#include <algorithm>
+#include <atomic>
+#include <deque>
+
+#include "common/thread_pool.h"
+
 namespace recstack {
 
 std::vector<int64_t>
@@ -34,6 +40,74 @@ SweepCache::get(ModelId model, size_t platform_idx, int64_t batch)
                  .first;
     }
     return it->second;
+}
+
+void
+SweepCache::fill(const std::vector<ModelId>& models,
+                 const std::vector<int64_t>& batches)
+{
+    // One lowered (model, batch): the profiles every platform replays.
+    struct Lowered {
+        ModelId model;
+        int64_t batch;
+        std::vector<KernelProfile> profiles;
+        uint64_t inputBytes = 0;
+        size_t inputBlobs = 0;
+    };
+    struct Point {
+        const Lowered* lowered;
+        size_t platform;
+        RunResult result;
+    };
+    std::deque<Lowered> lowered;  // stable addresses for Point
+    std::vector<Point> points;
+    for (ModelId model : models) {
+        for (int64_t batch : batches) {
+            const Lowered* l = nullptr;
+            for (size_t p = 0; p < platforms_.size(); ++p) {
+                if (cache_.count(std::make_tuple(model, p, batch)) != 0) {
+                    continue;
+                }
+                if (l == nullptr) {
+                    Lowered& fresh = lowered.emplace_back();
+                    fresh.model = model;
+                    fresh.batch = batch;
+                    fresh.profiles = char_.profiles(
+                        model, batch, &fresh.inputBytes, &fresh.inputBlobs);
+                    l = &fresh;
+                }
+                points.push_back({l, p, {}});
+            }
+        }
+    }
+
+    // Longest first (kernel count x batch), so the pool does not end
+    // waiting on one large point started last.
+    auto cost = [](const Point& pt) {
+        return static_cast<double>(pt.lowered->profiles.size()) *
+               static_cast<double>(pt.lowered->batch);
+    };
+    std::stable_sort(points.begin(), points.end(),
+                     [&](const Point& a, const Point& b) {
+                         return cost(a) > cost(b);
+                     });
+
+    std::atomic<size_t> next{0};
+    parallelFor(0, intraOpThreads(), 1, [&](int64_t, int64_t) {
+        for (size_t i = next++; i < points.size(); i = next++) {
+            Point& pt = points[i];
+            const Lowered& l = *pt.lowered;
+            pt.result = simulateProfiles(
+                l.profiles, platforms_[pt.platform], l.model, l.batch,
+                l.inputBytes, l.inputBlobs, char_.seed());
+        }
+    });
+
+    for (Point& pt : points) {
+        cache_.emplace(std::make_tuple(pt.lowered->model, pt.platform,
+                                       pt.lowered->batch),
+                       std::move(pt.result));
+    }
 }
 
 double

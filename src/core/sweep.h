@@ -31,6 +31,17 @@ class SweepCache
     const RunResult& get(ModelId model, size_t platform_idx,
                          int64_t batch);
 
+    /**
+     * Compute every missing (model, batch, platform) point of the
+     * models x batches x platforms() grid, so later get() calls are
+     * lookups. Each (model, batch) is lowered serially (the profiling
+     * workspace is not thread-safe); the points are then simulated on
+     * the intra-op pool, longest first. Results are identical to
+     * get()'s at any width.
+     */
+    void fill(const std::vector<ModelId>& models,
+              const std::vector<int64_t>& batches);
+
     const std::vector<Platform>& platforms() const { return platforms_; }
     Characterizer& characterizer() { return char_; }
 

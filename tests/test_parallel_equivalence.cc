@@ -25,7 +25,9 @@
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "graph/executor.h"
+#include "grid_digest.h"
 #include "models/model.h"
+#include "obs/metrics.h"
 #include "serve/serving_node.h"
 
 namespace recstack {
@@ -280,6 +282,52 @@ TEST(ParallelEquivalenceVariants, EngineStatsInvariantInWidth)
                      wide.aggregate.p99Latency);
     EXPECT_EQ(wide.intraOpThreads, 8);
     EXPECT_GT(wide.hostSecondsPerBatch, 0.0);
+}
+
+/** PIM points simulated so far in this process (one sample each). */
+uint64_t
+pimPointsSimulated()
+{
+    return obs::MetricsRegistry::global()
+        .histogram("pim.offload_seconds", 0.0, 0.1, 200)
+        .snapshot()
+        .total;
+}
+
+/**
+ * SweepCache::fill on the pool reproduces the serial get() digest at
+ * width 1 and 4 and on a partly filled cache. Counting PIM
+ * simulations shows fill computed every missing point itself, and
+ * that the digest's get() calls then only read the table.
+ */
+TEST(SweepFill, MatchesGetAtAnyWidth)
+{
+    const std::vector<ModelId> models = allModels();
+    const uint64_t grid_points = models.size() * digestGridBatches().size();
+    for (const int width : {1, 4}) {
+        SCOPED_TRACE(width);
+        IntraOpScope scope(width);
+        SweepCache sweep(allPlatformsWithPim(), digestGridOptions());
+        const uint64_t before = pimPointsSimulated();
+        sweep.fill(models, digestGridBatches());
+        EXPECT_EQ(pimPointsSimulated() - before, grid_points);
+        EXPECT_EQ(gridDigest(sweep), kPinnedGridDigest);
+        EXPECT_EQ(pimPointsSimulated() - before, grid_points);
+    }
+
+    // Partly filled: one whole (model, batch) column (its PIM point
+    // included) and one CPU point of another column.
+    SweepCache sweep(allPlatformsWithPim(), digestGridOptions());
+    for (size_t p = 0; p < sweep.platforms().size(); ++p) {
+        (void)sweep.get(ModelId::kRM1, p, 64);
+    }
+    (void)sweep.get(ModelId::kDIN, 0, 1024);
+    IntraOpScope scope(4);
+    const uint64_t before = pimPointsSimulated();
+    sweep.fill(models, digestGridBatches());
+    EXPECT_EQ(pimPointsSimulated() - before, grid_points - 1);
+    EXPECT_EQ(gridDigest(sweep), kPinnedGridDigest);
+    EXPECT_EQ(pimPointsSimulated() - before, grid_points - 1);
 }
 
 }  // namespace
