@@ -119,19 +119,4 @@ SweepCache::speedupOverBaseline(ModelId model, size_t platform_idx,
     return other > 0.0 ? base / other : 0.0;
 }
 
-size_t
-SweepCache::optimalPlatform(ModelId model, int64_t batch)
-{
-    size_t best = 0;
-    double best_seconds = get(model, 0, batch).seconds;
-    for (size_t p = 1; p < platforms_.size(); ++p) {
-        const double s = get(model, p, batch).seconds;
-        if (s < best_seconds) {
-            best_seconds = s;
-            best = p;
-        }
-    }
-    return best;
-}
-
 }  // namespace recstack

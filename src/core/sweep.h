@@ -3,8 +3,8 @@
 
 /**
  * @file
- * Sweep utilities: memoized model x platform x batch-size grids, the
- * paper's batch-size axes, and the optimal-platform summary (Fig. 5).
+ * Sweep utilities: memoized model x platform x batch-size grids and
+ * the paper's batch-size axes.
  */
 
 #include <map>
@@ -57,9 +57,6 @@ class SweepCache
     /** Speedup of platform_idx over the baseline (index 0). */
     double speedupOverBaseline(ModelId model, size_t platform_idx,
                                int64_t batch);
-
-    /** Index of the fastest platform for this use case. */
-    size_t optimalPlatform(ModelId model, int64_t batch);
 
   private:
     std::vector<Platform> platforms_;

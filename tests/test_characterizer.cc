@@ -102,18 +102,6 @@ TEST(SweepCache, SpeedupBaselineIsOne)
     EXPECT_GT(sweep.speedupOverBaseline(ModelId::kNCF, 1, 8), 1.0);
 }
 
-TEST(SweepCache, OptimalPlatformPicksFastest)
-{
-    SweepCache sweep(allPlatforms(), testOptions());
-    const size_t best = sweep.optimalPlatform(ModelId::kRM3, 256);
-    const double best_seconds =
-        sweep.get(ModelId::kRM3, best, 256).seconds;
-    for (size_t p = 0; p < sweep.platforms().size(); ++p) {
-        EXPECT_LE(best_seconds,
-                  sweep.get(ModelId::kRM3, p, 256).seconds + 1e-15);
-    }
-}
-
 /**
  * The tiny grid of grid_digest.h, read point by point through get():
  * the serial path every faster fill must reproduce.
