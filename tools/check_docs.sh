@@ -34,7 +34,14 @@
 #      undocumented; and every row of that table names a variable
 #      some quoted "RECSTACK_*" string in src/, tools/ or tests/
 #      reads, so a deleted knob cannot keep its row (check 3 alone
-#      accepts any mention, e.g. a test's comment).
+#      accepts any mention, e.g. a test's comment);
+#   9. every `bench_<name>` binary that README.md, DESIGN.md,
+#      EXPERIMENTS.md, docs/*.md or the verify skill names is a
+#      recstack_bench( or add_executable( target in
+#      bench/CMakeLists.txt, so a deleted or merged bench cannot
+#      linger in them. Glob stems (`bench_ablate_*`,
+#      `bench_ablate_{dsb,...}`) are skipped, and file names
+#      (`bench_util.h`) are check 7's job.
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -193,6 +200,26 @@ while IFS= read -r name; do
         err "docs/reproduction.md has an env row for ${name}, which no quoted \"${name}\" in src/, tools/ or tests/ reads"
     fi
 done <<<"$row_names"
+
+# -- 9. bench binaries named in docs are bench targets --------------
+bench_targets=$(grep -oE '^(recstack_bench|add_executable)\(bench_[a-z0-9_]+' \
+    bench/CMakeLists.txt | sed -E 's/^[a-z_]+\(//' | sort -u)
+if [ -z "$bench_targets" ]; then
+    err "found no bench targets in bench/CMakeLists.txt; check 9's pattern is stale"
+fi
+bench_docs="README.md DESIGN.md EXPERIMENTS.md docs/*.md"
+if [ -f .claude/skills/verify/SKILL.md ]; then
+    bench_docs="$bench_docs .claude/skills/verify/SKILL.md"
+fi
+# shellcheck disable=SC2086  # word-split the doc list on purpose
+bench_names=$(grep -ohE '\bbench_[A-Za-z0-9_]+(\*|\{|\.(h|cc|cpp)\b)?' \
+    $bench_docs | grep -vE '(\*|\{|\.(h|cc|cpp))$' | sort -u || true)
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -qxF "$name" <<<"$bench_targets"; then
+        err "docs name bench binary ${name}, which is not a target in bench/CMakeLists.txt"
+    fi
+done <<<"$bench_names"
 
 if [ "$fail" -ne 0 ]; then
     exit 1
