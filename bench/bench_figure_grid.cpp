@@ -435,30 +435,22 @@ extPim(SweepCache& sweep)
 
     struct ModelRow {
         ModelId id;
-        RunResult cpu;
-        RunResult gpu;
-        RunResult pim;
+        const RunResult& cpu;
+        const RunResult& pim;
         double hostSeconds = 0.0;  ///< PIM total minus offload
         std::vector<KernelProfile> offload;
-        double cpuBatch1 = 0.0;
-        double pimBatch1 = 0.0;
     };
     std::vector<ModelRow> rows;
     for (ModelId id : models) {
-        ModelRow row;
-        row.id = id;
+        const RunResult& pim = sweep.get(id, kPim, big_batch);
+        ModelRow row{id, sweep.get(id, kBdw, big_batch), pim,
+                     pim.seconds - pim.pim.offloadSeconds, {}};
         for (const KernelProfile& kp :
              sweep.characterizer().profiles(id, big_batch)) {
             if (PimModel::offloadable(kp)) {
                 row.offload.push_back(kp);
             }
         }
-        row.cpu = sweep.get(id, kBdw, big_batch);
-        row.gpu = sweep.get(id, kT4, big_batch);
-        row.pim = sweep.get(id, kPim, big_batch);
-        row.hostSeconds = row.pim.seconds - row.pim.pim.offloadSeconds;
-        row.cpuBatch1 = sweep.get(id, kBdw, 1).seconds;
-        row.pimBatch1 = sweep.get(id, kPim, 1).seconds;
         rows.push_back(std::move(row));
     }
 
@@ -472,7 +464,8 @@ extPim(SweepCache& sweep)
              TextTable::fmtPercent(slsSeconds(row.cpu) /
                                    row.cpu.seconds),
              TextTable::fmtSeconds(row.cpu.seconds),
-             TextTable::fmtSeconds(row.gpu.seconds),
+             TextTable::fmtSeconds(
+                 sweep.get(row.id, kT4, big_batch).seconds),
              TextTable::fmtSeconds(row.pim.seconds),
              TextTable::fmtSpeedup(row.cpu.seconds /
                                    row.pim.seconds)});
@@ -597,7 +590,8 @@ extPim(SweepCache& sweep)
     //    everywhere, which is what the threshold routing exists for.
     bool b1_loses = true;
     for (const ModelRow& row : rows) {
-        b1_loses &= row.pimBatch1 >= row.cpuBatch1 * 0.99;
+        b1_loses &= sweep.get(row.id, kPim, 1).seconds >=
+                    sweep.get(row.id, kBdw, 1).seconds * 0.99;
     }
     check(b1_loses, "at batch 1 the host<->DPU latency makes PIM no "
                     "better than the CPU on every model (threshold "

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 
 #include "common/thread_pool.h"
 
@@ -46,67 +45,58 @@ void
 SweepCache::fill(const std::vector<ModelId>& models,
                  const std::vector<int64_t>& batches)
 {
-    // One lowered (model, batch): the profiles every platform replays.
+    // Lower each (model, batch) with a missing point serially: the
+    // profiling workspace is not thread-safe.
     struct Lowered {
-        ModelId model;
-        int64_t batch;
         std::vector<KernelProfile> profiles;
         uint64_t inputBytes = 0;
         size_t inputBlobs = 0;
     };
-    struct Point {
-        const Lowered* lowered;
-        size_t platform;
-        RunResult result;
-    };
-    std::deque<Lowered> lowered;  // stable addresses for Point
-    std::vector<Point> points;
+    std::map<std::pair<ModelId, int64_t>, Lowered> lowered;
+    std::vector<std::tuple<ModelId, size_t, int64_t>> missing;
     for (ModelId model : models) {
         for (int64_t batch : batches) {
-            const Lowered* l = nullptr;
             for (size_t p = 0; p < platforms_.size(); ++p) {
-                if (cache_.count(std::make_tuple(model, p, batch)) != 0) {
+                if (cache_.count({model, p, batch}) != 0) {
                     continue;
                 }
-                if (l == nullptr) {
-                    Lowered& fresh = lowered.emplace_back();
-                    fresh.model = model;
-                    fresh.batch = batch;
-                    fresh.profiles = char_.profiles(
-                        model, batch, &fresh.inputBytes, &fresh.inputBlobs);
-                    l = &fresh;
+                auto [it, fresh] = lowered.try_emplace({model, batch});
+                if (fresh) {
+                    it->second.profiles =
+                        char_.profiles(model, batch, &it->second.inputBytes,
+                                       &it->second.inputBlobs);
                 }
-                points.push_back({l, p, {}});
+                missing.emplace_back(model, p, batch);
             }
         }
     }
 
     // Longest first (kernel count x batch), so the pool does not end
     // waiting on one large point started last.
-    auto cost = [](const Point& pt) {
-        return static_cast<double>(pt.lowered->profiles.size()) *
-               static_cast<double>(pt.lowered->batch);
+    auto cost = [&](const auto& key) {
+        const auto& [model, p, batch] = key;
+        return static_cast<double>(
+                   lowered.at({model, batch}).profiles.size()) *
+               static_cast<double>(batch);
     };
-    std::stable_sort(points.begin(), points.end(),
-                     [&](const Point& a, const Point& b) {
+    std::stable_sort(missing.begin(), missing.end(),
+                     [&](const auto& a, const auto& b) {
                          return cost(a) > cost(b);
                      });
 
+    std::vector<RunResult> results(missing.size());
     std::atomic<size_t> next{0};
     parallelFor(0, intraOpThreads(), 1, [&](int64_t, int64_t) {
-        for (size_t i = next++; i < points.size(); i = next++) {
-            Point& pt = points[i];
-            const Lowered& l = *pt.lowered;
-            pt.result = simulateProfiles(
-                l.profiles, platforms_[pt.platform], l.model, l.batch,
-                l.inputBytes, l.inputBlobs, char_.seed());
+        for (size_t i = next++; i < missing.size(); i = next++) {
+            const auto& [model, p, batch] = missing[i];
+            const Lowered& l = lowered.at({model, batch});
+            results[i] = simulateProfiles(l.profiles, platforms_[p], model,
+                                          batch, l.inputBytes,
+                                          l.inputBlobs, char_.seed());
         }
     });
-
-    for (Point& pt : points) {
-        cache_.emplace(std::make_tuple(pt.lowered->model, pt.platform,
-                                       pt.lowered->batch),
-                       std::move(pt.result));
+    for (size_t i = 0; i < missing.size(); ++i) {
+        cache_.emplace(missing[i], std::move(results[i]));
     }
 }
 
