@@ -207,13 +207,10 @@ bench_targets=$(grep -oE '^(recstack_bench|add_executable)\(bench_[a-z0-9_]+' \
 if [ -z "$bench_targets" ]; then
     err "found no bench targets in bench/CMakeLists.txt; check 9's pattern is stale"
 fi
-bench_docs="README.md DESIGN.md EXPERIMENTS.md docs/*.md"
-if [ -f .claude/skills/verify/SKILL.md ]; then
-    bench_docs="$bench_docs .claude/skills/verify/SKILL.md"
-fi
-# shellcheck disable=SC2086  # word-split the doc list on purpose
 bench_names=$(grep -ohE '\bbench_[A-Za-z0-9_]+(\*|\{|\.(h|cc|cpp)\b)?' \
-    $bench_docs | grep -vE '(\*|\{|\.(h|cc|cpp))$' | sort -u || true)
+    README.md DESIGN.md EXPERIMENTS.md docs/*.md \
+    .claude/skills/verify/SKILL.md |
+    grep -vE '(\*|\{|\.(h|cc|cpp))$' | sort -u || true)
 while IFS= read -r name; do
     [ -z "$name" ] && continue
     if ! grep -qxF "$name" <<<"$bench_targets"; then
