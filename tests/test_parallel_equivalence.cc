@@ -303,16 +303,16 @@ pimPointsSimulated()
 TEST(SweepFill, MatchesGetAtAnyWidth)
 {
     const std::vector<ModelId> models = allModels();
-    const uint64_t grid_points = models.size() * digestGridBatches().size();
+    const uint64_t pim_points = models.size() * digestGridBatches().size();
     for (const int width : {1, 4}) {
         SCOPED_TRACE(width);
         IntraOpScope scope(width);
         SweepCache sweep(allPlatformsWithPim(), digestGridOptions());
         const uint64_t before = pimPointsSimulated();
         sweep.fill(models, digestGridBatches());
-        EXPECT_EQ(pimPointsSimulated() - before, grid_points);
+        EXPECT_EQ(pimPointsSimulated() - before, pim_points);
         EXPECT_EQ(gridDigest(sweep), kPinnedGridDigest);
-        EXPECT_EQ(pimPointsSimulated() - before, grid_points);
+        EXPECT_EQ(pimPointsSimulated() - before, pim_points);
     }
 
     // Partly filled: one whole (model, batch) column (its PIM point
@@ -325,9 +325,9 @@ TEST(SweepFill, MatchesGetAtAnyWidth)
     IntraOpScope scope(4);
     const uint64_t before = pimPointsSimulated();
     sweep.fill(models, digestGridBatches());
-    EXPECT_EQ(pimPointsSimulated() - before, grid_points - 1);
+    EXPECT_EQ(pimPointsSimulated() - before, pim_points - 1);
     EXPECT_EQ(gridDigest(sweep), kPinnedGridDigest);
-    EXPECT_EQ(pimPointsSimulated() - before, grid_points - 1);
+    EXPECT_EQ(pimPointsSimulated() - before, pim_points - 1);
 }
 
 }  // namespace
