@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -70,6 +71,12 @@ TEST(Rng, DoubleInUnitInterval)
     }
     EXPECT_LT(min, 0.01);
     EXPECT_GT(max, 0.99);
+}
+
+TEST(Rng, NextBoundedRejectsZero)
+{
+    Rng rng(1);
+    EXPECT_DEATH(rng.nextBounded(0), "positive bound");
 }
 
 TEST(Rng, GaussianMoments)
@@ -137,6 +144,67 @@ TEST(Zipf, SingleElementPopulation)
     ZipfSampler zipf(1, 1.0);
     for (int i = 0; i < 10; ++i) {
         EXPECT_EQ(zipf.sample(rng), 0u);
+    }
+}
+
+/** FNV-1a over the 8 bytes of each mixed word. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    }
+    void mix(double v) { mix(std::bit_cast<uint64_t>(v)); }
+};
+
+/**
+ * FNV-1a per exponent over every population shape: 4096 sample()
+ * draws, cdf() at a few k (the bucket edges, the middle, the end and
+ * past it), then one fillZipfIndices call and the generator's next raw
+ * draw after it, which pins the generator state fillZipfIndices hands
+ * back. n = 1..3 exercise the one- and two-bucket clamps; 2^40 fills
+ * all 64 geometric buckets; exponent 0 is the uniform path.
+ */
+TEST(Zipf, DrawDigestsArePinned)
+{
+    struct Skew {
+        double exponent;
+        uint64_t pinned;
+    };
+    const Skew skews[] = {
+        {0.0, 0x7ab33aa3b677bf90ull},
+        {0.5, 0xd9130024367be543ull},
+        {0.75, 0x9070786de1fdaf92ull},
+        {1.0, 0xccf82f1e7abd56e2ull},
+        {1.2, 0xbc9363216d075916ull},
+        {3.0, 0x6e7ba1ee562de3fcull},
+    };
+    const uint64_t pops[] = {1,     2,         3,          1000,
+                             10000, 1ull << 20, 1ull << 40};
+    for (const Skew& sk : skews) {
+        Fnv f;
+        for (uint64_t n : pops) {
+            const ZipfSampler zipf(n, sk.exponent);
+            Rng rng(n * 31 + static_cast<uint64_t>(sk.exponent * 100));
+            for (int i = 0; i < 4096; ++i) {
+                f.mix(zipf.sample(rng));
+            }
+            for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{2},
+                               uint64_t{7}, n / 3, n - 1, n, n + 1}) {
+                f.mix(zipf.cdf(k));
+            }
+            std::vector<int64_t> idx(1000);
+            fillZipfIndices(zipf, rng, idx.data(),
+                            static_cast<int64_t>(idx.size()));
+            for (int64_t v : idx) {
+                f.mix(static_cast<uint64_t>(v));
+            }
+            f.mix(rng.next());
+        }
+        EXPECT_EQ(f.h, sk.pinned) << "exponent " << sk.exponent
+                                  << " digest 0x" << std::hex << f.h;
     }
 }
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -121,6 +123,39 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+/**
+ * FNV-1a over every weight initParams writes (name order), for every
+ * model at tiny options and two seeds. The weights are the only
+ * nextFloat(-scale, scale) draws with a non-unit scale, so a
+ * contracted multiply-add in nextFloat would move this digest.
+ */
+TEST(Model, InitParamsDigestIsPinned)
+{
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    };
+    for (ModelId id : allModels()) {
+        const Model model = buildModel(id, tinyOptions());
+        for (uint64_t seed : {7ull, 99ull}) {
+            Workspace ws;
+            model.initParams(ws, seed);
+            std::vector<std::string> names = ws.names();
+            std::sort(names.begin(), names.end());
+            for (const std::string& name : names) {
+                const Tensor& t = ws.get(name);
+                mix(static_cast<uint64_t>(t.numel()));
+                for (int64_t i = 0; i < t.numel(); ++i) {
+                    mix(uint64_t{std::bit_cast<uint32_t>(t.data<float>()[i])});
+                }
+            }
+        }
+    }
+    EXPECT_EQ(h, 0xa271e5da49605282ull) << "digest 0x" << std::hex << h;
+}
 
 TEST(ModelRegistry, NamesRoundTrip)
 {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
+#include "models/model.h"
 #include "workload/batch_generator.h"
 #include "workload/rate_envelope.h"
 
@@ -130,6 +132,78 @@ TEST(BatchGenerator, RejectsNonPositiveBatch)
     Workspace ws;
     BatchGenerator gen(demoSpec());
     EXPECT_DEATH(gen.materialize(ws, 0), "positive");
+}
+
+/** FNV-1a over the 8 bytes of each mixed word. */
+struct Fnv {
+    uint64_t h = 1469598103934665603ull;
+    void mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ull;
+        }
+    }
+    void mix(const Tensor& t)
+    {
+        for (int64_t d : t.shape()) {
+            mix(static_cast<uint64_t>(d));
+        }
+        mix(static_cast<uint64_t>(t.dtype()));
+        for (int64_t i = 0; i < t.numel(); ++i) {
+            switch (t.dtype()) {
+            case DType::kFloat32:
+                mix(uint64_t{std::bit_cast<uint32_t>(t.data<float>()[i])});
+                break;
+            case DType::kInt32:
+                mix(static_cast<uint64_t>(t.data<int32_t>()[i]));
+                break;
+            case DType::kInt64:
+                mix(static_cast<uint64_t>(t.data<int64_t>()[i]));
+                break;
+            }
+        }
+    }
+};
+
+/**
+ * FNV-1a over every blob materialize writes, for every model's
+ * workload at tiny options (plus the position-weighted DLRM variants,
+ * whose weights blobs are the only other nextFloat draws), two seeds
+ * and batches 1, 16 and 256. Batch sizes interleave on one generator,
+ * so no state kept between calls can go unnoticed.
+ */
+TEST(BatchGenerator, MaterializeDigestIsPinned)
+{
+    std::vector<WorkloadSpec> specs;
+    for (ModelId id : allModels()) {
+        specs.push_back(buildModel(id, tinyOptions()).workload);
+    }
+    ModelOptions weighted = tinyOptions();
+    weighted.positionWeighted = true;
+    for (ModelId id : {ModelId::kRM1, ModelId::kRM2, ModelId::kRM3}) {
+        specs.push_back(buildModel(id, weighted).workload);
+    }
+    Fnv f;
+    for (const WorkloadSpec& spec : specs) {
+        for (uint64_t seed : {42ull, 1234567ull}) {
+            BatchGenerator gen(spec, seed);
+            for (int64_t batch : {16, 1, 256, 16, 1}) {
+                Workspace ws;
+                gen.materialize(ws, batch);
+                for (const auto& cat : spec.categorical) {
+                    f.mix(ws.get(cat.indicesBlob));
+                    f.mix(ws.get(cat.lengthsBlob));
+                    if (!cat.weightsBlob.empty()) {
+                        f.mix(ws.get(cat.weightsBlob));
+                    }
+                }
+                for (const auto& cont : spec.continuous) {
+                    f.mix(ws.get(cont.blob));
+                }
+            }
+        }
+    }
+    EXPECT_EQ(f.h, 0x2b50a24896a4b52eull) << "digest 0x" << std::hex << f.h;
 }
 
 /** Batch-size sweep property: everything stays consistent. */
