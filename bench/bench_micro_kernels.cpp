@@ -203,6 +203,39 @@ BM_ZipfSampler(benchmark::State& state)
 }
 BENCHMARK(BM_ZipfSampler);
 
+/** One RM1 table of a serve-small batch: 16 samples x 80 lookups. */
+void
+BM_FillZipfIndices(benchmark::State& state)
+{
+    Rng rng(4);
+    const ZipfSampler zipf(10000, 0.75);
+    std::vector<int64_t> idx(1280);
+    for (auto _ : state) {
+        fillZipfIndices(zipf, rng, idx.data(),
+                        static_cast<int64_t>(idx.size()));
+        benchmark::DoNotOptimize(idx.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(idx.size()));
+}
+BENCHMARK(BM_FillZipfIndices);
+
+/** serve-small's per-batch input synthesis (RM1 at table scale 0.01). */
+void
+BM_MaterializeRm1Batch16(benchmark::State& state)
+{
+    ModelOptions opts;
+    opts.tableScale = 0.01;
+    const Model model = buildModel(ModelId::kRM1, opts);
+    const BatchGenerator gen(model.workload);
+    Workspace ws;
+    for (auto _ : state) {
+        gen.materialize(ws, 16);
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_MaterializeRm1Batch16);
+
 /** Best-of-N single-thread numeric latency under one kernel tier. */
 double
 bestSeconds(const Model& model, Workspace& ws, KernelIsa isa, int reps)

@@ -27,20 +27,11 @@ Rng::Rng(uint64_t seed)
     }
 }
 
-uint64_t
-Rng::nextBounded(uint64_t bound)
+void
+Rng::failZeroBound()
 {
-    RECSTACK_CHECK(bound > 0, "nextBounded needs a positive bound");
-    // Multiply-shift bounded generation (Lemire); bias is negligible
-    // for the bounds used here and determinism is what matters.
-    __uint128_t wide = static_cast<__uint128_t>(next()) * bound;
-    return static_cast<uint64_t>(wide >> 64);
-}
-
-float
-Rng::nextFloat(float lo, float hi)
-{
-    return lo + static_cast<float>(nextDouble()) * (hi - lo);
+    RECSTACK_PANIC("check failed: bound > 0: "
+                   "nextBounded needs a positive bound");
 }
 
 double
@@ -66,6 +57,9 @@ ZipfSampler::ZipfSampler(uint64_t n, double exponent)
     : n_(n), exponent_(exponent)
 {
     RECSTACK_CHECK(n > 0, "zipf population must be positive");
+    if (exponent_ <= 0.0) {
+        return;  // uniform: sample() and cdf() read no table
+    }
     // Build a coarse CDF: split [0, n) into geometric buckets so the
     // head of the distribution (where most mass lives) is finely
     // resolved while the tail stays cheap. Within a bucket we treat
@@ -101,6 +95,19 @@ ZipfSampler::ZipfSampler(uint64_t n, double exponent)
     for (auto& c : cdf_) {
         c /= total;
     }
+
+    // One merge walk over the slots' lower edges g / kGuideSlots.
+    // cdf_.back() is exactly 1, so the bound check only guards
+    // against a NaN table.
+    size_t b = 0;
+    for (size_t g = 0; g < kGuideSlots; ++g) {
+        const double edge =
+            static_cast<double>(g) / static_cast<double>(kGuideSlots);
+        while (b + 1 < cdf_.size() && cdf_[b] < edge) {
+            ++b;
+        }
+        guide_[g] = static_cast<uint8_t>(b);
+    }
 }
 
 double
@@ -132,28 +139,17 @@ ZipfSampler::cdf(uint64_t k) const
     return std::min(1.0, lo_cdf + frac * (hi_cdf - lo_cdf));
 }
 
-uint64_t
-ZipfSampler::sample(Rng& rng) const
-{
-    if (exponent_ <= 0.0) {
-        return rng.nextBounded(n_);
-    }
-    const double u = rng.nextDouble();
-    const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-    const size_t b = static_cast<size_t>(it - cdf_.begin());
-    const uint64_t lo = bucketLo_[std::min(b, bucketLo_.size() - 2)];
-    const uint64_t hi = bucketLo_[std::min(b + 1, bucketLo_.size() - 1)];
-    const uint64_t span = std::max<uint64_t>(1, hi - lo);
-    return lo + rng.nextBounded(span);
-}
-
 void
 fillZipfIndices(const ZipfSampler& zipf, Rng& rng, int64_t* dst,
                 int64_t count)
 {
+    // Draw through a local copy: dst may alias rng's uint64_t state
+    // words, which would force the state through memory per index.
+    Rng local = rng;
     for (int64_t i = 0; i < count; ++i) {
-        dst[i] = static_cast<int64_t>(zipf.sample(rng));
+        dst[i] = static_cast<int64_t>(zipf.sample(local));
     }
+    rng = local;
 }
 
 }  // namespace recstack

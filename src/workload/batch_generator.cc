@@ -23,24 +23,27 @@ PoissonProcess::next()
 BatchGenerator::BatchGenerator(WorkloadSpec spec, uint64_t seed)
     : spec_(std::move(spec)), seed_(seed)
 {
+    // ZipfSampler degenerates to uniform at exponent 0 with the
+    // identical nextBounded draw, so one synthesis path covers both
+    // skewed and uniform tables bit-for-bit.
+    zipf_.reserve(spec_.categorical.size());
+    for (const auto& cat : spec_.categorical) {
+        zipf_.emplace_back(static_cast<uint64_t>(cat.tableRows),
+                           cat.zipfExponent);
+    }
 }
 
 void
-BatchGenerator::materialize(Workspace& ws, int64_t batch)
+BatchGenerator::materialize(Workspace& ws, int64_t batch) const
 {
     RECSTACK_CHECK(batch > 0, "batch size must be positive");
     Rng rng(seed_ ^ static_cast<uint64_t>(batch) * 0x9e3779b9ull);
 
-    for (const auto& cat : spec_.categorical) {
+    for (size_t t = 0; t < spec_.categorical.size(); ++t) {
+        const CategoricalFeatureSpec& cat = spec_.categorical[t];
         const int64_t total = batch * cat.lookupsPerSample;
         Tensor indices({total}, DType::kInt64);
-        int64_t* idx = indices.data<int64_t>();
-        // ZipfSampler degenerates to uniform at exponent 0 with the
-        // identical nextBounded draw, so one synthesis path covers
-        // both skewed and uniform tables bit-for-bit.
-        const ZipfSampler zipf(static_cast<uint64_t>(cat.tableRows),
-                               cat.zipfExponent);
-        fillZipfIndices(zipf, rng, idx, total);
+        fillZipfIndices(zipf_[t], rng, indices.data<int64_t>(), total);
         ws.set(cat.indicesBlob, std::move(indices));
 
         Tensor lengths({batch}, DType::kInt32);

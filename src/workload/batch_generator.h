@@ -82,8 +82,15 @@ class BatchGenerator
   public:
     BatchGenerator(WorkloadSpec spec, uint64_t seed = 42);
 
-    /** Create/fill all input blobs for the given batch size. */
-    void materialize(Workspace& ws, int64_t batch);
+    /**
+     * Create/fill all input blobs for the given batch size. The blobs
+     * are a pure function of (spec, seed, batch): every call reseeds
+     * from seed ^ batch * 0x9e3779b9, so two calls at one batch size
+     * write identical inputs (BatchGenerator.DeterministicPerSeedAndBatch).
+     * A serving worker therefore sends the same inputs in every batch
+     * of one size.
+     */
+    void materialize(Workspace& ws, int64_t batch) const;
 
     /** Create all input blobs as shape-only (profile-only sweeps). */
     void declare(Workspace& ws, int64_t batch) const;
@@ -103,6 +110,7 @@ class BatchGenerator
   private:
     WorkloadSpec spec_;
     uint64_t seed_;
+    std::vector<ZipfSampler> zipf_;  ///< one per spec_.categorical entry
 };
 
 }  // namespace recstack

@@ -6,7 +6,7 @@
 #           the concurrency suites (thread pool, serving engine,
 #           parallel kernels, plan-vs-interpreted equivalence, the
 #           sharded embedding store's lock/prefetch machinery).
-#   asan  — RECSTACK_SANITIZE=address build, `ctest -L 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch'`:
+#   asan  — RECSTACK_SANITIZE=address build, `ctest -L 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch|synth'`:
 #           the compiled-net planner/arena suites plus the embedding
 #           store. Arena aliasing assigns overlapping
 #           [offset, offset+bytes) ranges to blobs with disjoint
@@ -63,6 +63,12 @@
 # set index off by one would silently read or write the neighbouring
 # set.
 #
+# The `synth` label (ASan pass only) covers the input-synthesis suites
+# (common: Rng and ZipfSampler; workload: BatchGenerator). Every Zipf
+# draw indexes the sampler's 256-slot guide table and then steps
+# through its bucket CDF, so a slot computed one past the table or a
+# scan that runs off the CDF's end is an out-of-bounds read there.
+#
 # Usage: tools/run_sanitize_checks.sh [tsan|asan|all]   (default: all)
 #
 # Build trees land in build-tsan/ and build-asan/ next to build/ and
@@ -85,9 +91,9 @@ run_pass() {
 
 case "${mode}" in
     tsan) run_pass thread build-tsan 'sanitize|store|disk|serving|obs|sched|simd|fleet|pim' ;;
-    asan) run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch' ;;
+    asan) run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch|synth' ;;
     all)
-        run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch'
+        run_pass address build-asan 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch|synth'
         run_pass thread build-tsan 'sanitize|store|disk|serving|obs|sched|simd|fleet|pim'
         ;;
     *)
