@@ -214,6 +214,7 @@ BM_FillZipfIndices(benchmark::State& state)
         fillZipfIndices(zipf, rng, idx.data(),
                         static_cast<int64_t>(idx.size()));
         benchmark::DoNotOptimize(idx.data());
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(idx.size()));

@@ -148,7 +148,7 @@ class ZipfSampler
     std::vector<double> cdf_;       // coarse CDF over kBuckets buckets
     std::vector<uint64_t> bucketLo_;
     // guide_[g]: first bucket b with cdf_[b] >= g / kGuideSlots.
-    std::array<uint8_t, kGuideSlots> guide_;
+    std::array<uint8_t, kGuideSlots> guide_{};
 };
 
 /**

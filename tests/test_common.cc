@@ -161,10 +161,10 @@ struct Fnv {
 
 /**
  * FNV-1a per exponent over every population shape: 4096 sample()
- * draws, cdf() at a few k (the bucket edges, the middle, the end and
- * past it), then one fillZipfIndices call and the generator's next raw
- * draw after it, which pins the generator state fillZipfIndices hands
- * back. n = 1..3 exercise the one- and two-bucket clamps; 2^40 fills
+ * draws, cdf() at bucket edges (0, 1, 7), inside a bucket (2), at n/3,
+ * n - 1, n and n + 1, then one fillZipfIndices call and the
+ * generator's next raw draw after it, which pins the generator state
+ * fillZipfIndices hands back. n = 1..3 exercise the one- and two-bucket clamps; 2^40 fills
  * all 64 geometric buckets; exponent 0 is the uniform path.
  */
 TEST(Zipf, DrawDigestsArePinned)

@@ -126,9 +126,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * FNV-1a over every weight initParams writes (name order), for every
- * model at tiny options and two seeds. The weights are the only
- * nextFloat(-scale, scale) draws with a non-unit scale, so a
- * contracted multiply-add in nextFloat would move this digest.
+ * model at tiny options and two seeds. Weight scales (0.1 and
+ * 1/sqrt(fan-in)) are not powers of two, so nextFloat's product
+ * rounds; a contracted multiply-add in nextFloat would move this
+ * digest, where the [-1, 1] input draws would not show it.
  */
 TEST(Model, InitParamsDigestIsPinned)
 {
