@@ -11,6 +11,8 @@
 #include <cmath>
 #include <set>
 
+#include "common/cpu_features.h"
+#include "graph/compiled_net.h"
 #include "graph/executor.h"
 #include "models/model.h"
 
@@ -156,6 +158,78 @@ TEST(Model, InitParamsDigestIsPinned)
         }
     }
     EXPECT_EQ(h, 0xa271e5da49605282ull) << "digest 0x" << std::hex << h;
+}
+
+/**
+ * FNV-1a per kernel tier over every external output of every model at
+ * tiny options, batches {1, 16, 256}, on the interpreted and the
+ * compiled path (kNumericOnly, width 1). Any kernel change that moves
+ * one output bit on either tier moves a digest. The sigmoid and tanh
+ * activations read libm's expf/tanhf, so the pins hold for one libm,
+ * as Zipf.DrawDigestsArePinned's hold for one pow. The avx2 pin skips
+ * where the tier is unsupported.
+ */
+TEST(Model, OutputDigestsArePinned)
+{
+    struct Tier {
+        KernelIsa isa;
+        uint64_t pinned;
+        uint64_t h;
+    };
+    Tier tiers[] = {
+        {KernelIsa::kScalar, 0xc18dc7d8c7718c27ull, 1469598103934665603ull},
+        {KernelIsa::kAvx2, 0x66dc056b4ae247efull, 1469598103934665603ull},
+    };
+    ExecOptions opts;
+    opts.mode = ExecMode::kNumericOnly;
+    opts.numThreads = 1;
+    for (ModelId id : allModels()) {
+        const Model model = buildModel(id, tinyOptions());
+        Workspace ws;
+        Workspace cws;
+        model.initParams(ws, 7);
+        model.initParams(cws, 7);
+        for (Tier& tier : tiers) {
+            if (!kernelIsaSupported(tier.isa)) {
+                continue;
+            }
+            IsaScope scope(tier.isa);
+            auto mix = [&tier](uint64_t v) {
+                for (int i = 0; i < 8; ++i) {
+                    tier.h = (tier.h ^ ((v >> (8 * i)) & 0xffu)) *
+                             1099511628211ull;
+                }
+            };
+            auto mixOutputs = [&](const Workspace& w) {
+                for (const std::string& blob : model.net.externalOutputs()) {
+                    const Tensor& t = w.get(blob);
+                    mix(static_cast<uint64_t>(t.numel()));
+                    for (int64_t i = 0; i < t.numel(); ++i) {
+                        mix(uint64_t{
+                            std::bit_cast<uint32_t>(t.data<float>()[i])});
+                    }
+                }
+            };
+            // Compiled per tier: a plan keeps its lowering-time tier.
+            auto compiled = CompiledNet::compile(model.net);
+            Arena arena;
+            for (int64_t batch : {1, 16, 256}) {
+                BatchGenerator(model.workload, 42).materialize(ws, batch);
+                Executor::run(model.net, ws, opts);
+                mixOutputs(ws);
+                BatchGenerator(model.workload, 42).materialize(cws, batch);
+                Executor::run(*compiled, cws, arena, batch, opts);
+                mixOutputs(cws);
+            }
+        }
+    }
+    for (const Tier& tier : tiers) {
+        if (kernelIsaSupported(tier.isa)) {
+            EXPECT_EQ(tier.h, tier.pinned) << kernelIsaName(tier.isa)
+                                           << " digest 0x" << std::hex
+                                           << tier.h;
+        }
+    }
 }
 
 TEST(ModelRegistry, NamesRoundTrip)

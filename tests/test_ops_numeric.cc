@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -98,6 +99,32 @@ TEST(BinaryOps, AddSubMul)
     BinaryOp mul(BinaryFn::kMul, "mul", "a", "b", "ym");
     runOp(mul, ws);
     EXPECT_FLOAT_EQ(ws.get("ym").at({1, 0}), 90);
+
+    // [3, 13]: 39 elements, so a vector tier runs whole 8-lane blocks
+    // and a 7-element tail. Every element must equal the scalar
+    // expression bit for bit.
+    Rng rng(5);
+    std::vector<float> av(39);
+    std::vector<float> bv(39);
+    for (size_t i = 0; i < av.size(); ++i) {
+        av[i] = rng.nextFloat(-3.0f, 3.0f);
+        bv[i] = rng.nextFloat(-3.0f, 3.0f);
+    }
+    ws.set("oa", Tensor::fromFloats({3, 13}, av));
+    ws.set("ob", Tensor::fromFloats({3, 13}, bv));
+    for (const BinaryFn fn : {BinaryFn::kAdd, BinaryFn::kSub, BinaryFn::kMul}) {
+        BinaryOp op(fn, "odd", "oa", "ob", "oy");
+        runOp(op, ws);
+        const float* y = ws.get("oy").data<float>();
+        for (size_t i = 0; i < av.size(); ++i) {
+            const float ref = fn == BinaryFn::kAdd   ? av[i] + bv[i]
+                              : fn == BinaryFn::kSub ? av[i] - bv[i]
+                                                     : av[i] * bv[i];
+            EXPECT_EQ(std::bit_cast<uint32_t>(y[i]),
+                      std::bit_cast<uint32_t>(ref))
+                << op.type() << " element " << i;
+        }
+    }
 }
 
 TEST(BinaryOps, ColumnBroadcast)

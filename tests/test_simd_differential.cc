@@ -35,6 +35,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -590,6 +591,55 @@ TEST(SimdKernelProperties, FcRowsMatchesStandaloneDotBiasPerTier)
                     }
                     ASSERT_EQ(std::memcmp(ys.data(), y.data(), bytes), 0)
                         << "one call per row";
+                }
+            }
+        }
+    }
+
+    // k = 1 rows whose pre-activation b + x*w is -0.0 (b = -0.0,
+    // x*w = -0.0), a NaN of either sign, +-inf or a subnormal of
+    // either sign. Seven column kinds repeat over n = 7 and 19 columns,
+    // so across m = 1..3 each kind lands both in full 8-element blocks
+    // and in the <8 tail of the activation pass.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float sub = std::numeric_limits<float>::denorm_min() * 3.0f;
+    const float kind_b[] = {-0.0f, nan, -nan, inf, -inf, sub, -sub};
+    const float kind_w[] = {-0.0f, 1.0f, 1.0f, 1.0f, 1.0f, 0.0f, 0.0f};
+    const float xs[] = {1.0f, 0.5f, 3.0f};
+    for (const KernelIsa isa : isas) {
+        for (const int64_t n : {int64_t{7}, int64_t{19}}) {
+            std::vector<float> w(static_cast<size_t>(n));
+            std::vector<float> b(static_cast<size_t>(n));
+            for (int64_t j = 0; j < n; ++j) {
+                w[static_cast<size_t>(j)] = kind_w[j % 7];
+                b[static_cast<size_t>(j)] = kind_b[j % 7];
+            }
+            for (int64_t m = 1; m <= 3; ++m) {
+                for (const kern::FcAct act : acts) {
+                    SCOPED_TRACE(std::string(kernelIsaName(isa)) +
+                                 " special m=" + std::to_string(m) +
+                                 " n=" + std::to_string(n) + " act=" +
+                                 std::to_string(static_cast<int>(act)));
+                    std::vector<float> y(static_cast<size_t>(m * n));
+                    kern::fcRows(isa, xs, w.data(), b.data(), y.data(), 0,
+                                 m, n, 1, act);
+                    for (int64_t i = 0; i < m; ++i) {
+                        for (int64_t j = 0; j < n; ++j) {
+                            const float pre = kern::dotBias(
+                                isa, b[static_cast<size_t>(j)], xs + i,
+                                w.data() + j, 1);
+                            const float ref = applyAct(act, pre);
+                            const float got =
+                                y[static_cast<size_t>(i * n + j)];
+                            ASSERT_EQ(std::memcmp(&ref, &got,
+                                                  sizeof(float)),
+                                      0)
+                                << "fcRows(" << i << "," << j
+                                << ") pre-activation " << pre << " gave "
+                                << got << ", applyAct gives " << ref;
+                        }
+                    }
                 }
             }
         }
