@@ -19,8 +19,12 @@ WorkloadSpec
 demoSpec()
 {
     WorkloadSpec spec;
-    spec.categorical.push_back({"idx0", "len0", 1000, 5, 0.0});
-    spec.categorical.push_back({"idx1", "len1", 200, 2, 0.9});
+    spec.categorical.push_back({.indicesBlob = "idx0", .lengthsBlob = "len0",
+                                .tableRows = 1000, .lookupsPerSample = 5,
+                                .zipfExponent = 0.0, .weightsBlob = ""});
+    spec.categorical.push_back({.indicesBlob = "idx1", .lengthsBlob = "len1",
+                                .tableRows = 200, .lookupsPerSample = 2,
+                                .zipfExponent = 0.9, .weightsBlob = ""});
     spec.continuous.push_back({"dense", 13});
     return spec;
 }
@@ -82,7 +86,9 @@ TEST(BatchGenerator, DeterministicPerSeedAndBatch)
 TEST(BatchGenerator, ZipfSkewConcentratesIndices)
 {
     WorkloadSpec skew;
-    skew.categorical.push_back({"idx", "len", 100000, 50, 1.1});
+    skew.categorical.push_back({.indicesBlob = "idx", .lengthsBlob = "len",
+                                .tableRows = 100000, .lookupsPerSample = 50,
+                                .zipfExponent = 1.1, .weightsBlob = ""});
     Workspace ws;
     BatchGenerator gen(skew);
     gen.materialize(ws, 64);
