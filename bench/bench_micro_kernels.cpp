@@ -22,6 +22,7 @@
 #include "ops/elementwise.h"
 #include "ops/embedding.h"
 #include "ops/fc.h"
+#include "ops/fused.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache_hierarchy.h"
 #include "uarch/cpu_model.h"
@@ -41,24 +42,44 @@ tierFromArg(benchmark::State& state, int64_t arg, KernelIsa* isa)
     return true;
 }
 
-/** FC at m x n x k (args m, n, k, tier), one intra-op thread. */
+/** A tensor of uniform draws in [-1, 1). */
+Tensor
+randomTensor(Rng* rng, std::vector<int64_t> shape)
+{
+    Tensor t(std::move(shape));
+    float* v = t.data<float>();
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        v[i] = rng->nextFloat(-1.0f, 1.0f);
+    }
+    return t;
+}
+
+/**
+ * FC at m x n x k with an activation (args m, n, k, act, tier; act 0
+ * = none, 1 = ReLU), one intra-op thread. A one-block FusedFCOp runs
+ * the same fcRows call FCOp does, plus the activation pass.
+ */
 void
 BM_FCKernel(benchmark::State& state)
 {
     const int64_t m = state.range(0);
     const int64_t n = state.range(1);
     const int64_t k = state.range(2);
+    const FusedAct act = state.range(3) == 0 ? FusedAct::kNone
+                                             : FusedAct::kRelu;
     KernelIsa isa;
-    if (!tierFromArg(state, state.range(3), &isa)) {
+    if (!tierFromArg(state, state.range(4), &isa)) {
         return;
     }
     IsaScope tier(isa);
     IntraOpScope width(1);
+    // Random signs, so the ReLU pass sees unpredictable outputs.
+    Rng rng(3);
     Workspace ws;
-    ws.set("x", Tensor({m, k}));
-    ws.set("w", Tensor({n, k}));
-    ws.set("b", Tensor({n}));
-    FCOp fc("fc", "x", "w", "b", "y");
+    ws.set("x", randomTensor(&rng, {m, k}));
+    ws.set("w", randomTensor(&rng, {n, k}));
+    ws.set("b", randomTensor(&rng, {n}));
+    FusedFCOp fc("fc", {"x"}, "w", "b", "y", act);
     fc.inferShapes(ws);
     for (auto _ : state) {
         fc.run(ws);
@@ -70,24 +91,61 @@ BM_FCKernel(benchmark::State& state)
     state.counters["GFLOP/s"] = benchmark::Counter(
         1e-9 * static_cast<double>(flops),
         benchmark::Counter::kIsIterationInvariantRate);
-    state.SetLabel(kernelIsaName(isa));
+    state.SetLabel(std::string(kernelIsaName(isa)) +
+                   (act == FusedAct::kRelu ? " relu" : ""));
 }
 BENCHMARK(BM_FCKernel)
-    ->Args({16, 64, 64, 0})
-    ->Args({16, 64, 64, 1})
-    ->Args({16, 256, 256, 0})
-    ->Args({16, 256, 256, 1})
-    ->Args({64, 256, 256, 0})
-    ->Args({64, 256, 256, 1})
+    ->Args({16, 64, 64, 0, 0})
+    ->Args({16, 64, 64, 0, 1})
+    ->Args({16, 256, 256, 0, 0})
+    ->Args({16, 256, 256, 0, 1})
+    ->Args({64, 256, 256, 0, 0})
+    ->Args({64, 256, 256, 0, 1})
     // The shapes that dominate batch-256 inference, none of which is
     // square: WnD's first layer (5.4 MB of W, beyond L2), a DIN
     // attention FC and a DIEN GRU gate matmul.
-    ->Args({256, 1024, 1330, 0})
-    ->Args({256, 1024, 1330, 1})
-    ->Args({256, 36, 256, 0})
-    ->Args({256, 36, 256, 1})
-    ->Args({256, 192, 64, 0})
-    ->Args({256, 192, 64, 1});
+    ->Args({256, 1024, 1330, 0, 0})
+    ->Args({256, 1024, 1330, 0, 1})
+    ->Args({256, 36, 256, 0, 0})
+    ->Args({256, 36, 256, 0, 1})
+    ->Args({256, 192, 64, 0, 0})
+    ->Args({256, 192, 64, 0, 1})
+    // The activation pass without and with ReLU: one 16-row tile of
+    // DIN's attention FC (its fused concat rows) and DIN's top MLP.
+    ->Args({16, 36, 256, 0, 0})
+    ->Args({16, 36, 256, 1, 0})
+    ->Args({16, 36, 256, 0, 1})
+    ->Args({16, 36, 256, 1, 1})
+    ->Args({256, 200, 128, 0, 0})
+    ->Args({256, 200, 128, 1, 0})
+    ->Args({256, 200, 128, 0, 1})
+    ->Args({256, 200, 128, 1, 1});
+
+/** Same-shape Sub over 256 x 64 (DIN's per-behavior diff; arg tier). */
+void
+BM_BinaryOp(benchmark::State& state)
+{
+    KernelIsa isa;
+    if (!tierFromArg(state, state.range(0), &isa)) {
+        return;
+    }
+    IsaScope tier(isa);
+    IntraOpScope width(1);
+    Rng rng(5);
+    Workspace ws;
+    ws.set("a", randomTensor(&rng, {256, 64}));
+    ws.set("b", randomTensor(&rng, {256, 64}));
+    BinaryOp sub(BinaryFn::kSub, "sub", "a", "b", "y");
+    sub.inferShapes(ws);
+    for (auto _ : state) {
+        sub.run(ws);
+        benchmark::DoNotOptimize(ws.get("y").data<float>());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 256 * 64);
+    state.SetLabel(kernelIsaName(isa));
+}
+BENCHMARK(BM_BinaryOp)->Arg(0)->Arg(1);
 
 void
 BM_SparseLengthsSum(benchmark::State& state)

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/thread_pool.h"
+#include "ops/kernels.h"
 #include "ops/op_costs.h"
 
 namespace recstack {
@@ -146,21 +147,28 @@ BinaryOp::run(Workspace& ws)
     float* y = yt.data<float>();
     const int64_t n = at.numel();
     const bool broadcast = at.shape() != bt.shape();
-    const int64_t cols = broadcast ? at.dim(1) : 1;
     const BinaryFn fn = fn_;
+    if (!broadcast) {
+        const KernelIsa isa = activeKernelIsa();
+        const kern::BinOp op = fn == BinaryFn::kAdd   ? kern::BinOp::kAdd
+                               : fn == BinaryFn::kSub ? kern::BinOp::kSub
+                                                      : kern::BinOp::kMul;
+        parallelFor(0, n, grainForCost(2), [=](int64_t lo, int64_t hi) {
+            kern::binaryRow(isa, op, y + lo, a + lo, b + lo, hi - lo);
+        });
+        return;
+    }
+    const int64_t cols = at.dim(1);
     parallelFor(0, n, grainForCost(2), [=](int64_t lo, int64_t hi) {
-        auto rhs = [&](int64_t i) {
-            return broadcast ? b[i / cols] : b[i];
-        };
         switch (fn) {
           case BinaryFn::kAdd:
-            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] + rhs(i);
+            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] + b[i / cols];
             break;
           case BinaryFn::kSub:
-            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] - rhs(i);
+            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] - b[i / cols];
             break;
           case BinaryFn::kMul:
-            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] * rhs(i);
+            for (int64_t i = lo; i < hi; ++i) y[i] = a[i] * b[i / cols];
             break;
         }
     });

@@ -110,5 +110,19 @@ rowCopy(KernelIsa isa, float* dst, const float* src, int64_t dim)
     detail::rowCopyScalar(dst, src, dim);
 }
 
+void
+binaryRow(KernelIsa isa, BinOp op, float* y, const float* a, const float* b,
+          int64_t n)
+{
+    switch (isa) {
+      case KernelIsa::kAvx2:
+        detail::binaryRowAvx2(op, y, a, b, n);
+        return;
+      case KernelIsa::kScalar:
+        break;
+    }
+    detail::binaryRowScalar(op, y, a, b, n);
+}
+
 }  // namespace kern
 }  // namespace recstack

@@ -18,9 +18,10 @@
  *    byte-for-byte; RECSTACK_ISA=scalar output is bit-identical to
  *    the historical kernels and the golden snapshots.
  *  - Lane-parallel kernels (rowAdd/rowAddScaled/rowScale/rowCopy,
- *    batchMatMulRows) keep every output element's accumulation
- *    sequence identical to scalar, so the avx2 tier is BIT-IDENTICAL
- *    to scalar for SLS/SLWS/SLMean/Gather/ReduceSum/BatchMatMul.
+ *    binaryRow, batchMatMulRows) keep every output element's
+ *    accumulation sequence identical to scalar, so the avx2 tier is
+ *    BIT-IDENTICAL to scalar for SLS/SLWS/SLMean/Gather/ReduceSum/
+ *    Add/Sub/Mul/BatchMatMul.
  *    (rowAddScaled deliberately uses mul-then-add, not FMA, to keep
  *    the scalar rounding; the avx2 TU is built with -ffp-contract=off
  *    so the compiler cannot re-fuse it.)
@@ -39,7 +40,12 @@
  *    over L2-sized column panels of W, but each output element still
  *    owns one accumulator running exactly this recipe, so tiles,
  *    panels and the callers' row tiles only change when an element
- *    is computed, never its bits. Every caller (FCOp, FusedFCOp over
+ *    is computed, never its bits. Its ReLU pass is a compare-and-mask
+ *    over 8 stored sums: an ordered v > 0 keeps v's bits and anything
+ *    else (NaN, -0.0, -inf, negatives) becomes +0.0, which is exactly
+ *    `v > 0.0f ? v : 0.0f`. Sigmoid and tanh stay one libm call per
+ *    element, because no vector expf/tanhf reproduces libm's bits.
+ *    Every caller (FCOp, FusedFCOp over
  *    gathered concat rows, GRUStepOp/GRULayerOp gates) uses this
  *    same contract, which is what keeps the compiled/fused path
  *    bit-identical to the interpreted path at any tier
@@ -106,6 +112,17 @@ void rowScale(KernelIsa isa, float* yrow, float scale, int64_t dim);
 
 /** dst[d] = src[d] — the Gather row copy; trivially bit-identical. */
 void rowCopy(KernelIsa isa, float* dst, const float* src, int64_t dim);
+
+/** Elementwise arithmetic of binaryRow. */
+enum class BinOp { kAdd, kSub, kMul };
+
+/**
+ * y[i] = a[i] op b[i] for i < n — the same-shape Add/Sub/Mul; one IEEE
+ * operation per element, bit-identical across tiers. y may equal a or
+ * b but must not partly overlap either.
+ */
+void binaryRow(KernelIsa isa, BinOp op, float* y, const float* a,
+               const float* b, int64_t n);
 
 }  // namespace kern
 }  // namespace recstack

@@ -9,8 +9,9 @@
  * Two numerics classes (see ops/kernels.h and docs/vectorization.md):
  *
  *  - Lane-parallel kernels (rowAdd/rowAddScaled/rowScale/rowCopy,
- *    batchMatMulRows): each output element sees exactly the scalar
- *    tier's operation sequence, so these are bit-identical to scalar.
+ *    binaryRow, batchMatMulRows): each output element sees exactly
+ *    the scalar tier's operation sequence, so these are bit-identical
+ *    to scalar.
  *  - K-reduction kernels (dotBias, fcRows): the reduction is split
  *    over the 8 lanes of ONE accumulator (lane l sums the c ≡ l
  *    mod 8 products, FMA-fused), reduced by a fixed pairwise tree,
@@ -144,6 +145,45 @@ fcPanelRows(const float* x, const float* w, const float* b, float* y,
     }
 }
 
+/**
+ * y[i] = v > 0 ? v : 0 over n floats: the ordered compare keeps v's
+ * bits, everything else (NaN, -0.0, -inf, negatives) ANDs to +0.0,
+ * as the scalar conditional on the <8 tail does.
+ */
+inline void
+reluInPlace(float* y, int64_t n)
+{
+    const __m256 zero = _mm256_setzero_ps();
+    const int64_t nv = n & ~int64_t{7};
+    for (int64_t i = 0; i < nv; i += 8) {
+        const __m256 v = _mm256_loadu_ps(y + i);
+        _mm256_storeu_ps(
+            y + i, _mm256_and_ps(_mm256_cmp_ps(v, zero, _CMP_GT_OQ), v));
+    }
+    for (int64_t i = nv; i < n; ++i) {
+        y[i] = y[i] > 0.0f ? y[i] : 0.0f;
+    }
+}
+
+/**
+ * y[i] = a[i] op b[i], 8 lanes at a time, then the scalar tail. Each
+ * block loads a and b before it stores y, so y == a (or b) is safe.
+ */
+template <typename VecOp, typename ScalarOp>
+inline void
+binaryLoop(float* y, const float* a, const float* b, int64_t n, VecOp vop,
+           ScalarOp sop)
+{
+    const int64_t nv = n & ~int64_t{7};
+    for (int64_t i = 0; i < nv; i += 8) {
+        _mm256_storeu_ps(
+            y + i, vop(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    }
+    for (int64_t i = nv; i < n; ++i) {
+        y[i] = sop(a[i], b[i]);
+    }
+}
+
 }  // namespace
 
 float
@@ -188,8 +228,10 @@ fcRowsAvx2(const float* x, const float* w, const float* b, float* y,
     }
     // The activation maps each stored sum exactly as it would map the
     // register value (a float store is exact), in a pass of its own so
-    // no call sits inside the tiles.
-    if (act != FcAct::kNone) {
+    // no call sits inside the tiles. Rows [lo, hi) of y are contiguous.
+    if (act == FcAct::kRelu) {
+        reluInPlace(y + lo * n, (hi - lo) * n);
+    } else if (act != FcAct::kNone) {
         for (int64_t i = lo; i < hi; ++i) {
             float* yrow = y + i * n;
             for (int64_t j = 0; j < n; ++j) {
@@ -291,6 +333,31 @@ rowCopyAvx2(float* dst, const float* src, int64_t dim)
     }
 }
 
+void
+binaryRowAvx2(BinOp op, float* y, const float* a, const float* b, int64_t n)
+{
+    switch (op) {
+      case BinOp::kAdd:
+        binaryLoop(
+            y, a, b, n,
+            [](__m256 p, __m256 q) { return _mm256_add_ps(p, q); },
+            [](float p, float q) { return p + q; });
+        break;
+      case BinOp::kSub:
+        binaryLoop(
+            y, a, b, n,
+            [](__m256 p, __m256 q) { return _mm256_sub_ps(p, q); },
+            [](float p, float q) { return p - q; });
+        break;
+      case BinOp::kMul:
+        binaryLoop(
+            y, a, b, n,
+            [](__m256 p, __m256 q) { return _mm256_mul_ps(p, q); },
+            [](float p, float q) { return p * q; });
+        break;
+    }
+}
+
 }  // namespace detail
 }  // namespace kern
 }  // namespace recstack
@@ -343,6 +410,12 @@ void
 rowCopyAvx2(float* dst, const float* src, int64_t dim)
 {
     rowCopyScalar(dst, src, dim);
+}
+
+void
+binaryRowAvx2(BinOp op, float* y, const float* a, const float* b, int64_t n)
+{
+    binaryRowScalar(op, y, a, b, n);
 }
 
 }  // namespace detail

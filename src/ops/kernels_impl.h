@@ -33,6 +33,8 @@ void rowAddScaledScalar(float* yrow, const float* src, float scale,
                         int64_t dim);
 void rowScaleScalar(float* yrow, float scale, int64_t dim);
 void rowCopyScalar(float* dst, const float* src, int64_t dim);
+void binaryRowScalar(BinOp op, float* y, const float* a, const float* b,
+                     int64_t n);
 
 float dotBiasAvx2(float bias, const float* x, const float* w, int64_t k);
 void fcRowsAvx2(const float* x, const float* w, const float* b, float* y,
@@ -45,6 +47,8 @@ void rowAddScaledAvx2(float* yrow, const float* src, float scale,
                       int64_t dim);
 void rowScaleAvx2(float* yrow, float scale, int64_t dim);
 void rowCopyAvx2(float* dst, const float* src, int64_t dim);
+void binaryRowAvx2(BinOp op, float* y, const float* a, const float* b,
+                   int64_t n);
 
 /** Shared scalar activation (applied to the fp32 accumulator). */
 float applyFcAct(FcAct act, float v);

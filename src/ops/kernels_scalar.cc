@@ -108,6 +108,23 @@ rowCopyScalar(float* dst, const float* src, int64_t dim)
     }
 }
 
+void
+binaryRowScalar(BinOp op, float* y, const float* a, const float* b,
+                int64_t n)
+{
+    switch (op) {
+      case BinOp::kAdd:
+        for (int64_t i = 0; i < n; ++i) y[i] = a[i] + b[i];
+        break;
+      case BinOp::kSub:
+        for (int64_t i = 0; i < n; ++i) y[i] = a[i] - b[i];
+        break;
+      case BinOp::kMul:
+        for (int64_t i = 0; i < n; ++i) y[i] = a[i] * b[i];
+        break;
+    }
+}
+
 }  // namespace detail
 }  // namespace kern
 }  // namespace recstack

@@ -7,8 +7,9 @@
  *
  *  - BIT-IDENTICAL family — kernels whose vectorization preserves the
  *    per-element accumulation order (rowAdd/rowAddScaled/rowScale/
- *    rowCopy behind SLS/SLWS/SLMean/Gather/ReduceSum, and
- *    batchMatMulRows): scalar and avx2 outputs must memcmp equal.
+ *    rowCopy behind SLS/SLWS/SLMean/Gather/ReduceSum, binaryRow
+ *    behind same-shape Add/Sub/Mul, and batchMatMulRows): scalar and
+ *    avx2 outputs must memcmp equal.
  *    Model-wide, every blob NOT data-dependent on a dot-reduction op
  *    inherits this guarantee transitively.
  *  - TOLERANCE family — k-reduction kernels (dotBias behind FC,
@@ -687,6 +688,26 @@ TEST(SimdKernelProperties, RowKernelsBitIdenticalAcrossTiers)
         kern::rowCopy(KernelIsa::kAvx2, b.data(), src.data(), dim);
         EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
             << "rowCopy";
+
+        for (const kern::BinOp op :
+             {kern::BinOp::kAdd, kern::BinOp::kSub, kern::BinOp::kMul}) {
+            const std::string name =
+                "binaryRow op=" + std::to_string(static_cast<int>(op));
+            a.assign(static_cast<size_t>(dim), 0.0f);
+            b.assign(static_cast<size_t>(dim), 0.0f);
+            kern::binaryRow(KernelIsa::kScalar, op, a.data(), base.data(),
+                            src.data(), dim);
+            kern::binaryRow(KernelIsa::kAvx2, op, b.data(), base.data(),
+                            src.data(), dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << name;
+            // In place (y == a), as an op whose output reuses its
+            // first input's storage would call it.
+            b = base;
+            kern::binaryRow(KernelIsa::kAvx2, op, b.data(), b.data(),
+                            src.data(), dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
+                << name << " in place";
+        }
     }
 }
 
