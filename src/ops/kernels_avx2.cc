@@ -166,22 +166,19 @@ reluInPlace(float* y, int64_t n)
 }
 
 /**
- * y[i] = a[i] op b[i], 8 lanes at a time, then the scalar tail. Each
- * block loads a and b before it stores y, so y == a (or b) is safe.
+ * y[i] = a[i] op b[i] over the whole 8-lane blocks of n. Each block
+ * loads a and b before it stores y, so y == a (or b) is safe.
  */
-template <typename VecOp, typename ScalarOp>
-inline void
-binaryLoop(float* y, const float* a, const float* b, int64_t n, VecOp vop,
-           ScalarOp sop)
+template <typename VecOp>
+inline int64_t
+binaryBlocks(float* y, const float* a, const float* b, int64_t n, VecOp op)
 {
     const int64_t nv = n & ~int64_t{7};
     for (int64_t i = 0; i < nv; i += 8) {
         _mm256_storeu_ps(
-            y + i, vop(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+            y + i, op(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
     }
-    for (int64_t i = nv; i < n; ++i) {
-        y[i] = sop(a[i], b[i]);
-    }
+    return nv;
 }
 
 }  // namespace
@@ -336,26 +333,25 @@ rowCopyAvx2(float* dst, const float* src, int64_t dim)
 void
 binaryRowAvx2(BinOp op, float* y, const float* a, const float* b, int64_t n)
 {
+    int64_t nv = 0;
     switch (op) {
       case BinOp::kAdd:
-        binaryLoop(
-            y, a, b, n,
-            [](__m256 p, __m256 q) { return _mm256_add_ps(p, q); },
-            [](float p, float q) { return p + q; });
+        nv = binaryBlocks(y, a, b, n, [](__m256 p, __m256 q) {
+            return _mm256_add_ps(p, q);
+        });
         break;
       case BinOp::kSub:
-        binaryLoop(
-            y, a, b, n,
-            [](__m256 p, __m256 q) { return _mm256_sub_ps(p, q); },
-            [](float p, float q) { return p - q; });
+        nv = binaryBlocks(y, a, b, n, [](__m256 p, __m256 q) {
+            return _mm256_sub_ps(p, q);
+        });
         break;
       case BinOp::kMul:
-        binaryLoop(
-            y, a, b, n,
-            [](__m256 p, __m256 q) { return _mm256_mul_ps(p, q); },
-            [](float p, float q) { return p * q; });
+        nv = binaryBlocks(y, a, b, n, [](__m256 p, __m256 q) {
+            return _mm256_mul_ps(p, q);
+        });
         break;
     }
+    binaryRowScalar(op, y + nv, a + nv, b + nv, n - nv);
 }
 
 }  // namespace detail
