@@ -45,10 +45,10 @@
  *    else (NaN, -0.0, -inf, negatives) becomes +0.0, which is exactly
  *    `v > 0.0f ? v : 0.0f`. Sigmoid and tanh stay one libm call per
  *    element, because no vector expf/tanhf reproduces libm's bits.
- *    Every caller (FCOp, FusedFCOp over
- *    gathered concat rows, GRUStepOp/GRULayerOp gates) uses this
- *    same contract, which is what keeps the compiled/fused path
- *    bit-identical to the interpreted path at any tier
+ *    Every caller (FCOp, FusedFCOp over gathered concat rows,
+ *    GRUStepOp/GRULayerOp gates) uses this same contract, which is
+ *    what keeps the compiled/fused path bit-identical to the
+ *    interpreted path at any tier
  *    (tests/test_plan_equivalence.cc, tests/test_simd_differential.cc).
  */
 
