@@ -31,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cctype>
 #include <cfloat>
 #include <cmath>
@@ -50,6 +51,7 @@
 #include "models/model.h"
 #include "ops/embedding.h"
 #include "ops/fc.h"
+#include "ops/fused.h"
 #include "ops/kernels.h"
 
 namespace recstack {
@@ -737,6 +739,253 @@ TEST(SimdKernelProperties, BatchMatMulRowsBitIdenticalAcrossTiers)
                   0)
             << "batchMatMulRows must keep the scalar per-element "
             << "accumulation order";
+    }
+}
+
+// ---------------------------------------------------------------------
+// FusedGRUStep gate math at special values.
+// ---------------------------------------------------------------------
+
+float
+bitsToFloat(uint32_t bits)
+{
+    return std::bit_cast<float>(bits);
+}
+
+/** v and its n neighbours on each side, walked in bit patterns. */
+void
+appendUlpRange(std::vector<float>* out, float v, int n)
+{
+    const uint32_t c = std::bit_cast<uint32_t>(v);
+    for (int d = -n; d <= n; ++d) {
+        out->push_back(bitsToFloat(c + static_cast<uint32_t>(d)));
+    }
+}
+
+/**
+ * Arguments of the expf inside the r/z sigmoids: zeros, infinities,
+ * NaNs (one with a payload), the |x| >= 88 cut of glibc's expf and its
+ * overflow/underflow thresholds, and ordinary values of both signs.
+ */
+std::vector<float>
+gruExpTargets()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> v = {-0.0f, inf, -inf, bitsToFloat(0x7fc00000u),
+                            bitsToFloat(0xffc00000u),
+                            bitsToFloat(0x7fc12345u), 88.72283935546875f,
+                            bitsToFloat(0x42b17217u), 89.0f, -89.0f,
+                            100.0f, -100.0f, -103.97f, -104.0f, -150.0f,
+                            1e30f, -1e30f, 87.9f, -87.9f, 20.0f, -20.0f,
+                            2.0f, 0.5f, -0.5f, 1e-10f, -1e-10f, 1e-40f,
+                            -1e-40f};
+    appendUlpRange(&v, 88.0f, 2);
+    appendUlpRange(&v, -88.0f, 2);
+    return v;
+}
+
+/**
+ * Arguments of the tanh of the n gate: fdlibm tanhf's cuts (2^-55,
+ * 1, 22), the expm1f cut points it reaches through 2|x|
+ * (0x33000000, 0x3eb17218, 0x3f851592 halved), the k = -2/-3,
+ * 22/23 and 56/57 steps of expm1f's reduction, subnormals,
+ * infinities and NaNs. -0.0 is reached by a case of its own.
+ */
+std::vector<float>
+gruTanhTargets()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    std::vector<float> v = {0.0f, inf, -inf, bitsToFloat(0x7fc00000u),
+                            bitsToFloat(0xffc00000u), 23.5f, -23.5f,
+                            1e30f, -1e30f, 0x1p-60f, -0x1p-60f,
+                            bitsToFloat(0x00000001u),
+                            bitsToFloat(0x80000001u), 1e-40f, 0.3f,
+                            -0.7f, 3.0f, -9.0f};
+    const uint32_t cuts[] = {0x24000000u, 0x3f800000u, 0x41b00000u,
+                             0x33000000u - 0x00800000u,
+                             0x3eb17218u - 0x00800000u,
+                             0x3f851592u - 0x00800000u};
+    for (const uint32_t c : cuts) {
+        appendUlpRange(&v, bitsToFloat(c), 1);
+        appendUlpRange(&v, -bitsToFloat(c), 1);
+    }
+    // expm1f(2|x|) picks k = (int)(invln2 * 2|x| +- 0.5); the float
+    // rounding moves each step by a few ulps from the real boundary.
+    const float invln2 = 1.4426950216f;
+    for (const float kh : {2.5f, 22.5f, 56.5f}) {
+        appendUlpRange(&v, kh / (2.0f * invln2), 12);
+        appendUlpRange(&v, -kh / (2.0f * invln2), 4);
+    }
+    return v;
+}
+
+/**
+ * One gate column of the special-value net: the exp arguments of r
+ * and z, the tanh argument of n, and the n gate's h-side bias (-1
+ * with r = +0 turns the tanh argument -0.0 + +0 * -1 into -0.0).
+ */
+struct GruCase {
+    float expR;
+    float expZ;
+    float tanhN;
+    float bhN;
+};
+
+std::vector<GruCase>
+gruSpecialCases()
+{
+    const std::vector<float> exps = gruExpTargets();
+    const std::vector<float> tanhs = gruTanhTargets();
+    const float benign[] = {0.25f, -1.5f, 3.0f, -0.75f, 0.0625f};
+    std::vector<GruCase> cases;
+    for (size_t i = 0; i < tanhs.size(); ++i) {
+        cases.push_back({benign[i % 5], exps[i % exps.size()], tanhs[i],
+                         0.0f});
+    }
+    for (size_t i = 0; i < exps.size(); ++i) {
+        cases.push_back({exps[i], benign[(i + 2) % 5], 0.3f, 0.0f});
+    }
+    cases.push_back({200.0f, 0.5f, -0.0f, -1.0f});
+    return cases;
+}
+
+TEST(GruStepSpecialValues, BitExactAgainstLibmReferencePerTier)
+{
+    // Wx and Wh are all -0.0 and x, h positive, so every product is
+    // -0.0 and each pre-activation is its bias (in_dim 5 keeps gx on
+    // the sequential path of both tiers, so a -0.0 bias survives);
+    // bx carries the case values and bh is 0 except the -0.0 case.
+    // The reference recomputes gx and gh with dotBias on the same tier
+    // and the gate math with std::exp and std::tanh, and the test also
+    // checks that every target value reached its expf or tanh.
+    constexpr int64_t batch = 3;
+    constexpr int64_t steps = 2;
+    constexpr int64_t step = 1;
+    constexpr int64_t in_dim = 5;
+    const std::vector<GruCase> cases = gruSpecialCases();
+    const std::vector<float> exp_targets = gruExpTargets();
+    std::vector<float> tanh_targets = gruTanhTargets();
+    tanh_targets.push_back(-0.0f);
+    const int64_t ncase = static_cast<int64_t>(cases.size());
+
+    std::vector<KernelIsa> isas = {KernelIsa::kScalar};
+    if (kernelIsaSupported(KernelIsa::kAvx2)) {
+        isas.push_back(KernelIsa::kAvx2);
+    }
+    Rng rng(29);
+    for (const KernelIsa isa : isas) {
+        for (const int64_t hidden : {int64_t{13}, int64_t{64}}) {
+            for (const bool attentional : {false, true}) {
+                SCOPED_TRACE(std::string(kernelIsaName(isa)) +
+                             " hidden=" + std::to_string(hidden) +
+                             (attentional ? " att" : " plain"));
+                const int64_t g3 = 3 * hidden;
+                std::vector<float> seq(
+                    static_cast<size_t>(batch * steps * in_dim));
+                for (float& v : seq) {
+                    v = rng.nextFloat(0.1f, 1.0f);
+                }
+                std::vector<float> h(static_cast<size_t>(batch * hidden));
+                for (float& v : h) {
+                    v = rng.nextFloat(0.1f, 1.0f);
+                }
+                std::vector<float> att(static_cast<size_t>(batch * steps));
+                for (float& v : att) {
+                    v = rng.nextFloat(0.0f, 1.0f);
+                }
+                const std::vector<float> wx(
+                    static_cast<size_t>(g3 * in_dim), -0.0f);
+                const std::vector<float> wh(
+                    static_cast<size_t>(g3 * hidden), -0.0f);
+                std::set<uint32_t> exp_seen;
+                std::set<uint32_t> tanh_seen;
+                for (int64_t rot = 0; rot < ncase; ++rot) {
+                    std::vector<float> bx(static_cast<size_t>(g3));
+                    std::vector<float> bh(static_cast<size_t>(g3), 0.0f);
+                    for (int64_t j = 0; j < hidden; ++j) {
+                        const GruCase& c =
+                            cases[static_cast<size_t>((j + rot) % ncase)];
+                        bx[static_cast<size_t>(j)] = -c.expR;
+                        bx[static_cast<size_t>(hidden + j)] = -c.expZ;
+                        bx[static_cast<size_t>(2 * hidden + j)] = c.tanhN;
+                        bh[static_cast<size_t>(2 * hidden + j)] = c.bhN;
+                    }
+                    Workspace ws;
+                    ws.set("seq", Tensor::fromFloats({batch, steps, in_dim},
+                                                     seq));
+                    ws.set("h", Tensor::fromFloats({batch, hidden}, h));
+                    ws.set("wx", Tensor::fromFloats({g3, in_dim}, wx));
+                    ws.set("bx", Tensor::fromFloats({g3}, bx));
+                    ws.set("wh", Tensor::fromFloats({g3, hidden}, wh));
+                    ws.set("bh", Tensor::fromFloats({g3}, bh));
+                    ws.set("att", Tensor::fromFloats({batch, steps, 1}, att));
+                    GRUStepOp op("gru", "seq", "h", "wx", "bx", "wh", "bh",
+                                 attentional ? "att" : "", "y", step);
+                    {
+                        IsaScope tier(isa);
+                        op.inferShapes(ws);
+                        op.run(ws);
+                    }
+                    const float* y = ws.get("y").data<float>();
+                    std::vector<float> gx(static_cast<size_t>(g3));
+                    std::vector<float> gh(static_cast<size_t>(g3));
+                    for (int64_t b = 0; b < batch; ++b) {
+                        const float* xrow =
+                            seq.data() + (b * steps + step) * in_dim;
+                        const float* hrow = h.data() + b * hidden;
+                        for (int64_t g = 0; g < g3; ++g) {
+                            gx[static_cast<size_t>(g)] = kern::dotBias(
+                                isa, bx[static_cast<size_t>(g)], xrow,
+                                wx.data() + g * in_dim, in_dim);
+                            gh[static_cast<size_t>(g)] = kern::dotBias(
+                                isa, bh[static_cast<size_t>(g)], hrow,
+                                wh.data() + g * hidden, hidden);
+                        }
+                        const float a =
+                            att[static_cast<size_t>(b * steps + step)];
+                        for (int64_t j = 0; j < hidden; ++j) {
+                            const auto at = [&](const std::vector<float>& v,
+                                                int64_t gate) {
+                                return v[static_cast<size_t>(
+                                    gate * hidden + j)];
+                            };
+                            const float er = -(at(gx, 0) + at(gh, 0));
+                            const float ez = -(at(gx, 1) + at(gh, 1));
+                            const float r = 1.0f / (1.0f + std::exp(er));
+                            float z = 1.0f / (1.0f + std::exp(ez));
+                            if (attentional) {
+                                z = z * a;
+                            }
+                            const float tn = at(gx, 2) + r * at(gh, 2);
+                            const float n = std::tanh(tn);
+                            const float zn = z * n;
+                            const float zh = z * hrow[j];
+                            const float ref = (n - zn) + zh;
+                            const float got = y[b * hidden + j];
+                            exp_seen.insert(std::bit_cast<uint32_t>(er));
+                            exp_seen.insert(std::bit_cast<uint32_t>(ez));
+                            tanh_seen.insert(std::bit_cast<uint32_t>(tn));
+                            ASSERT_EQ(std::bit_cast<uint32_t>(ref),
+                                      std::bit_cast<uint32_t>(got))
+                                << "row " << b << " column " << j
+                                << " rot " << rot << ": exp args " << er
+                                << ", " << ez << ", tanh arg " << tn
+                                << " gave " << got << ", reference "
+                                << ref;
+                        }
+                    }
+                }
+                for (const float v : exp_targets) {
+                    EXPECT_TRUE(exp_seen.count(std::bit_cast<uint32_t>(v)))
+                        << "expf argument " << v << " never reached";
+                }
+                for (const float v : tanh_targets) {
+                    EXPECT_TRUE(
+                        tanh_seen.count(std::bit_cast<uint32_t>(v)))
+                        << "tanh argument " << v << " never reached";
+                }
+            }
+        }
     }
 }
 
