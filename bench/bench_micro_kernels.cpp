@@ -12,6 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/cpu_features.h"
@@ -23,6 +25,7 @@
 #include "ops/embedding.h"
 #include "ops/fc.h"
 #include "ops/fused.h"
+#include "ops/kernels.h"
 #include "uarch/branch_predictor.h"
 #include "uarch/cache_hierarchy.h"
 #include "uarch/cpu_model.h"
@@ -146,6 +149,88 @@ BM_BinaryOp(benchmark::State& state)
     state.SetLabel(kernelIsaName(isa));
 }
 BENCHMARK(BM_BinaryOp)->Arg(0)->Arg(1);
+
+/** Uniform draws in [-2, 2): gate pre-activations of a trained scale. */
+std::vector<float>
+preActivations(Rng* rng, int64_t n)
+{
+    std::vector<float> v(static_cast<size_t>(n));
+    for (float& x : v) {
+        x = rng->nextFloat(-2.0f, 2.0f);
+    }
+    return v;
+}
+
+/**
+ * FusedGRUStep's gate math over 256 rows of hidden 64, the shape of
+ * DIEN's batch-256 step, from stored gate pre-activations (args att,
+ * tier; att 1 = attentional update).
+ */
+void
+BM_GruGateRow(benchmark::State& state)
+{
+    KernelIsa isa;
+    if (!tierFromArg(state, state.range(1), &isa)) {
+        return;
+    }
+    constexpr int64_t rows = 256;
+    constexpr int64_t hidden = 64;
+    Rng rng(9);
+    const std::vector<float> gx = preActivations(&rng, rows * 3 * hidden);
+    const std::vector<float> gh = preActivations(&rng, rows * 3 * hidden);
+    const std::vector<float> h = preActivations(&rng, rows * hidden);
+    const std::vector<float> att = preActivations(&rng, rows);
+    std::vector<float> y(static_cast<size_t>(rows * hidden));
+    const bool attentional = state.range(0) != 0;
+    for (auto _ : state) {
+        for (int64_t b = 0; b < rows; ++b) {
+            kern::gruGateRow(isa, gx.data() + b * 3 * hidden,
+                             gh.data() + b * 3 * hidden,
+                             h.data() + b * hidden,
+                             attentional ? att.data() + b : nullptr,
+                             y.data() + b * hidden, hidden);
+        }
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * rows * hidden);
+    state.SetLabel(std::string(kernelIsaName(isa)) +
+                   (attentional ? " att" : ""));
+}
+BENCHMARK(BM_GruGateRow)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
+
+/** unaryRow over 16384 elements (args op, tier; op 0 = sigmoid). */
+void
+BM_UnaryRow(benchmark::State& state)
+{
+    KernelIsa isa;
+    if (!tierFromArg(state, state.range(1), &isa)) {
+        return;
+    }
+    constexpr int64_t n = 16384;
+    Rng rng(3);
+    const std::vector<float> x = preActivations(&rng, n);
+    std::vector<float> y(static_cast<size_t>(n));
+    const kern::UnOp op =
+        state.range(0) == 0 ? kern::UnOp::kSigmoid : kern::UnOp::kTanh;
+    for (auto _ : state) {
+        kern::unaryRow(isa, op, y.data(), x.data(), n);
+        benchmark::DoNotOptimize(y.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+    state.SetLabel(std::string(kernelIsaName(isa)) +
+                   (op == kern::UnOp::kSigmoid ? " sigmoid" : " tanh"));
+}
+BENCHMARK(BM_UnaryRow)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1});
 
 void
 BM_SparseLengthsSum(benchmark::State& state)

@@ -1,7 +1,5 @@
 #include "ops/elementwise.h"
 
-#include <cmath>
-
 #include "common/thread_pool.h"
 #include "ops/kernels.h"
 #include "ops/op_costs.h"
@@ -71,6 +69,7 @@ UnaryOp::run(Workspace& ws)
     const int64_t n = xt.numel();
     // Pure elementwise map: chunks touch disjoint [lo, hi) slices.
     const UnaryFn fn = fn_;
+    const KernelIsa isa = activeKernelIsa();
     parallelFor(0, n, grainForCost(unaryElemCost(fn)),
                 [=](int64_t lo, int64_t hi) {
         switch (fn) {
@@ -80,14 +79,11 @@ UnaryOp::run(Workspace& ws)
             }
             break;
           case UnaryFn::kSigmoid:
-            for (int64_t i = lo; i < hi; ++i) {
-                y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-            }
+            kern::unaryRow(isa, kern::UnOp::kSigmoid, y + lo, x + lo,
+                           hi - lo);
             break;
           case UnaryFn::kTanh:
-            for (int64_t i = lo; i < hi; ++i) {
-                y[i] = std::tanh(x[i]);
-            }
+            kern::unaryRow(isa, kern::UnOp::kTanh, y + lo, x + lo, hi - lo);
             break;
         }
     });

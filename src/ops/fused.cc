@@ -1,7 +1,6 @@
 #include "ops/fused.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -283,10 +282,10 @@ GRUStepOp::run(Workspace& ws)
 
     // Batch rows are independent. gruGateRows runs the gate matmuls
     // per row tile through fcRows, whose every element is the same
-    // canonical dotBias the interpreted window's FCOp computes, so the
-    // result is bit-identical to the unfused chain on every ISA tier.
-    // Every arithmetic step of the gate lambda mirrors one elementwise
-    // op of the unrolled window, in the same order and in fp32.
+    // canonical dotBias the interpreted window's FCOp computes, and
+    // gruGateRow's gate math mirrors the window's elementwise ops in
+    // order and in fp32 on every tier, so the result is bit-identical
+    // to the unfused chain on every ISA tier.
     const KernelIsa isa = activeKernelIsa();
     const GruGateWeights gates{wx, bx, wh, bh, in_dim, hidden};
     const uint64_t row_cost =
@@ -295,23 +294,9 @@ GRUStepOp::run(Workspace& ws)
                 [=](int64_t lo, int64_t hi) {
         gruGateRows(isa, gates, seq + t * in_dim, steps * in_dim, h, lo,
                     hi, [&](int64_t b, const float* gx, const float* gh) {
-            const float a = att != nullptr ? att[b * steps + t] : 1.0f;
-            const float* hrow = h + b * hidden;
-            float* yrow = y + b * hidden;
-            for (int64_t j = 0; j < hidden; ++j) {
-                const float r =
-                    1.0f / (1.0f + std::exp(-(gx[j] + gh[j])));
-                float z = 1.0f / (1.0f + std::exp(-(
-                    gx[hidden + j] + gh[hidden + j])));
-                if (att != nullptr) {
-                    z = z * a;
-                }
-                const float n = std::tanh(gx[2 * hidden + j] +
-                                          r * gh[2 * hidden + j]);
-                const float zn = z * n;
-                const float zh = z * hrow[j];
-                yrow[j] = (n - zn) + zh;
-            }
+            kern::gruGateRow(isa, gx, gh, h + b * hidden,
+                             att != nullptr ? att + b * steps + t : nullptr,
+                             y + b * hidden, hidden);
         });
     });
 }

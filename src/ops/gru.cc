@@ -1,6 +1,5 @@
 #include "ops/gru.h"
 
-#include <cmath>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -8,15 +7,6 @@
 #include "ops/op_costs.h"
 
 namespace recstack {
-namespace {
-
-float
-sigmoidf(float v)
-{
-    return 1.0f / (1.0f + std::exp(-v));
-}
-
-}  // namespace
 
 GRULayerOp::GRULayerOp(std::string name, std::string x, std::string h0,
                        std::string wx, std::string wh, std::string bias,
@@ -110,13 +100,14 @@ GRULayerOp::run(Workspace& ws)
                 float* hout = hbase + b * hidden;
                 float* hseq_row = hseq + (t * batch + b) * hidden;
                 for (int64_t i = 0; i < hidden; ++i) {
-                    const float r = sigmoidf(gx[i] + gh[i]);
-                    float z = sigmoidf(gx[hidden + i] + gh[hidden + i]);
+                    const float r = kern::sigmoid(gx[i] + gh[i]);
+                    float z =
+                        kern::sigmoid(gx[hidden + i] + gh[hidden + i]);
                     if (att) {
                         z *= att[t * batch + b];
                     }
-                    const float n = std::tanh(gx[2 * hidden + i] +
-                                              r * gh[2 * hidden + i]);
+                    const float n = kern::tanh(gx[2 * hidden + i] +
+                                               r * gh[2 * hidden + i]);
                     hout[i] = (1.0f - z) * n + z * hout[i];
                     hseq_row[i] = hout[i];
                 }

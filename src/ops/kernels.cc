@@ -124,5 +124,32 @@ binaryRow(KernelIsa isa, BinOp op, float* y, const float* a, const float* b,
     detail::binaryRowScalar(op, y, a, b, n);
 }
 
+void
+unaryRow(KernelIsa isa, UnOp op, float* y, const float* x, int64_t n)
+{
+    switch (isa) {
+      case KernelIsa::kAvx2:
+        detail::unaryRowAvx2(op, y, x, n);
+        return;
+      case KernelIsa::kScalar:
+        break;
+    }
+    detail::unaryRowScalar(op, y, x, n);
+}
+
+void
+gruGateRow(KernelIsa isa, const float* gx, const float* gh,
+           const float* hrow, const float* att, float* yrow, int64_t hidden)
+{
+    switch (isa) {
+      case KernelIsa::kAvx2:
+        detail::gruGateRowAvx2(gx, gh, hrow, att, yrow, hidden);
+        return;
+      case KernelIsa::kScalar:
+        break;
+    }
+    detail::gruGateRowScalar(gx, gh, hrow, att, yrow, 0, hidden);
+}
+
 }  // namespace kern
 }  // namespace recstack

@@ -18,10 +18,21 @@
  *    byte-for-byte; RECSTACK_ISA=scalar output is bit-identical to
  *    the historical kernels and the golden snapshots.
  *  - Lane-parallel kernels (rowAdd/rowAddScaled/rowScale/rowCopy,
- *    binaryRow, batchMatMulRows) keep every output element's
- *    accumulation sequence identical to scalar, so the avx2 tier is
- *    BIT-IDENTICAL to scalar for SLS/SLWS/SLMean/Gather/ReduceSum/
- *    Add/Sub/Mul/BatchMatMul.
+ *    binaryRow, unaryRow, gruGateRow, batchMatMulRows) keep every
+ *    output element's operation sequence identical to scalar, so the
+ *    avx2 tier is BIT-IDENTICAL to scalar for SLS/SLWS/SLMean/Gather/
+ *    ReduceSum/Add/Sub/Mul/Sigmoid/Tanh/BatchMatMul and for
+ *    FusedGRUStep's gate math.
+ *  - Transcendentals: tanh is recstack's port of fdlibm's tanhf
+ *    (kern::tanh) on every tier, so no output depends on which libm's
+ *    tanhf is installed; the avx2 tier evaluates every branch of it on
+ *    8 lanes and blends. exp is libm's expf on the scalar tier; on
+ *    avx2 it is an 8-lane reproduction of glibc's FMA expf (ARM
+ *    optimized-routines), the expf glibc itself runs on the AVX2+FMA
+ *    hosts this tier needs. A block with a lane outside a vector
+ *    function's domain (inf/NaN for tanh, |x| >= 88 or NaN for exp)
+ *    calls the scalar function per lane. tests/test_vec_math.cc
+ *    compares all three with libm bit for bit.
  *    (rowAddScaled deliberately uses mul-then-add, not FMA, to keep
  *    the scalar rounding; the avx2 TU is built with -ffp-contract=off
  *    so the compiler cannot re-fuse it.)
@@ -43,9 +54,8 @@
  *    is computed, never its bits. Its ReLU pass is a compare-and-mask
  *    over 8 stored sums: an ordered v > 0 keeps v's bits and anything
  *    else (NaN, -0.0, -inf, negatives) becomes +0.0, which is exactly
- *    `v > 0.0f ? v : 0.0f`. Sigmoid and tanh stay one libm call per
- *    element, because no vector expf/tanhf reproduces libm's bits.
- *    Every caller (FCOp, FusedFCOp over gathered concat rows,
+ *    `v > 0.0f ? v : 0.0f`. Sigmoid and tanh run as one unaryRow
+ *    pass over the stored sums. Every caller (FCOp, FusedFCOp over gathered concat rows,
  *    GRUStepOp/GRULayerOp gates) uses this same contract, which is
  *    what keeps the compiled/fused path bit-identical to the
  *    interpreted path at any tier
@@ -123,6 +133,44 @@ enum class BinOp { kAdd, kSub, kMul };
  */
 void binaryRow(KernelIsa isa, BinOp op, float* y, const float* a,
                const float* b, int64_t n);
+
+/**
+ * 1 / (1 + e^-v) with libm's expf: the one scalar sigmoid of src/ops
+ * (UnaryOp, the FC activations and both GRU ops).
+ */
+float sigmoid(float v);
+
+/**
+ * tanh(v) as fdlibm's tanhf computes it (the code glibc runs), ported
+ * so outputs do not depend on which libm is installed: the one tanh
+ * of src/ops, on every tier.
+ */
+float tanh(float v);
+
+/** Elementwise activation of unaryRow. */
+enum class UnOp { kSigmoid, kTanh };
+
+/**
+ * y[i] = op(x[i]) for i < n, with kern::sigmoid / kern::tanh bits on
+ * every tier (see the file comment for how avx2 keeps them). y may
+ * equal x but must not partly overlap it.
+ */
+void unaryRow(KernelIsa isa, UnOp op, float* y, const float* x, int64_t n);
+
+/**
+ * One row of FusedGRUStep's gate math over j < hidden, from the gate
+ * pre-activations gx = Wx x + bx and gh = Wh h + bh ([3*hidden], gate
+ * order r, z, n):
+ *
+ *   r = sigmoid(gx_r + gh_r)     z = sigmoid(gx_z + gh_z) [* *att]
+ *   n = tanh(gx_n + r * gh_n)    y = (n - z * n) + z * h
+ *
+ * each step one fp32 operation in this order, no FMA: bit-identical
+ * across tiers. att is null for a plain GRU. yrow may equal hrow.
+ */
+void gruGateRow(KernelIsa isa, const float* gx, const float* gh,
+                const float* hrow, const float* att, float* yrow,
+                int64_t hidden);
 
 }  // namespace kern
 }  // namespace recstack

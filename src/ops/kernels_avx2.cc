@@ -9,9 +9,12 @@
  * Two numerics classes (see ops/kernels.h and docs/vectorization.md):
  *
  *  - Lane-parallel kernels (rowAdd/rowAddScaled/rowScale/rowCopy,
- *    binaryRow, batchMatMulRows): each output element sees exactly
- *    the scalar tier's operation sequence, so these are bit-identical
- *    to scalar.
+ *    binaryRow, unaryRow, gruGateRow, batchMatMulRows): each output
+ *    element sees exactly the scalar tier's operation sequence, so
+ *    these are bit-identical to scalar. unaryRow and gruGateRow get
+ *    there through two 8-lane functions that return libm's bits:
+ *    tanh8 (every branch of fdlibm's tanhf, blended per lane) and
+ *    exp8 (glibc's FMA expf).
  *  - K-reduction kernels (dotBias, fcRows): the reduction is split
  *    over the 8 lanes of ONE accumulator (lane l sums the c ≡ l
  *    mod 8 products, FMA-fused), reduced by a fixed pairwise tree,
@@ -30,6 +33,8 @@
  */
 
 #include "ops/kernels_impl.h"
+
+#include <cmath>
 
 #if defined(RECSTACK_HAVE_AVX2_BUILD) && \
     (defined(__x86_64__) || defined(__i386__))
@@ -181,6 +186,277 @@ binaryBlocks(float* y, const float* a, const float* b, int64_t n, VecOp op)
     return nv;
 }
 
+/*
+ * exp8 below is the expf of ARM's optimized-routines (math/expf.c and
+ * math/exp2f_data.c, by Szabolcs Nagy), which glibc ships as its expf.
+ * On hosts with AVX2 and FMA, the same condition that enables this
+ * tier, glibc's ifunc picks the copy compiled with -mfma, where the
+ * compiler fuses kd = InvLn2N * x + Shift, r = InvLn2N * x - kd and
+ * the three polynomial steps. exp8 makes those five FMAs explicit,
+ * so each lane returns that expf's bits.
+ */
+
+/// 2^(i/32) as double bits, less i << 47: tab[k % 32] + (k << 47) is
+/// the double 2^(k/32) for any |k| < 150 * 32.
+alignas(32) constexpr uint64_t kExp2Tab[32] = {
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f,
+    0x3fef9301d0125b51, 0x3fef72b83c7d517b, 0x3fef54873168b9aa,
+    0x3fef387a6e756238, 0x3fef1e9df51fdee1, 0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429,
+    0x3feea47eb03a5585, 0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187, 0x3feea589994cce13, 0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c,
+    0x3fef3720dcef9069, 0x3fef5818dcfba487, 0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+};
+constexpr double kExpInvLn2N = 0x1.71547652b82fep+0 * 32;
+constexpr double kExpShift = 0x1.8p+52;
+constexpr double kExpC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
+constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
+constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32;
+
+/** expf of 4 floats (|x| < 88), in double as the scalar code runs. */
+inline __m128
+exp4(__m128 x)
+{
+    const __m256d xd = _mm256_cvtps_pd(x);
+    const __m256d inv = _mm256_set1_pd(kExpInvLn2N);
+    const __m256d shift = _mm256_set1_pd(kExpShift);
+    // x*N/ln2 = k + r with r in [-1/2, 1/2]; the shift rounds to
+    // nearest and leaves k in the low bits of kd.
+    const __m256d kd_shifted = _mm256_fmadd_pd(inv, xd, shift);
+    const __m256i ki = _mm256_castpd_si256(kd_shifted);
+    const __m256d kd = _mm256_sub_pd(kd_shifted, shift);
+    const __m256d r = _mm256_fmsub_pd(inv, xd, kd);
+    // s = 2^(k/N) from the table entry plus k in the exponent field.
+    const __m256i t = _mm256_add_epi64(
+        _mm256_i64gather_epi64(
+            reinterpret_cast<const long long*>(kExp2Tab),
+            _mm256_and_si256(ki, _mm256_set1_epi64x(31)), 8),
+        _mm256_slli_epi64(ki, 47));
+    const __m256d s = _mm256_castsi256_pd(t);
+    // exp(x) ~= s * (C0*r^3 + C1*r^2 + C2*r + 1).
+    const __m256d z = _mm256_fmadd_pd(_mm256_set1_pd(kExpC0), r,
+                                      _mm256_set1_pd(kExpC1));
+    const __m256d r2 = _mm256_mul_pd(r, r);
+    __m256d y = _mm256_fmadd_pd(_mm256_set1_pd(kExpC2), r,
+                                _mm256_set1_pd(1.0));
+    y = _mm256_fmadd_pd(z, r2, y);
+    y = _mm256_mul_pd(y, s);
+    return _mm256_cvtpd_ps(y);
+}
+
+/** Lanes whose |bits| (sign cleared) exceed bound, as a bit mask. */
+inline int
+laneAbsAbove(__m256 x, uint32_t bound)
+{
+    const __m256i ax = _mm256_and_si256(_mm256_castps_si256(x),
+                                        _mm256_set1_epi32(0x7fffffff));
+    return _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(
+        ax, _mm256_set1_epi32(static_cast<int32_t>(bound)))));
+}
+
+/**
+ * Per-lane fallback for a block with a lane outside a vector
+ * function's domain: f on every lane, one scalar call each.
+ */
+template <typename Fn>
+inline __m256
+perLane(__m256 x, Fn f)
+{
+    alignas(32) float v[8];
+    _mm256_store_ps(v, x);
+    for (float& e : v) {
+        e = f(e);
+    }
+    return _mm256_load_ps(v);
+}
+
+/**
+ * expf(x) per lane with libm's bits. A block with a lane where
+ * |x| >= 88 or x is NaN (glibc's own slow-path test) calls std::exp
+ * on each lane instead.
+ */
+inline __m256
+exp8(__m256 x)
+{
+    if (laneAbsAbove(x, 0x42afffffu) != 0) {
+        return perLane(x, [](float v) { return std::exp(v); });
+    }
+    return _mm256_set_m128(exp4(_mm256_extractf128_ps(x, 1)),
+                           exp4(_mm256_castps256_ps128(x)));
+}
+
+/** 1 / (1 + e^-v) per lane: kern::sigmoid's operations and bits. */
+inline __m256
+sigmoid8(__m256 v)
+{
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 e = exp8(_mm256_xor_ps(v, _mm256_set1_ps(-0.0f)));
+    return _mm256_div_ps(one, _mm256_add_ps(one, e));
+}
+
+inline __m256
+blendIf(__m256 a, __m256 b, __m256i take_b)
+{
+    return _mm256_blendv_ps(a, b, _mm256_castsi256_ps(take_b));
+}
+
+inline __m256i
+gtInt(__m256i a, int32_t b)
+{
+    return _mm256_cmpgt_epi32(a, _mm256_set1_epi32(b));
+}
+
+inline __m256i
+ltInt(__m256i a, int32_t b)
+{
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(b), a);
+}
+
+inline __m256
+addExponent(__m256 y, __m256i k_shifted)
+{
+    return _mm256_castsi256_ps(
+        _mm256_add_epi32(_mm256_castps_si256(y), k_shifted));
+}
+
+/*
+ * expm1Tanh8 and tanh8 compute fdlibm's expm1f and tanhf (see
+ * kern::tanh in kernels_scalar.cc) on 8 lanes: every branch on every
+ * lane, in the scalar code's operations and order, then one blend per
+ * branch by the lane's own condition.
+ *
+ * ====================================================
+ * Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+ *
+ * Developed at SunPro, a Sun Microsystems, Inc. business.
+ * Permission to use, copy, modify, and distribute this
+ * software is freely granted, provided that this notice
+ * is preserved.
+ * ====================================================
+ */
+
+/** expm1f over the arguments tanh passes (finite, |x| < 44, k != 1). */
+inline __m256
+expm1Tanh8(__m256 x)
+{
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 half = _mm256_set1_ps(0.5f);
+    const __m256i bits = _mm256_castps_si256(x);
+    const __m256i hx =
+        _mm256_and_si256(bits, _mm256_set1_epi32(0x7fffffff));
+    const __m256 sign = _mm256_and_ps(x, _mm256_set1_ps(-0.0f));
+
+    // Argument reduction: k = +-1 for 0.5 ln2 < |x| < 1.5 ln2, else
+    // the truncation of invln2 * x +- 0.5.
+    const __m256i k_near = _mm256_or_si256(_mm256_srai_epi32(bits, 31),
+                                           _mm256_set1_epi32(1));
+    const __m256i k_far = _mm256_cvttps_epi32(_mm256_add_ps(
+        _mm256_mul_ps(_mm256_set1_ps(kInvLn2), x),
+        _mm256_or_ps(half, sign)));
+    const __m256i reduce = gtInt(hx, 0x3eb17218);
+    __m256i k = _mm256_blendv_epi8(k_far, k_near, ltInt(hx, 0x3f851592));
+    k = _mm256_and_si256(k, reduce);
+    const __m256 t = _mm256_cvtepi32_ps(k);
+    const __m256 hi =
+        _mm256_sub_ps(x, _mm256_mul_ps(t, _mm256_set1_ps(kLn2Hi)));
+    const __m256 lo = _mm256_mul_ps(t, _mm256_set1_ps(kLn2Lo));
+    const __m256 xr_reduced = _mm256_sub_ps(hi, lo);
+    const __m256 xr = blendIf(x, xr_reduced, reduce);
+    const __m256 c = _mm256_and_ps(
+        _mm256_sub_ps(_mm256_sub_ps(hi, xr_reduced), lo),
+        _mm256_castsi256_ps(reduce));
+
+    // x is now in the primary range.
+    const __m256 hfx = _mm256_mul_ps(half, xr);
+    const __m256 hxs = _mm256_mul_ps(xr, hfx);
+    __m256 p = _mm256_mul_ps(hxs, _mm256_set1_ps(kExpm1Q[4]));
+    for (int q = 3; q >= 0; --q) {
+        p = _mm256_mul_ps(hxs, _mm256_add_ps(_mm256_set1_ps(kExpm1Q[q]),
+                                             p));
+    }
+    const __m256 r1 = _mm256_add_ps(one, p);
+    const __m256 tt = _mm256_sub_ps(_mm256_set1_ps(3.0f),
+                                    _mm256_mul_ps(r1, hfx));
+    __m256 e = _mm256_mul_ps(
+        hxs, _mm256_div_ps(_mm256_sub_ps(r1, tt),
+                           _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                         _mm256_mul_ps(xr, tt))));
+    const __m256 y_k0 =
+        _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs));
+    e = _mm256_sub_ps(
+        _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+    const __m256 y_km1 =
+        _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e)), half);
+    const __m256 e_minus_x = _mm256_sub_ps(e, xr);
+    const __m256i k_exp = _mm256_slli_epi32(k, 23);
+    // k <= -2 or k > 56.
+    const __m256 y_far = _mm256_sub_ps(
+        addExponent(_mm256_sub_ps(one, e_minus_x), k_exp), one);
+    // 2 <= k <= 22: t = 1 - 2^-k.
+    const __m256 t_mid = _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_set1_epi32(0x3f800000),
+        _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+    const __m256 y_mid = addExponent(_mm256_sub_ps(t_mid, e_minus_x),
+                                     k_exp);
+    // 23 <= k <= 56: t = 2^-k.
+    const __m256 t_high = _mm256_castsi256_ps(_mm256_slli_epi32(
+        _mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+    const __m256 y_high = addExponent(
+        _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e, t_high)), one),
+        k_exp);
+
+    __m256 y = y_far;
+    y = blendIf(y, y_mid, _mm256_and_si256(gtInt(k, 1), ltInt(k, 23)));
+    y = blendIf(y, y_high, _mm256_and_si256(gtInt(k, 22), ltInt(k, 57)));
+    y = blendIf(y, y_km1, _mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1)));
+    y = blendIf(y, y_k0, _mm256_cmpeq_epi32(k, _mm256_setzero_si256()));
+    return blendIf(y, x, ltInt(hx, 0x33000000));  // |x| < 2^-25: x
+}
+
+/**
+ * tanh per lane with kern::tanh's bits. A block with an inf or NaN
+ * lane runs kern::tanh on each lane instead.
+ */
+inline __m256
+tanh8(__m256 x)
+{
+    if (laneAbsAbove(x, 0x7f7fffffu) != 0) {
+        return perLane(x, [](float v) { return tanh(v); });
+    }
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 two = _mm256_set1_ps(2.0f);
+    const __m256 sign_mask = _mm256_set1_ps(-0.0f);
+    const __m256i ix = _mm256_and_si256(_mm256_castps_si256(x),
+                                        _mm256_set1_epi32(0x7fffffff));
+    const __m256 ax = _mm256_castsi256_ps(ix);
+    // |x| >= 1: z = 1 - 2/(expm1(2|x|) + 2); else -t/(t + 2) with
+    // t = expm1(-2|x|). One divide serves both.
+    const __m256i ge1 = gtInt(ix, 0x3f7fffff);
+    const __m256 t = expm1Tanh8(blendIf(
+        _mm256_mul_ps(_mm256_set1_ps(-2.0f), ax), _mm256_mul_ps(two, ax),
+        ge1));
+    const __m256 q = _mm256_div_ps(
+        blendIf(_mm256_xor_ps(t, sign_mask), two, ge1),
+        _mm256_add_ps(t, two));
+    __m256 z = blendIf(q, _mm256_sub_ps(one, q), ge1);
+    // |x| >= 22: 1 - tiny.
+    z = blendIf(z, _mm256_set1_ps(1.0f - kTanhTiny), gtInt(ix, 0x41afffff));
+    z = _mm256_xor_ps(z, _mm256_and_ps(x, sign_mask));
+    // |x| < 2^-55: x * (1 + x), which is also x itself for x == +-0.
+    return blendIf(z, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+                   ltInt(ix, 0x24000000));
+}
+
+inline __m256
+unary8(UnOp op, __m256 x)
+{
+    return op == UnOp::kSigmoid ? sigmoid8(x) : tanh8(x);
+}
+
 }  // namespace
 
 float
@@ -229,12 +505,8 @@ fcRowsAvx2(const float* x, const float* w, const float* b, float* y,
     if (act == FcAct::kRelu) {
         reluInPlace(y + lo * n, (hi - lo) * n);
     } else if (act != FcAct::kNone) {
-        for (int64_t i = lo; i < hi; ++i) {
-            float* yrow = y + i * n;
-            for (int64_t j = 0; j < n; ++j) {
-                yrow[j] = applyFcAct(act, yrow[j]);
-            }
-        }
+        unaryRowAvx2(act == FcAct::kSigmoid ? UnOp::kSigmoid : UnOp::kTanh,
+                     y + lo * n, y + lo * n, (hi - lo) * n);
     }
 }
 
@@ -354,6 +626,58 @@ binaryRowAvx2(BinOp op, float* y, const float* a, const float* b, int64_t n)
     binaryRowScalar(op, y + nv, a + nv, b + nv, n - nv);
 }
 
+void
+unaryRowAvx2(UnOp op, float* y, const float* x, int64_t n)
+{
+    const int64_t nv = n & ~int64_t{7};
+    for (int64_t i = 0; i < nv; i += 8) {
+        _mm256_storeu_ps(y + i, unary8(op, _mm256_loadu_ps(x + i)));
+    }
+    unaryRowScalar(op, y + nv, x + nv, n - nv);
+}
+
+void
+gruGateRowAvx2(const float* gx, const float* gh, const float* hrow,
+               const float* att, float* yrow, int64_t hidden)
+{
+    // The scalar tier's operations lane by lane: no FMA (the TU is
+    // built with -ffp-contract=off), and every load of block j comes
+    // before its store, so yrow == hrow is safe.
+    const int64_t nv = hidden & ~int64_t{7};
+    const float* gxz = gx + hidden;
+    const float* ghz = gh + hidden;
+    const float* gxn = gx + 2 * hidden;
+    const float* ghn = gh + 2 * hidden;
+    for (int64_t j = 0; j < nv; j += 8) {
+        const __m256 r = sigmoid8(
+            _mm256_add_ps(_mm256_loadu_ps(gx + j), _mm256_loadu_ps(gh + j)));
+        __m256 z = sigmoid8(_mm256_add_ps(_mm256_loadu_ps(gxz + j),
+                                          _mm256_loadu_ps(ghz + j)));
+        if (att != nullptr) {
+            z = _mm256_mul_ps(z, _mm256_set1_ps(*att));
+        }
+        const __m256 n = tanh8(_mm256_add_ps(
+            _mm256_loadu_ps(gxn + j),
+            _mm256_mul_ps(r, _mm256_loadu_ps(ghn + j))));
+        const __m256 zn = _mm256_mul_ps(z, n);
+        const __m256 zh = _mm256_mul_ps(z, _mm256_loadu_ps(hrow + j));
+        _mm256_storeu_ps(yrow + j, _mm256_add_ps(_mm256_sub_ps(n, zn), zh));
+    }
+    gruGateRowScalar(gx, gh, hrow, att, yrow, nv, hidden);
+}
+
+void
+expRowAvx2(float* y, const float* x, int64_t n)
+{
+    const int64_t nv = n & ~int64_t{7};
+    for (int64_t i = 0; i < nv; i += 8) {
+        _mm256_storeu_ps(y + i, exp8(_mm256_loadu_ps(x + i)));
+    }
+    for (int64_t i = nv; i < n; ++i) {
+        y[i] = std::exp(x[i]);
+    }
+}
+
 }  // namespace detail
 }  // namespace kern
 }  // namespace recstack
@@ -412,6 +736,27 @@ void
 binaryRowAvx2(BinOp op, float* y, const float* a, const float* b, int64_t n)
 {
     binaryRowScalar(op, y, a, b, n);
+}
+
+void
+unaryRowAvx2(UnOp op, float* y, const float* x, int64_t n)
+{
+    unaryRowScalar(op, y, x, n);
+}
+
+void
+gruGateRowAvx2(const float* gx, const float* gh, const float* hrow,
+               const float* att, float* yrow, int64_t hidden)
+{
+    gruGateRowScalar(gx, gh, hrow, att, yrow, 0, hidden);
+}
+
+void
+expRowAvx2(float* y, const float* x, int64_t n)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        y[i] = std::exp(x[i]);
+    }
 }
 
 }  // namespace detail

@@ -8,12 +8,139 @@
  * here; change docs/vectorization.md's tolerance policy instead.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "ops/kernels_impl.h"
 
 namespace recstack {
 namespace kern {
+
+/*
+ * tanh below is fdlibm's tanhf, and expm1fForTanh the part of
+ * fdlibm's expm1f it reaches, as glibc builds both (s_tanhf.c and
+ * s_expm1f.c, float versions by Ian Lance Taylor, Cygnus Support):
+ *
+ * ====================================================
+ * Copyright (C) 1993 by Sun Microsystems, Inc. All rights reserved.
+ *
+ * Developed at SunPro, a Sun Microsystems, Inc. business.
+ * Permission to use, copy, modify, and distribute this
+ * software is freely granted, provided that this notice
+ * is preserved.
+ * ====================================================
+ */
+
+namespace {
+
+/**
+ * expm1f for the arguments tanh passes, 2|x| in [2, 44) and -2|x| in
+ * (-2, 0): finite, below the overflow cut and never k == 1, so those
+ * branches of expm1f are left out. Every other operation is fdlibm's,
+ * in its order; the float-to-int conversion truncates, as C's does.
+ */
+float
+expm1fForTanh(float x)
+{
+    const uint32_t hx = std::bit_cast<uint32_t>(x) & 0x7fffffffu;
+    const bool neg = std::signbit(x);
+    int32_t k = 0;
+    float c = 0.0f;
+    if (hx > 0x3eb17218u) {  // |x| > 0.5 ln2
+        float hi;
+        float lo;
+        if (hx < 0x3f851592u) {  // and |x| < 1.5 ln2
+            hi = neg ? x + detail::kLn2Hi : x - detail::kLn2Hi;
+            lo = neg ? -detail::kLn2Lo : detail::kLn2Lo;
+            k = neg ? -1 : 1;
+        } else {
+            k = static_cast<int32_t>(detail::kInvLn2 * x +
+                                     (neg ? -0.5f : 0.5f));
+            const float t = static_cast<float>(k);
+            hi = x - t * detail::kLn2Hi;  // t*ln2_hi is exact here
+            lo = t * detail::kLn2Lo;
+        }
+        x = hi - lo;
+        c = (hi - x) - lo;
+    } else if (hx < 0x33000000u) {  // |x| < 2^-25: x itself
+        return x;
+    }
+
+    // x is now in the primary range.
+    using detail::kExpm1Q;
+    const float hfx = 0.5f * x;
+    const float hxs = x * hfx;
+    const float r1 =
+        1.0f + hxs * (kExpm1Q[0] + hxs * (kExpm1Q[1] + hxs * (kExpm1Q[2] +
+                      hxs * (kExpm1Q[3] + hxs * kExpm1Q[4]))));
+    float t = 3.0f - r1 * hfx;
+    float e = hxs * ((r1 - t) / (6.0f - x * t));
+    if (k == 0) {
+        return x - (x * e - hxs);  // c is 0
+    }
+    e = (x * (e - c) - c);
+    e -= hxs;
+    if (k == -1) {
+        return 0.5f * (x - e) - 0.5f;
+    }
+    float y;
+    if (k <= -2 || k > 56) {  // suffices to return exp(x) - 1
+        y = 1.0f - (e - x);
+    } else if (k < 23) {
+        t = std::bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1-2^-k
+        y = t - (e - x);
+    } else {
+        t = std::bit_cast<float>(static_cast<uint32_t>(0x7f - k) << 23);
+        y = x - (e + t);
+        y += 1.0f;
+    }
+    // Add k to y's exponent.
+    y = std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                             (static_cast<uint32_t>(k) << 23));
+    return (k <= -2 || k > 56) ? y - 1.0f : y;
+}
+
+}  // namespace
+
+float
+sigmoid(float v)
+{
+    return 1.0f / (1.0f + std::exp(-v));
+}
+
+float
+tanh(float x)
+{
+    const uint32_t jx = std::bit_cast<uint32_t>(x);
+    const uint32_t ix = jx & 0x7fffffffu;
+    const bool neg = (jx >> 31) != 0;
+
+    if (ix >= 0x7f800000u) {  // x is inf or NaN
+        return neg ? 1.0f / x - 1.0f    // tanh(-inf) = -1, NaN stays NaN
+                   : 1.0f / x + 1.0f;  // tanh(+inf) = +1
+    }
+    float z;
+    if (ix < 0x41b00000u) {  // |x| < 22
+        if (ix == 0) {
+            return x;  // x == +-0
+        }
+        if (ix < 0x24000000u) {  // |x| < 2^-55: tanh(small) = small
+            return x * (1.0f + x);
+        }
+        if (ix >= 0x3f800000u) {  // |x| >= 1
+            const float t = expm1fForTanh(2.0f * std::fabs(x));
+            z = 1.0f - 2.0f / (t + 2.0f);
+        } else {
+            const float t = expm1fForTanh(-2.0f * std::fabs(x));
+            z = -t / (t + 2.0f);
+        }
+    } else {  // |x| >= 22: +-1
+        z = 1.0f - detail::kTanhTiny;
+    }
+    return neg ? -z : z;
+}
+
 namespace detail {
 
 float
@@ -25,9 +152,9 @@ applyFcAct(FcAct act, float v)
       case FcAct::kRelu:
         return v > 0.0f ? v : 0.0f;
       case FcAct::kSigmoid:
-        return 1.0f / (1.0f + std::exp(-v));
+        return sigmoid(v);
       case FcAct::kTanh:
-        return std::tanh(v);
+        return tanh(v);
     }
     return v;
 }
@@ -122,6 +249,36 @@ binaryRowScalar(BinOp op, float* y, const float* a, const float* b,
       case BinOp::kMul:
         for (int64_t i = 0; i < n; ++i) y[i] = a[i] * b[i];
         break;
+    }
+}
+
+void
+unaryRowScalar(UnOp op, float* y, const float* x, int64_t n)
+{
+    switch (op) {
+      case UnOp::kSigmoid:
+        for (int64_t i = 0; i < n; ++i) y[i] = sigmoid(x[i]);
+        break;
+      case UnOp::kTanh:
+        for (int64_t i = 0; i < n; ++i) y[i] = tanh(x[i]);
+        break;
+    }
+}
+
+void
+gruGateRowScalar(const float* gx, const float* gh, const float* hrow,
+                 const float* att, float* yrow, int64_t from, int64_t hidden)
+{
+    for (int64_t j = from; j < hidden; ++j) {
+        const float r = sigmoid(gx[j] + gh[j]);
+        float z = sigmoid(gx[hidden + j] + gh[hidden + j]);
+        if (att != nullptr) {
+            z = z * *att;
+        }
+        const float n = tanh(gx[2 * hidden + j] + r * gh[2 * hidden + j]);
+        const float zn = z * n;
+        const float zh = z * hrow[j];
+        yrow[j] = (n - zn) + zh;
     }
 }
 

@@ -452,6 +452,28 @@ randomVec(Rng* rng, int64_t n)
     return v;
 }
 
+/**
+ * n draws in [-24, 24), wide enough for every branch of tanh and of
+ * the expf behind sigmoid, with one special value (NaN, infinities,
+ * zeros, a subnormal, |x| >= 88, |x| < 2^-55) at each index 3 mod 11.
+ */
+std::vector<float>
+withSpecials(Rng* rng, int64_t n)
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              inf,      -inf,     -0.0f, 0.0f,
+                              100.0f,   -100.0f,  88.5f, 0x1p-60f,
+                              -1e-40f,  22.0f,    -0.3f};
+    std::vector<float> v(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+        v[static_cast<size_t>(i)] =
+            i % 11 == 3 ? specials[(i / 11) % 12]
+                        : rng->nextFloat(-24.0f, 24.0f);
+    }
+    return v;
+}
+
 /** Reassociation bound: 16 * eps * (|bias| + sum |x_i w_i|). */
 float
 dotBound(float bias, const std::vector<float>& x,
@@ -707,6 +729,50 @@ TEST(SimdKernelProperties, RowKernelsBitIdenticalAcrossTiers)
             b = base;
             kern::binaryRow(KernelIsa::kAvx2, op, b.data(), b.data(),
                             src.data(), dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
+                << name << " in place";
+        }
+
+        // Activation inputs over every tanh/expf branch, with a special
+        // value at each index i = 3 mod 11: some 8-lane blocks hold one
+        // (and take the per-lane fallback), others none, and for most
+        // sizes the <8 tail holds one too.
+        const std::vector<float> act_in = withSpecials(&rng, dim);
+        for (const kern::UnOp op :
+             {kern::UnOp::kSigmoid, kern::UnOp::kTanh}) {
+            const std::string name =
+                "unaryRow op=" + std::to_string(static_cast<int>(op));
+            a.assign(static_cast<size_t>(dim), 0.0f);
+            b.assign(static_cast<size_t>(dim), 0.0f);
+            kern::unaryRow(KernelIsa::kScalar, op, a.data(), act_in.data(),
+                           dim);
+            kern::unaryRow(KernelIsa::kAvx2, op, b.data(), act_in.data(),
+                           dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << name;
+            b = act_in;
+            kern::unaryRow(KernelIsa::kAvx2, op, b.data(), b.data(), dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
+                << name << " in place";
+        }
+
+        const std::vector<float> gx = withSpecials(&rng, 3 * dim);
+        const std::vector<float> gh = withSpecials(&rng, 3 * dim);
+        const float att = rng.nextFloat(0.0f, 1.0f);
+        for (const float* attp : {static_cast<const float*>(nullptr),
+                                  &att}) {
+            const std::string name = std::string("gruGateRow") +
+                                     (attp != nullptr ? " att" : "");
+            a.assign(static_cast<size_t>(dim), 0.0f);
+            b.assign(static_cast<size_t>(dim), 0.0f);
+            kern::gruGateRow(KernelIsa::kScalar, gx.data(), gh.data(),
+                             base.data(), attp, a.data(), dim);
+            kern::gruGateRow(KernelIsa::kAvx2, gx.data(), gh.data(),
+                             base.data(), attp, b.data(), dim);
+            EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << name;
+            // In place (yrow == hrow), as GRULayerOp's running state is.
+            b = base;
+            kern::gruGateRow(KernelIsa::kAvx2, gx.data(), gh.data(),
+                             b.data(), attp, b.data(), dim);
             EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
                 << name << " in place";
         }
