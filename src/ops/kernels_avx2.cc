@@ -217,7 +217,7 @@ constexpr double kExpC0 = 0x1.c6af84b912394p-5 / 32 / 32 / 32;
 constexpr double kExpC1 = 0x1.ebfce50fac4f3p-3 / 32 / 32;
 constexpr double kExpC2 = 0x1.62e42ff0c52d6p-1 / 32;
 
-/** expf of 4 floats (|x| < 88), in double as the scalar code runs. */
+/** expf of 4 floats (|x| < 88), in double as glibc's expf computes it. */
 inline __m128
 exp4(__m128 x)
 {

@@ -1,6 +1,8 @@
 /**
  * @file
- * Scalar kernel tier: the original pre-SIMD inner loops, verbatim.
+ * Scalar kernel tier: the original pre-SIMD inner loops, verbatim,
+ * plus the one sigmoid and tanh of src/ops (kern::sigmoid, and
+ * kern::tanh, a port of fdlibm's tanhf that the avx2 tier mirrors).
  * This tier is the numerics reference — RECSTACK_ISA=scalar output
  * must stay byte-identical to the historical kernels (the golden
  * snapshots and every pre-existing differential test were produced
@@ -33,6 +35,14 @@ namespace kern {
  */
 
 namespace {
+
+/** y * 2^k by an integer add to the exponent field, as fdlibm does. */
+float
+addToExponent(float y, int32_t k)
+{
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
+                                (static_cast<uint32_t>(k) << 23));
+}
 
 /**
  * expm1f for the arguments tanh passes, 2|x| in [2, 44) and -2|x| in
@@ -84,21 +94,15 @@ expm1fForTanh(float x)
     if (k == -1) {
         return 0.5f * (x - e) - 0.5f;
     }
-    float y;
     if (k <= -2 || k > 56) {  // suffices to return exp(x) - 1
-        y = 1.0f - (e - x);
-    } else if (k < 23) {
-        t = std::bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1-2^-k
-        y = t - (e - x);
-    } else {
-        t = std::bit_cast<float>(static_cast<uint32_t>(0x7f - k) << 23);
-        y = x - (e + t);
-        y += 1.0f;
+        return addToExponent(1.0f - (e - x), k) - 1.0f;
     }
-    // Add k to y's exponent.
-    y = std::bit_cast<float>(std::bit_cast<uint32_t>(y) +
-                             (static_cast<uint32_t>(k) << 23));
-    return (k <= -2 || k > 56) ? y - 1.0f : y;
+    if (k < 23) {
+        t = std::bit_cast<float>(0x3f800000u - (0x1000000u >> k));  // 1-2^-k
+        return addToExponent(t - (e - x), k);
+    }
+    t = std::bit_cast<float>(static_cast<uint32_t>(0x7f - k) << 23);  // 2^-k
+    return addToExponent((x - (e + t)) + 1.0f, k);
 }
 
 }  // namespace
