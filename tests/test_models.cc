@@ -164,9 +164,10 @@ TEST(Model, InitParamsDigestIsPinned)
  * FNV-1a per kernel tier over every external output of every model at
  * tiny options, batches {1, 16, 256}, on the interpreted and the
  * compiled path (kNumericOnly, width 1). Any kernel change that moves
- * one output bit on either tier moves a digest. The sigmoid and tanh
- * activations read libm's expf/tanhf, so the pins hold for one libm,
- * as Zipf.DrawDigestsArePinned's hold for one pow. The avx2 pin skips
+ * one output bit on either tier moves a digest. tanh is recstack's
+ * fdlibm port, but sigmoid reads libm's expf (glibc's FMA expf,
+ * reproduced, on avx2), so the pins hold for one libm, as
+ * Zipf.DrawDigestsArePinned's hold for one pow. The avx2 pin skips
  * where the tier is unsupported.
  */
 TEST(Model, OutputDigestsArePinned)
