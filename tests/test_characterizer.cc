@@ -11,7 +11,9 @@
 
 #include "core/regression_study.h"
 #include "core/sweep.h"
+#include "graph/executor.h"
 #include "grid_digest.h"
+#include "obs/metrics.h"
 
 namespace recstack {
 namespace {
@@ -81,6 +83,84 @@ TEST(Characterizer, ModelCacheReused)
     const Model& first = c.model(ModelId::kWnD);
     const Model& second = c.model(ModelId::kWnD);
     EXPECT_EQ(&first, &second);
+}
+
+uint64_t
+executorCounter(const char* name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/**
+ * The profiles the paper's methodology asks for: data loading, then
+ * an interpreted kProfileOnly pass over the builder's net, op for op,
+ * on a fresh shape-only workspace (sharing @c store when set).
+ */
+std::vector<KernelProfile>
+interpretedProfiles(const Model& model, int64_t batch,
+                    EmbeddingStore* store)
+{
+    Workspace ws;
+    ws.setShapeOnly(true);
+    model.declareParams(ws);
+    ws.attachStore(store);
+    BatchGenerator gen(model.workload);
+    gen.declare(ws, batch);
+    std::vector<KernelProfile> out{gen.dataLoadProfile(batch)};
+    for (const OpExecRecord& record :
+         Executor::run(model.net, ws, ExecMode::kProfileOnly).records) {
+        out.push_back(record.profile);
+    }
+    return out;
+}
+
+/**
+ * Characterizer::profiles is op-for-op the interpreted executor's
+ * lowering (the golden-figure contract) at every batch, including a
+ * batch revisited after others, with and without a store, and it
+ * lowers without running the executor.
+ */
+TEST(Characterizer, ProfilesMatchInterpretedRun)
+{
+    for (const bool with_store : {false, true}) {
+        Characterizer c(testOptions());
+        for (ModelId id : allModels()) {
+            EmbeddingStore* store =
+                with_store ? c.enableStore(id) : nullptr;
+            for (const int64_t batch : {64, 1, 1024, 64}) {
+                SCOPED_TRACE(std::string(modelName(id)) + " b" + std::to_string(batch) +
+                             (with_store ? " store" : ""));
+                const uint64_t runs = executorCounter("executor.runs");
+                const uint64_t ops = executorCounter("executor.ops");
+                const std::vector<KernelProfile> got = c.profiles(id, batch);
+                EXPECT_EQ(executorCounter("executor.runs"), runs);
+                EXPECT_EQ(executorCounter("executor.ops"), ops);
+
+                const std::vector<KernelProfile> want =
+                    interpretedProfiles(c.model(id), batch, store);
+                ASSERT_EQ(got.size(), want.size());
+                for (size_t i = 0; i < got.size(); ++i) {
+                    const KernelProfile& a = got[i];
+                    const KernelProfile& b = want[i];
+                    EXPECT_EQ(a.opType, b.opType) << "op " << i;
+                    EXPECT_EQ(a.opName, b.opName) << "op " << i;
+                    EXPECT_EQ(a.fmaFlops, b.fmaFlops) << "op " << i;
+                    EXPECT_EQ(a.vecElemOps, b.vecElemOps) << "op " << i;
+                    EXPECT_EQ(a.scalarOps, b.scalarOps) << "op " << i;
+                    EXPECT_EQ(a.codeRegion, b.codeRegion) << "op " << i;
+                    EXPECT_EQ(a.codeFootprintBytes, b.codeFootprintBytes)
+                        << "op " << i;
+                    EXPECT_EQ(a.bytesRead(), b.bytesRead()) << "op " << i;
+                    EXPECT_EQ(a.bytesWritten(), b.bytesWritten())
+                        << "op " << i;
+                    EXPECT_EQ(a.totalBranches(), b.totalBranches())
+                        << "op " << i;
+                    EXPECT_EQ(a.streams.size(), b.streams.size())
+                        << "op " << i;
+                }
+            }
+        }
+    }
 }
 
 TEST(SweepCache, MemoizesRuns)
