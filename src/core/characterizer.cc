@@ -100,10 +100,6 @@ Characterizer::ModelCtx::ModelCtx(Model m) : model(std::move(m))
     ws.setShapeOnly(true);
     model.declareParams(ws);
     gen = std::make_unique<BatchGenerator>(model.workload);
-    CompileOptions profile_opts;
-    profile_opts.fuseOps = false;
-    profile_opts.planMemory = false;
-    profileNet = CompiledNet::compile(model.net, profile_opts);
 }
 
 Characterizer::Characterizer(ModelOptions opts, uint64_t seed,
@@ -174,19 +170,21 @@ Characterizer::profiles(ModelId id, int64_t batch, uint64_t* input_bytes,
                         size_t* input_blobs)
 {
     ModelCtx& mc = ctx(id);
-    mc.gen->declare(mc.ws, batch);
-    // Profile through the (unfused) compiled net: the lowered
-    // profiles are identical to an interpreted kProfileOnly run, but
-    // memoized per batch, so grid sweeps pay shape inference and
-    // profile lowering once per (model, batch) instead of once per
-    // platform visit.
-    const NetPlan& plan = mc.profileNet->plan(mc.ws, batch);
-
-    std::vector<KernelProfile> out;
-    out.reserve(plan.profiles.size() + 1);
-    out.push_back(mc.gen->dataLoadProfile(batch));
-    for (const auto& kp : plan.profiles) {
-        out.push_back(kp);
+    // What an interpreted kProfileOnly run lowers, without its
+    // executor metrics, memoized per batch: grid sweeps pay shape
+    // inference and profile lowering once per (model, batch) instead
+    // of once per platform visit.
+    auto it = mc.profiles.find(batch);
+    if (it == mc.profiles.end()) {
+        mc.gen->declare(mc.ws, batch);
+        std::vector<KernelProfile> lowered;
+        lowered.reserve(mc.model.net.opCount() + 1);
+        lowered.push_back(mc.gen->dataLoadProfile(batch));
+        for (const auto& op : mc.model.net.ops()) {
+            op->inferShapes(mc.ws);
+            lowered.push_back(op->lowerProfile(mc.ws));
+        }
+        it = mc.profiles.emplace(batch, std::move(lowered)).first;
     }
     if (input_bytes != nullptr) {
         *input_bytes = mc.gen->inputBytes(batch);
@@ -198,7 +196,7 @@ Characterizer::profiles(ModelId id, int64_t batch, uint64_t* input_bytes,
         }
         *input_blobs = blobs;
     }
-    return out;
+    return it->second;
 }
 
 RunResult

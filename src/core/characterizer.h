@@ -123,14 +123,16 @@ class Characterizer
   private:
     struct ModelCtx {
         Model model;
+        /// Shape-only profiling workspace: declared params, the
+        /// generator's inputs at the last declared batch, activations.
         Workspace ws;
         std::unique_ptr<BatchGenerator> gen;
-        /// Unfused compilation: op-for-op the builder's net, so its
-        /// cached per-batch profiles are byte-identical with the
-        /// interpreted executor's (the golden-figure contract), while
-        /// a sweep re-visiting a batch size skips re-lowering.
-        std::shared_ptr<CompiledNet> profileNet;
-        /// Fused + planned compilation backing compiled()/memoryPlan().
+        /// profiles() per batch, lowered op for op from the builder's
+        /// net (byte-identical with an interpreted kProfileOnly run:
+        /// the golden-figure contract), so a sweep re-visiting a
+        /// batch size skips re-lowering.
+        std::map<int64_t, std::vector<KernelProfile>> profiles;
+        /// Compiled net backing compiled()/memoryPlan().
         std::shared_ptr<CompiledNet> plannedNet;
         /// Optional store backing the table blobs (enableStore()).
         std::unique_ptr<EmbeddingStore> store;

@@ -296,10 +296,10 @@ Arena::ensure(size_t bytes)
 }
 
 std::shared_ptr<CompiledNet>
-CompiledNet::compile(const NetDef& net, CompileOptions opts)
+CompiledNet::compile(const NetDef& net)
 {
     g_compile_count.fetch_add(1, std::memory_order_relaxed);
-    return std::shared_ptr<CompiledNet>(new CompiledNet(net, opts));
+    return std::shared_ptr<CompiledNet>(new CompiledNet(net));
 }
 
 uint64_t
@@ -308,17 +308,14 @@ CompiledNet::compileCount()
     return g_compile_count.load(std::memory_order_relaxed);
 }
 
-CompiledNet::CompiledNet(const NetDef& net, CompileOptions opts)
-    : net_(&net), planMemory_(opts.planMemory)
+CompiledNet::CompiledNet(const NetDef& net) : net_(&net)
 {
     net.validate();
     ops_.reserve(net.opCount());
     for (const auto& op : net.ops()) {
         ops_.push_back(op.get());
     }
-    if (opts.fuseOps) {
-        applyFusion();
-    }
+    applyFusion();
     buildBlobTable();
 }
 
@@ -547,16 +544,10 @@ CompiledNet::specialize(const Workspace& ws, int64_t batch) const
         plan->offsets.push_back(kNoArenaOffset);
     }
 
-    // Profiles are lowered once here, with the executor's unique-code
-    // rewrite pre-applied, so compiled runs never re-lower.
+    // Profiles are lowered once here, so compiled runs never re-lower.
     plan->profiles.reserve(ops_.size());
     for (const Operator* op : ops_) {
-        KernelProfile kp = op->profile(shapes);
-        if (op->uniqueCodeBytes() > 0) {
-            kp.codeRegion = "op:" + op->name();
-            kp.codeFootprintBytes = op->uniqueCodeBytes();
-        }
-        plan->profiles.push_back(std::move(kp));
+        plan->profiles.push_back(op->lowerProfile(shapes));
     }
 
     // Naive cost: what the interpreted path allocates for the same
@@ -588,7 +579,7 @@ CompiledNet::specialize(const Workspace& ws, int64_t batch) const
     for (size_t i = 0; i < blobs_.size(); ++i) {
         if (blobs_[i].role == BlobRole::kActivation) {
             plan->fusedActivationBytes += plan->bytes[i];
-            if (planMemory_ && plan->bytes[i] > 0) {
+            if (plan->bytes[i] > 0) {
                 order.push_back(i);
             }
         }

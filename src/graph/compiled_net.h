@@ -10,7 +10,7 @@
  * blob, and no reuse of dead activations. CompiledNet amortizes all
  * of that the way DeepRecSys prepares nets per inference engine:
  *
- *  - compile(net, opts) validates the graph once, applies rewrite
+ *  - compile(net) validates the graph once, applies the rewrite
  *    passes (FC+activation fusion, concat-into-FC folding, GRU step
  *    fusion — see docs/memory_planning.md for the pass list), and
  *    derives per-blob liveness intervals over the topological order.
@@ -32,11 +32,6 @@
  *
  * The source NetDef must outlive the CompiledNet (unfused operators
  * are referenced, not copied).
- *
- * CompileOptions::planMemory = false turns arena aliasing off
- * (activations fall back to per-blob workspace allocations) while
- * keeping fusion and the compiled fast path; the plan-equivalence
- * suite compares the two when an aliasing problem is suspected.
  */
 
 #include <cstdint>
@@ -50,19 +45,6 @@
 #include "graph/net.h"
 
 namespace recstack {
-
-/** Compile-time knobs of CompiledNet::compile. */
-struct CompileOptions {
-    /// Apply the rewrite passes (FC+activation, concat folding, GRU
-    /// step fusion). Off, the compiled schedule is the builder's
-    /// op-for-op — what the characterizer uses so cached profiles
-    /// stay byte-identical with the paper's framework-granularity
-    /// measurements.
-    bool fuseOps = true;
-    /// Emit the liveness-based arena plan. Off, activations are
-    /// per-blob workspace allocations — what the characterizer uses.
-    bool planMemory = true;
-};
 
 /** One rewrite decision, for `recstack plan` dumps and tests. */
 struct FusionDecision {
@@ -114,7 +96,7 @@ struct NetPlan {
     std::vector<DType> dtypes;
     std::vector<size_t> bytes;
     /// Arena byte offset, or kNoArenaOffset for workspace-owned blobs
-    /// (and all activations when planning is disabled).
+    /// (and zero-byte activations).
     std::vector<size_t> offsets;
 
     // Per-op (aligned with CompiledNet::ops()): profiles lowered once
@@ -154,11 +136,10 @@ class CompiledNet
 {
   public:
     /**
-     * Compile @c net: validate, fuse (per @c opts), derive liveness.
-     * The net must outlive the returned CompiledNet.
+     * Compile @c net: validate, fuse, derive liveness. The net must
+     * outlive the returned CompiledNet.
      */
-    static std::shared_ptr<CompiledNet> compile(const NetDef& net,
-                                                CompileOptions opts = {});
+    static std::shared_ptr<CompiledNet> compile(const NetDef& net);
 
     /** Process-wide count of compile() calls (compile-once tests). */
     static uint64_t compileCount();
@@ -190,7 +171,7 @@ class CompiledNet
     void bind(Workspace& ws, Arena& arena, const NetPlan& plan) const;
 
   private:
-    CompiledNet(const NetDef& net, CompileOptions opts);
+    explicit CompiledNet(const NetDef& net);
 
     void applyFusion();
     void buildBlobTable();
@@ -198,7 +179,6 @@ class CompiledNet
                                         int64_t batch) const;
 
     const NetDef* net_;
-    bool planMemory_;
     /// Post-fusion schedule; fused entries are owned here, unfused
     /// entries point into net_->ops().
     std::vector<OperatorPtr> owned_;

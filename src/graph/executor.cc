@@ -72,11 +72,7 @@ Executor::run(const NetDef& net, Workspace& ws, const ExecOptions& opts)
             op_span.arg("rows", outputRows(ws, *op));
         }
         if (opts.mode != ExecMode::kNumericOnly) {
-            record.profile = op->profile(ws);
-            if (op->uniqueCodeBytes() > 0) {
-                record.profile.codeRegion = "op:" + op->name();
-                record.profile.codeFootprintBytes = op->uniqueCodeBytes();
-            }
+            record.profile = op->lowerProfile(ws);
         }
         result.records.push_back(std::move(record));
     }

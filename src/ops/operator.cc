@@ -42,6 +42,17 @@ Operator::outConst(const Workspace& ws, size_t i) const
 }
 
 KernelProfile
+Operator::lowerProfile(const Workspace& ws) const
+{
+    KernelProfile kp = profile(ws);
+    if (uniqueCodeBytes_ > 0) {
+        kp.codeRegion = "op:" + name_;
+        kp.codeFootprintBytes = uniqueCodeBytes_;
+    }
+    return kp;
+}
+
+KernelProfile
 Operator::baseProfile() const
 {
     KernelProfile kp;

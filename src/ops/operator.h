@@ -65,10 +65,18 @@ class Operator
     virtual KernelProfile profile(const Workspace& ws) const = 0;
 
     /**
+     * profile() with the unique-code rewrite applied: an op marked by
+     * setUniqueCodeBytes() reports its own code region "op:<name>" of
+     * that footprint. Every path that lowers a net (interpreted run,
+     * compiled plan, characterizer) lowers through this.
+     */
+    KernelProfile lowerProfile(const Workspace& ws) const;
+
+    /**
      * Mark this operator instance as having its own specialized code
      * region of @c bytes (e.g. DIN's per-lookup local activation units,
      * which the paper identifies as carrying unique instruction
-     * reference locations). The executor rewrites the profile's code
+     * reference locations). lowerProfile() rewrites the profile's code
      * identity accordingly.
      */
     void setUniqueCodeBytes(uint64_t bytes) { uniqueCodeBytes_ = bytes; }

@@ -2,8 +2,8 @@
  * @file
  * CompiledNet planner tests: fusion-pass structure, liveness/arena
  * invariants (aliased buffers never live together; planned bytes
- * never exceed the naive per-blob sum), profile equivalence with the
- * interpreted executor, and workspace safety when interpreted runs follow compiled ones.
+ * never exceed the naive per-blob sum), and workspace safety when
+ * interpreted runs follow compiled ones.
  */
 
 #include <gtest/gtest.h>
@@ -90,19 +90,6 @@ TEST(CompiledNetFusion, DienFusesEveryUnrolledStep)
     }
     EXPECT_EQ(steps, static_cast<size_t>(2 * opts.dienSteps));
     EXPECT_EQ(att_steps, static_cast<size_t>(opts.dienSteps));
-}
-
-TEST(CompiledNetFusion, FusionOffPreservesSchedule)
-{
-    const Model model = buildModel(ModelId::kDIEN, testOptions());
-    CompileOptions opts;
-    opts.fuseOps = false;
-    const auto net = CompiledNet::compile(model.net, opts);
-    ASSERT_EQ(net->opCount(), net->originalOpCount());
-    EXPECT_TRUE(net->fusions().empty());
-    for (size_t i = 0; i < net->opCount(); ++i) {
-        EXPECT_EQ(net->ops()[i], model.net.ops()[i].get());
-    }
 }
 
 TEST(CompiledNetPlan, AliasedBlobsNeverLiveTogether)
@@ -193,42 +180,6 @@ TEST(CompiledNetPlan, CompileCountIncrements)
     const auto net = CompiledNet::compile(model.net);
     (void)net;
     EXPECT_EQ(CompiledNet::compileCount(), before + 1);
-}
-
-TEST(CompiledNetProfiles, UnfusedPlanMatchesInterpretedProfiles)
-{
-    // The characterizer profiles through an unfused compilation; its
-    // cached profiles must be indistinguishable from an interpreted
-    // kProfileOnly run (the golden-figure contract).
-    for (ModelId id : kAllModels) {
-        const Model model = buildModel(id, testOptions());
-        Workspace ws;
-        declareAll(model, 64, &ws);
-        const NetExecResult legacy =
-            Executor::run(model.net, ws, ExecMode::kProfileOnly);
-
-        CompileOptions opts;
-        opts.fuseOps = false;
-        const auto net = CompiledNet::compile(model.net, opts);
-        const NetPlan& plan = net->plan(ws, 64);
-
-        ASSERT_EQ(plan.profiles.size(), legacy.records.size());
-        for (size_t i = 0; i < plan.profiles.size(); ++i) {
-            const KernelProfile& a = plan.profiles[i];
-            const KernelProfile& b = legacy.records[i].profile;
-            EXPECT_EQ(a.opType, b.opType) << model.name << " op " << i;
-            EXPECT_EQ(a.opName, b.opName);
-            EXPECT_EQ(a.fmaFlops, b.fmaFlops);
-            EXPECT_EQ(a.vecElemOps, b.vecElemOps);
-            EXPECT_EQ(a.scalarOps, b.scalarOps);
-            EXPECT_EQ(a.codeRegion, b.codeRegion);
-            EXPECT_EQ(a.codeFootprintBytes, b.codeFootprintBytes);
-            EXPECT_EQ(a.bytesRead(), b.bytesRead());
-            EXPECT_EQ(a.bytesWritten(), b.bytesWritten());
-            EXPECT_EQ(a.totalBranches(), b.totalBranches());
-            EXPECT_EQ(a.streams.size(), b.streams.size());
-        }
-    }
 }
 
 TEST(CompiledNetExec, InterpretedRunAfterCompiledRunStaysSafe)

@@ -145,33 +145,6 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_b" + std::to_string(std::get<1>(info.param));
     });
 
-/** Aliasing disabled (planMemory = false) must match aliasing enabled. */
-TEST(PlanEquivalenceVariants, EscapeHatchMatchesPlannedNumerics)
-{
-    const Model model = buildModel(ModelId::kDIEN, testOptions());
-
-    auto unplanned =
-        CompiledNet::compile(model.net, CompileOptions{.planMemory = false});
-    auto planned = CompiledNet::compile(model.net);
-
-    ExecOptions opts;
-    opts.mode = ExecMode::kNumericOnly;
-    Workspace a;
-    Arena arena_a;
-    materializeInputs(model, 64, &a);
-    Executor::run(*unplanned, a, arena_a, 64, opts);
-    Workspace b;
-    Arena arena_b;
-    materializeInputs(model, 64, &b);
-    Executor::run(*planned, b, arena_b, 64, opts);
-
-    EXPECT_EQ(arena_a.capacity(), 0u);
-    EXPECT_GT(arena_b.capacity(), 0u);
-    for (const std::string& blob : model.net.externalOutputs()) {
-        expectTensorsIdentical(blob, a.get(blob), b.get(blob));
-    }
-}
-
 /** The fused-GRU DIEN variant (GRULayerOp) survives the planner too. */
 TEST(PlanEquivalenceVariants, FusedGruDien)
 {
