@@ -1,5 +1,6 @@
 #include "ops/gru.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -82,8 +83,9 @@ GRULayerOp::run(Workspace& ws)
     // private gate scratch, so any thread count is bit-identical. The
     // gate matmuls run through gruGateRows on the canonical dotBias
     // contract (ops/kernels.h); gh takes an all-zero bias, and 0.0f
-    // plus the sum is exactly dotBias(0.0f, ...). So the layer matches
-    // a step-unrolled FC chain bit-for-bit on every tier.
+    // plus the sum is exactly dotBias(0.0f, ...). The gate math is
+    // gruGateRow's, updating h in place. So the layer matches a
+    // step-unrolled graph bit-for-bit on every tier.
     const KernelIsa isa = activeKernelIsa();
     const std::vector<float> zero_bias(static_cast<size_t>(3 * hidden),
                                        0.0f);
@@ -97,20 +99,12 @@ GRULayerOp::run(Workspace& ws)
             gruGateRows(isa, gates, x + t * batch * input, input, hbase,
                         lo, hi,
                         [&](int64_t b, const float* gx, const float* gh) {
-                float* hout = hbase + b * hidden;
-                float* hseq_row = hseq + (t * batch + b) * hidden;
-                for (int64_t i = 0; i < hidden; ++i) {
-                    const float r = kern::sigmoid(gx[i] + gh[i]);
-                    float z =
-                        kern::sigmoid(gx[hidden + i] + gh[hidden + i]);
-                    if (att) {
-                        z *= att[t * batch + b];
-                    }
-                    const float n = kern::tanh(gx[2 * hidden + i] +
-                                               r * gh[2 * hidden + i]);
-                    hout[i] = (1.0f - z) * n + z * hout[i];
-                    hseq_row[i] = hout[i];
-                }
+                float* hrow = hbase + b * hidden;
+                kern::gruGateRow(isa, gx, gh, hrow,
+                                 att ? att + t * batch + b : nullptr, hrow,
+                                 hidden);
+                std::copy(hrow, hrow + hidden,
+                          hseq + (t * batch + b) * hidden);
             });
         });
     }

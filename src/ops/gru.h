@@ -29,7 +29,7 @@ namespace recstack {
  *   r = sigmoid(Wx_r x + Wh_r h + b_r)
  *   z = sigmoid(Wx_z x + Wh_z h + b_z)      (AUGRU: z *= att[t])
  *   n = tanh   (Wx_n x + r * (Wh_n h) + b_n)
- *   h = (1 - z) * n + z * h
+ *   h = (n - z * n) + z * h                 (kern::gruGateRow)
  */
 class GRULayerOp : public Operator
 {

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "graph/executor.h"
@@ -32,13 +33,15 @@ namespace {
 
 /**
  * Build an unrolled single-sample GRU with the SAME weight blobs as a
- * fused GRULayerOp and check both produce the same hidden states.
- * This is the numeric guarantee behind the bench_ablate_gru_fusion
- * comparison: the two graphs differ only in operator granularity.
+ * fused GRULayerOp and check both produce the same hidden states, bit
+ * for bit on every kernel tier (hidden 13: one 8-lane gate block plus
+ * a tail). This is the numeric guarantee behind the
+ * bench_ablate_gru_fusion comparison: the two graphs differ only in
+ * operator granularity.
  */
 TEST(GruEquivalence, UnrolledGraphMatchesFusedOperator)
 {
-    const int64_t steps = 4, batch = 3, dim = 5, hidden = 5;
+    const int64_t steps = 4, batch = 3, dim = 5, hidden = 13;
     Rng rng(77);
     auto rand_tensor = [&rng](std::vector<int64_t> shape) {
         Tensor t(std::move(shape));
@@ -55,17 +58,6 @@ TEST(GruEquivalence, UnrolledGraphMatchesFusedOperator)
     ws.set("bias0", Tensor({3 * hidden}));  // zero bias for h-path FC
     ws.set("h0", rand_tensor({batch, hidden}));
     ws.set("seq_bm", rand_tensor({batch, steps, dim}));  // batch-major
-
-    // --- Fused path (time-major input). ---
-    {
-        TransposeOp tr("tr", "seq_bm", "seq_tm");
-        tr.inferShapes(ws);
-        tr.run(ws);
-        GRULayerOp gru("fused", "seq_tm", "h0", "wx", "wh", "bias",
-                       "hseq", "hlast_fused");
-        gru.inferShapes(ws);
-        gru.run(ws);
-    }
 
     // --- Unrolled path: per-step ops over the same weights. ---
     NetDef net("unrolled");
@@ -114,15 +106,31 @@ TEST(GruEquivalence, UnrolledGraphMatchesFusedOperator)
     }
     net.addExternalOutput(h);
     net.validate();
-    Executor::run(net, ws, ExecMode::kFull);
+    for (KernelIsa isa : {KernelIsa::kScalar, KernelIsa::kAvx2}) {
+        if (!kernelIsaSupported(isa)) {
+            continue;
+        }
+        SCOPED_TRACE(kernelIsaName(isa));
+        IsaScope tier(isa);
+        // --- Fused path (time-major input). ---
+        {
+            TransposeOp tr("tr", "seq_bm", "seq_tm");
+            tr.inferShapes(ws);
+            tr.run(ws);
+            GRULayerOp gru("fused", "seq_tm", "h0", "wx", "wh", "bias",
+                           "hseq", "hlast_fused");
+            gru.inferShapes(ws);
+            gru.run(ws);
+        }
 
-    const Tensor& fused = ws.get("hlast_fused");
-    const Tensor& unrolled = ws.get(h);
-    ASSERT_EQ(fused.shape(), unrolled.shape());
-    for (int64_t i = 0; i < fused.numel(); ++i) {
-        EXPECT_NEAR(fused.data<float>()[i], unrolled.data<float>()[i],
-                    1e-5)
-            << "element " << i;
+        Executor::run(net, ws, ExecMode::kFull);
+
+        const Tensor& fused = ws.get("hlast_fused");
+        const Tensor& unrolled = ws.get(h);
+        ASSERT_EQ(fused.shape(), unrolled.shape());
+        EXPECT_EQ(std::memcmp(fused.data<float>(), unrolled.data<float>(),
+                              fused.byteSize()),
+                  0);
     }
 }
 
