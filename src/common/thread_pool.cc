@@ -19,6 +19,10 @@ namespace {
 /// RECSTACK_NUM_THREADS, this only guards against typos like "10000".
 constexpr int kMaxPoolThreads = 256;
 
+/// Work units one chunk must carry before a kernel fans out
+/// (grainForCost): below it, dispatch latency outweighs the split.
+constexpr uint64_t kMinChunkCost = 16384;
+
 /// Set on pool worker threads so nested parallelFor degrades to
 /// serial inline execution instead of deadlocking on its own pool.
 thread_local bool tls_in_pool_worker = false;
@@ -208,11 +212,11 @@ parallelFor(int64_t begin, int64_t end, int64_t grain, const RangeFn& fn)
 }
 
 int64_t
-grainForCost(uint64_t cost_per_item, uint64_t min_cost)
+grainForCost(uint64_t cost_per_item)
 {
     cost_per_item = std::max<uint64_t>(1, cost_per_item);
     return static_cast<int64_t>(
-        std::max<uint64_t>(1, min_cost / cost_per_item));
+        std::max<uint64_t>(1, kMinChunkCost / cost_per_item));
 }
 
 void

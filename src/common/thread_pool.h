@@ -54,10 +54,11 @@ void parallelFor(int64_t begin, int64_t end, int64_t grain,
 
 /**
  * Grain (elements per chunk) so each chunk carries at least
- * `min_cost` units of work when one element costs `cost_per_item`.
- * Keeps tiny kernels serial instead of paying dispatch latency.
+ * kMinChunkCost (16384, thread_pool.cc) units of work when one
+ * element costs `cost_per_item`. Keeps tiny kernels serial instead of
+ * paying dispatch latency.
  */
-int64_t grainForCost(uint64_t cost_per_item, uint64_t min_cost = 16384);
+int64_t grainForCost(uint64_t cost_per_item);
 
 /**
  * Set the process-wide default intra-op width. 0 restores the
