@@ -23,8 +23,11 @@
 # record copies).
 #
 # The `simd` label covers the kernel-tier suites (ISA dispatch, the
-# vector-vs-scalar differential harness, and the numeric op suites
-# whose SparseLengths pooling loops run the row kernels on the pool):
+# vector-vs-scalar differential harness, the numeric op suites
+# whose SparseLengths pooling loops run the row kernels on the pool,
+# and test_property: its ParallelOpDifferential cases run every op on
+# the pool against width 1, and GruEquivalence runs the GRU layer and
+# its unrolled graph on each tier):
 # the AVX2 kernels read 32-byte lanes up to the last full block and
 # must never touch bytes past a tensor's tail (ASan), and a kernel
 # tier is resolved once per op and captured into pool-worker lambdas,
