@@ -135,6 +135,7 @@ ShardCounters::accumulate(const ShardCounters& other)
     prefetchedRows += other.prefetchedRows;
     promotedRows += other.promotedRows;
     demotedRows += other.demotedRows;
+    promotionRejects += other.promotionRejects;
     bytesFromCache += other.bytesFromCache;
     bytesFromNear += other.bytesFromNear;
     bytesFromFar += other.bytesFromFar;
@@ -188,6 +189,7 @@ EmbeddingStore::EmbeddingStore(StoreConfig config)
             shard->promoted = std::make_unique<RowCache>(
                 CachePolicy::kClock,
                 config_.disk.promotedBytesPerShard);
+            shard->sketch = std::make_unique<FrequencySketch>();
         }
         shards_.push_back(std::move(shard));
     }
@@ -415,9 +417,12 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
         // Promoted slab: a DRAM copy of a hot disk row. Charged as a
         // near fetch — it is the near tier for disk-resident rows.
         // Filling shard.cache from prom mutates only that cache, so
-        // prom stays valid for the caller.
+        // prom stays valid for the caller. The hit counts in the
+        // sketch, so a promoted row keeps its rating against the
+        // candidates that would displace it.
         const float* prom = shard.promoted->find(key);
         if (prom != nullptr) {
+            shard.sketch->increment(key);
             return charge(prom, c.nearFetches, c.bytesFromNear,
                           near_cost, true);
         }
@@ -435,18 +440,7 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
         c.diskSeconds += dt;
         ++shard.diskCosts[diskCostBucket(dt)];
         if (config_.disk.promoteThreshold > 0) {
-            uint32_t& h =
-                shard.hotness[key & (kHotnessSlots - 1)];
-            if (++h == config_.disk.promoteThreshold) {
-                if (shard.promoRingSize < kPromoRingSlots) {
-                    shard.promoRing[shard.promoRingSize++] = key;
-                    promoPending_.store(true,
-                                        std::memory_order_release);
-                    prefetchCv_.notify_one();
-                } else {
-                    --h;  // ring full: retry on the next fetch
-                }
-            }
+            admitLocked(shard, key, row_bytes);
         }
         shard.cache->insert(key, shard.scratch.data(), row_bytes,
                             &c.evictions);
@@ -459,6 +453,32 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
                   fetchCost(kFarLatencySeconds, kFarBandwidthGBs,
                             row_bytes),
                   true);
+}
+
+void
+EmbeddingStore::admitLocked(Shard& shard, uint64_t key,
+                            uint64_t row_bytes)
+{
+    const uint32_t est = shard.sketch->increment(key);
+    if (est < config_.disk.promoteThreshold) {
+        return;
+    }
+    // TinyLFU admission: a full slab takes the row only when the
+    // sketch rates it hotter than the entry the slab evicts next, so
+    // a cold row cannot push a hot one back to disk.
+    const RowCache& slab = *shard.promoted;
+    uint64_t victim = 0;
+    if (slab.bytesUsed() + row_bytes > slab.capacityBytes() &&
+        !(slab.peekVictim(&victim) &&
+          est > shard.sketch->estimate(victim))) {
+        ++shard.counters.promotionRejects;
+        return;
+    }
+    if (shard.promoRingSize < kPromoRingSlots) {
+        shard.promoRing[shard.promoRingSize++] = key;
+        promoPending_.store(true, std::memory_order_release);
+        prefetchCv_.notify_one();
+    }
 }
 
 void
@@ -572,7 +592,6 @@ EmbeddingStore::servicePromotions()
             const size_t row_bytes =
                 static_cast<size_t>(t.info.dim) * sizeof(float);
             std::lock_guard<std::mutex> lock(shard.mu);
-            shard.hotness[key & (kHotnessSlots - 1)] = 0;
             // A residency test: no slab payload is read after insert.
             if (shard.promoted->find(key) != nullptr) {
                 continue;  // already promoted
@@ -803,6 +822,8 @@ exportStoreStats(const StoreStats& stats)
     reg.counter("store.evictions").add(stats.total.evictions);
     reg.counter("store.promoted_rows").add(stats.total.promotedRows);
     reg.counter("store.demoted_rows").add(stats.total.demotedRows);
+    reg.counter("store.promotion_rejects")
+        .add(stats.total.promotionRejects);
     reg.counter("store.bytes_from_disk")
         .add(stats.total.bytesFromDisk);
     reg.gauge("store.cache_bytes_used")

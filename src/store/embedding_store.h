@@ -27,12 +27,15 @@
  *        (store/disk_tier.h) indexed by a radix-spline learned index
  *        (store/spline_index.h) and dropped from DRAM, so tables
  *        larger than the configured near tier actually serve from
- *        disk. Fetch time is measured wall clock, not modeled, and a
- *        background promotion loop (the prefetch thread) moves rows
- *        whose demand access count crosses a threshold into a
- *        per-shard promoted DRAM slab; the slab's CLOCK evictions are
- *        the demotions (the disk copy is authoritative, so demotion
- *        never writes).
+ *        disk. Fetch time is measured wall clock, not modeled. Each
+ *        shard counts demand accesses to its disk rows in a
+ *        count-min sketch (store/frequency_sketch.h); a disk fetch
+ *        whose row is estimated hot enough, and hotter than the
+ *        row the per-shard promoted DRAM slab would evict next, is
+ *        queued for the background promotion loop (the prefetch
+ *        thread), which copies it into the slab (TinyLFU-style
+ *        admission). The slab's CLOCK evictions are the demotions;
+ *        the disk copy is authoritative, so demotion never writes.
  *  - forEachRow resolves a lookup stream to row payloads, in order,
  *    and hands each to the caller under its shard lock. The store
  *    never pools or copies: the embedding ops (ops/embedding.cc) run
@@ -63,6 +66,7 @@
 
 #include "obs/span.h"
 #include "store/disk_tier.h"
+#include "store/frequency_sketch.h"
 #include "store/row_cache.h"
 #include "store/spline_index.h"
 #include "tensor/tensor.h"
@@ -89,8 +93,9 @@ struct DiskTierOptions : DiskTierConfig {
     std::string dir;
     /// Per-shard DRAM budget for rows promoted off the disk tier.
     size_t promotedBytesPerShard = 256u << 10;
-    /// Demand fetches of a cold row before the promotion loop copies
-    /// it into the promoted slab (0 disables promotion).
+    /// Estimated demand accesses (disk fetches plus promoted-slab
+    /// hits, in the sketch's current window) a disk row needs before
+    /// it may be promoted (0 disables promotion).
     uint32_t promoteThreshold = 4;
 };
 
@@ -137,6 +142,9 @@ struct ShardCounters {
     uint64_t prefetchedRows = 0; ///< rows warmed by prefetch, not demand
     uint64_t promotedRows = 0;   ///< disk rows promoted to the slab
     uint64_t demotedRows = 0;    ///< slab CLOCK evictions (demotions)
+    uint64_t promotionRejects = 0; ///< hot disk rows not admitted: the
+                                   ///  slab was full and its victim
+                                   ///  was at least as hot
     uint64_t bytesFromCache = 0;
     uint64_t bytesFromNear = 0;
     uint64_t bytesFromFar = 0;
@@ -184,7 +192,8 @@ struct StoreStats {
  * Re-export a StoreStats snapshot's totals into the global
  * MetricsRegistry (store.lookups / store.hits / store.near_fetches /
  * store.far_fetches / store.disk_fetches / store.evictions /
- * store.promoted_rows / store.demoted_rows counters plus the
+ * store.promoted_rows / store.demoted_rows / store.promotion_rejects
+ * counters plus the
  * store.cache_bytes_used and store.disk_seconds gauges), so store
  * health shows up in the same snapshot as executor/queue/serving
  * metrics. Counters are cumulative across calls; reset the registry
@@ -336,9 +345,6 @@ class EmbeddingStore
     static size_t rowShard(int table, int64_t row, size_t num_shards);
 
   private:
-    /// Slots of the per-shard approximate access-count table; key
-    /// collisions conflate rows, which only ever promotes early.
-    static constexpr size_t kHotnessSlots = 4096;
     /// Bounded pending-promotion ring per shard (drop-new when full;
     /// a dropped key re-queues on its next demand fetch).
     static constexpr size_t kPromoRingSlots = 256;
@@ -357,7 +363,9 @@ class EmbeddingStore
         std::map<double, uint64_t> diskCosts;
         /// Preallocated disk-read row buffer (guarded by mu).
         std::vector<float> scratch;
-        std::array<uint32_t, kHotnessSlots> hotness{};
+        /// Demand accesses to disk rows, the admission filter
+        /// (null under kSimulated; guarded by mu).
+        std::unique_ptr<FrequencySketch> sketch;
         std::array<uint64_t, kPromoRingSlots> promoRing{};
         size_t promoRingSize = 0;
     };
@@ -378,6 +386,9 @@ class EmbeddingStore
     /// shard lock is held; charges stats for a demand read.
     const float* fetchRowLocked(const Table& t, int table, int64_t row,
                                 Shard& shard);
+    /// Count a demand disk fetch of key in the shard's sketch and
+    /// queue the key for promotion when admission takes it.
+    void admitLocked(Shard& shard, uint64_t key, uint64_t row_bytes);
     void warmRow(int table, int64_t row);
     void prefetchLoop();
     /// Finalize the disk builder into a servable tier + start the

@@ -249,4 +249,18 @@ RowCache::erase(uint64_t key)
     }
 }
 
+bool
+RowCache::peekVictim(uint64_t* key) const
+{
+    if (live_ == 0) {
+        return false;
+    }
+    int32_t s = tail_;
+    if (policy_ == CachePolicy::kClock) {
+        s = hand_ != kNil ? hand_ : head_;
+    }
+    *key = slotAt(s).key;
+    return true;
+}
+
 }  // namespace recstack

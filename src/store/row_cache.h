@@ -85,6 +85,13 @@ class RowCache
     /** Drop a key if cached. */
     void erase(uint64_t key);
 
+    /**
+     * The key the next eviction looks at first — the entry under the
+     * CLOCK hand, before any second chance, or the LRU tail — without
+     * changing any state. Returns false when the cache is empty.
+     */
+    bool peekVictim(uint64_t* key) const;
+
     size_t bytesUsed() const { return used_; }
     size_t capacityBytes() const { return capacity_; }
     size_t entries() const { return live_; }
@@ -110,6 +117,10 @@ class RowCache
     {
         return chunks_[static_cast<size_t>(s) >> kChunkBits]
                       [static_cast<size_t>(s) & ((1u << kChunkBits) - 1)];
+    }
+    const Slot& slotAt(int32_t s) const
+    {
+        return const_cast<RowCache*>(this)->slotAt(s);
     }
     size_t home(uint32_t tag) const { return tag >> shift_; }
     /** Bucket holding key, or the empty bucket that ends its run. */

@@ -384,6 +384,91 @@ TEST(StoreDifferentialVariants, AccountingDigestsArePinned)
     }
 }
 
+/**
+ * Promotion on: a Zipf stream through a disk far tier with a small
+ * promoted slab, row writes interleaved to promoted and disk-resident
+ * rows, the promotion loop drained between batches. Every row the
+ * store serves must equal a dense copy that took the same writes.
+ */
+TEST(StoreDifferentialVariants, PromotionWithUpdatesMatchesDense)
+{
+    constexpr int64_t kRows = 4096;
+    constexpr int64_t kDim = 19;
+    constexpr int64_t kBatch = 256;
+    constexpr size_t kRowBytes = kDim * sizeof(float);
+    Rng rng(31);
+    Tensor dense({kRows, kDim});
+    for (int64_t i = 0; i < dense.numel(); ++i) {
+        dense.data<float>()[i] = rng.nextFloat(-1.0f, 1.0f);
+    }
+    StoreConfig cfg;
+    cfg.numShards = 2;
+    cfg.cacheBytesPerShard = 1u << 10;
+    cfg.nearTierFraction = 0.1;
+    cfg.farTier = FarTierKind::kDisk;
+    cfg.disk.pageBytes = 1024;
+    cfg.disk.bufferPages = 8;
+    cfg.disk.promoteThreshold = 2;
+    cfg.disk.promotedBytesPerShard = 48 * kRowBytes;
+    EmbeddingStore store(cfg);
+    store.addTable("table", dense);
+    const int64_t near_rows = store.tableInfo(0).nearRows;
+
+    const auto expectRowsMatch = [&](const int64_t* rows, int64_t n) {
+        int64_t mismatches = 0;
+        store.forEachRow(0, rows, 0, n, [&](int64_t p, const float* row) {
+            mismatches += std::memcmp(row,
+                                      dense.data<float>() + rows[p] * kDim,
+                                      kRowBytes) != 0;
+        });
+        EXPECT_EQ(mismatches, 0);
+    };
+    const ZipfSampler zipf(static_cast<uint64_t>(kRows), 0.9);
+    std::vector<int64_t> indices(kBatch);
+    std::vector<float> values(kDim);
+    int updates_on_promoted = 0;
+    int updates_on_disk = 0;
+    for (int b = 0; b < 40; ++b) {
+        fillZipfIndices(zipf, rng, indices.data(), kBatch);
+        expectRowsMatch(indices.data(), kBatch);
+        store.drainPrefetch();
+        for (int u = 0; u < 8; ++u) {
+            // Even writes hit a row of this batch (hot rows are the
+            // promoted ones), odd writes a uniform disk row.
+            const int64_t row =
+                u % 2 == 0
+                    ? indices[rng.nextBounded(kBatch)]
+                    : near_rows + static_cast<int64_t>(rng.nextBounded(
+                                      kRows - near_rows));
+            // Which tier serves the row right before the write.
+            const ShardCounters before = store.stats().total;
+            expectRowsMatch(&row, 1);
+            const ShardCounters after = store.stats().total;
+            if (row >= near_rows) {
+                updates_on_promoted += after.nearFetches > before.nearFetches;
+                updates_on_disk += after.diskFetches > before.diskFetches;
+            }
+            for (float& v : values) {
+                v = rng.nextFloat(-1.0f, 1.0f);
+            }
+            store.update(0, row, values.data());
+            std::memcpy(dense.data<float>() + row * kDim, values.data(),
+                        kRowBytes);
+        }
+    }
+    store.drainPrefetch();
+    std::vector<int64_t> all(kRows);
+    for (int64_t r = 0; r < kRows; ++r) {
+        all[static_cast<size_t>(r)] = r;
+    }
+    expectRowsMatch(all.data(), kRows);
+
+    const StoreStats stats = store.stats();
+    EXPECT_GT(stats.total.promotedRows, 0u);
+    EXPECT_GT(updates_on_promoted, 0) << "no write reached a promoted row";
+    EXPECT_GT(updates_on_disk, 0) << "no write reached a disk row";
+}
+
 /** A locally materialized table blob overrides the attached store. */
 TEST(StoreDifferentialVariants, MaterializedBlobWinsOverStore)
 {

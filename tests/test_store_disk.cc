@@ -761,6 +761,91 @@ TEST_F(DiskFixture, PromotionMovesHotDiskRowsToDram)
     EXPECT_EQ(tiny_store->promotedBytesUsed(), 0u);
 }
 
+TEST_F(DiskFixture, AdmissionCountsEachTableRowApart)
+{
+    // Row r and row r + 4096 of one table and row r of a second table
+    // are three rows, each fetched promoteThreshold - 1 times, so none
+    // is hot enough to promote. One shard puts all three on one
+    // sketch; a table indexed by low key bits would add them up.
+    const int64_t rows = 8192;
+    const int64_t dim = 4;
+    StoreConfig cfg = diskStoreConfig(dir_);
+    cfg.numShards = 1;
+    cfg.cacheBytesPerShard = 0;  // every fetch reaches the disk tier
+    cfg.nearTierFraction = 0.0;
+    cfg.disk.promoteThreshold = 4;
+    EmbeddingStore store(cfg);
+    store.addTable("t0", Tensor({rows, dim}));
+    store.addTable("t1", Tensor({rows, dim}));
+
+    const int64_t r = 17;
+    const std::pair<int, int64_t> keys[] = {{0, r}, {0, r + 4096}, {1, r}};
+    for (uint32_t i = 0; i + 1 < cfg.disk.promoteThreshold; ++i) {
+        for (const auto& [table, row] : keys) {
+            store.forEachRow(table, &row, 0, 1,
+                             [](int64_t, const float*) {});
+        }
+    }
+    store.drainPrefetch();
+    const StoreStats stats = store.stats();
+    EXPECT_EQ(stats.total.diskFetches, 9u);
+    EXPECT_EQ(stats.total.promotedRows, 0u);
+    EXPECT_EQ(store.promotedBytesUsed(), 0u);
+}
+
+TEST_F(DiskFixture, ColdRowsDoNotDisplaceAFullSlabOfHotRows)
+{
+    const int64_t rows = 4096;
+    const int64_t dim = 8;
+    const int64_t kHot = 16;
+    StoreConfig cfg = diskStoreConfig(dir_);
+    cfg.numShards = 1;
+    cfg.cacheBytesPerShard = 0;  // isolate the promoted slab
+    cfg.nearTierFraction = 0.0;
+    cfg.disk.promoteThreshold = 1;  // every disk fetch is a candidate
+    cfg.disk.promotedBytesPerShard =
+        static_cast<size_t>(kHot * dim) * sizeof(float);
+    auto store = makeStore(rows, dim, cfg);
+
+    // Fill the slab with a hot set: promoted on the first pass (the
+    // slab has room), then served from it.
+    std::vector<float> got(static_cast<size_t>(dim));
+    for (int pass = 0; pass < 6; ++pass) {
+        for (int64_t r = 0; r < kHot; ++r) {
+            copyRows(*store, &r, 0, 1, got.data());
+        }
+        store->drainPrefetch();
+    }
+    ASSERT_EQ(store->stats().total.promotedRows,
+              static_cast<uint64_t>(kHot));
+    ASSERT_EQ(store->promotedBytesUsed(), cfg.disk.promotedBytesPerShard);
+
+    // A stream of cold rows, each fetched once, is rated below every
+    // hot row, so admission turns each one away.
+    store->resetStats();
+    for (int64_t r = kHot; r < rows; ++r) {
+        copyRows(*store, &r, 0, 1, got.data());
+    }
+    store->drainPrefetch();
+    StoreStats stats = store->stats();
+    EXPECT_EQ(stats.total.promotedRows, 0u);
+    EXPECT_EQ(stats.total.demotedRows, 0u);
+    EXPECT_EQ(stats.total.promotionRejects,
+              static_cast<uint64_t>(rows - kHot));
+
+    // The hot rows still serve from the slab as near fetches.
+    store->resetStats();
+    for (int64_t r = 0; r < kHot; ++r) {
+        copyRows(*store, &r, 0, 1, got.data());
+        for (int64_t d = 0; d < dim; ++d) {
+            ASSERT_EQ(got[static_cast<size_t>(d)], expectedCell(r, d));
+        }
+    }
+    stats = store->stats();
+    EXPECT_EQ(stats.total.nearFetches, static_cast<uint64_t>(kHot));
+    EXPECT_EQ(stats.total.diskFetches, 0u);
+}
+
 TEST_F(DiskFixture, ConcurrentLookupsUpdatesPrefetchAndPromotion)
 {
     // The TSan target: demand disk reads, write-through updates,
