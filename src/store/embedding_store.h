@@ -193,11 +193,10 @@ struct StoreStats {
  * MetricsRegistry (store.lookups / store.hits / store.near_fetches /
  * store.far_fetches / store.disk_fetches / store.evictions /
  * store.promoted_rows / store.demoted_rows / store.promotion_rejects
- * counters plus the
- * store.cache_bytes_used and store.disk_seconds gauges), so store
- * health shows up in the same snapshot as executor/queue/serving
- * metrics. Counters are cumulative across calls; reset the registry
- * before a measured run.
+ * counters plus the store.cache_bytes_used and store.disk_seconds
+ * gauges), so store health shows up in the same snapshot as
+ * executor/queue/serving metrics. Counters are cumulative across
+ * calls; reset the registry before a measured run.
  */
 void exportStoreStats(const StoreStats& stats);
 

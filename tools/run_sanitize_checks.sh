@@ -54,8 +54,11 @@
 # The `disk` label covers the persistent far-tier suites: DiskTier
 # hands out payloads copied from a shared page buffer pool under its
 # own mutex while the promotion loop runs on the prefetch thread
-# (TSan: shard lock -> tier lock ordering, the promoPending flag),
-# and page frames, mmap windows and per-shard scratch rows are all
+# (TSan: shard lock -> tier lock ordering, the promoPending flag).
+# Each shard's admission sketch (store/frequency_sketch.h) is state
+# guarded by the shard lock: the demand path counts and reads it
+# under that lock, and the promotion thread never touches it. Page
+# frames, mmap windows and per-shard scratch rows are all
 # fixed-size regions an off-by-one row/page computation would
 # overrun (ASan).
 #
