@@ -183,7 +183,7 @@ main()
 
     // --- Sweep 3: the real disk far tier (page file + spline). ---
     TextTable disk({"cache", "hit rate", "disk fetches", "disk p99",
-                    "promoted", "resident"});
+                    "resident"});
     std::vector<double> disk_hit;
     bool disk_served = true;
     for (size_t cache : kCaches) {
@@ -212,7 +212,6 @@ main()
                      TextTable::fmtPercent(rs.hitRate),
                      std::to_string(stats.total.diskFetches),
                      TextTable::fmtSeconds(stats.diskCostPercentile(0.99)),
-                     std::to_string(stats.total.promotedRows),
                      std::to_string(store->residentBytes() >> 10) +
                          " KB"});
     }

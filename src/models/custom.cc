@@ -1,6 +1,8 @@
 #include "models/custom.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -9,12 +11,23 @@
 namespace recstack {
 namespace {
 
+/** Parse a whole token as a number; false on any leftover character. */
+template <class T>
+bool
+parseWhole(const std::string& token, T* out)
+{
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
 bool
 parseDims(std::istringstream& iss, std::vector<int64_t>* dims)
 {
-    int64_t v = 0;
-    while (iss >> v) {
-        if (v <= 0) {
+    std::string token;
+    while (iss >> token) {
+        int64_t v = 0;
+        if (!parseWhole(token, &v) || v <= 0) {
             return false;
         }
         dims->push_back(v);
@@ -51,14 +64,27 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
         }
         const std::string at_line =
             " at line " + std::to_string(line_no);
+        std::string extra;  // a token past a one-value keyword
 
         if (keyword == "name") {
             if (!(iss >> config->name)) {
                 return fail("missing model name" + at_line);
             }
+            if (iss >> extra) {
+                return fail("unexpected '" + extra +
+                            "' after the model name" + at_line);
+            }
         } else if (keyword == "dense") {
-            if (!(iss >> config->denseDim) || config->denseDim <= 0) {
-                return fail("bad dense dimension" + at_line);
+            std::string value;
+            if (!(iss >> value) ||
+                !parseWhole(value, &config->denseDim) ||
+                config->denseDim <= 0) {
+                return fail("bad dense dimension '" + value + "'" +
+                            at_line);
+            }
+            if (iss >> extra) {
+                return fail("unexpected '" + extra +
+                            "' after the dense dimension" + at_line);
             }
         } else if (keyword == "bottom") {
             if (!parseDims(iss, &config->bottom)) {
@@ -78,15 +104,26 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
                                             : token.substr(0, eq);
                 const std::string value =
                     eq == std::string::npos ? "" : token.substr(eq + 1);
-                if (key == "rows") {
-                    table.rows = std::atoll(value.c_str());
-                } else if (key == "dim") {
-                    table.dim = std::atoll(value.c_str());
-                } else if (key == "lookups") {
-                    table.lookups = std::atoll(value.c_str());
+                const auto bad = [&](const char* want) {
+                    return fail("table attribute '" + key + "' " + want +
+                                ", got '" + token + "'" + at_line);
+                };
+                if (key == "rows" || key == "dim" || key == "lookups") {
+                    int64_t* field = key == "rows"  ? &table.rows
+                                     : key == "dim" ? &table.dim
+                                                    : &table.lookups;
+                    if (!parseWhole(value, field)) {
+                        return bad("needs a whole number");
+                    }
                 } else if (key == "zipf") {
-                    table.zipf = std::atof(value.c_str());
+                    if (!parseWhole(value, &table.zipf) ||
+                        !std::isfinite(table.zipf) || table.zipf < 0.0) {
+                        return bad("needs a finite number >= 0");
+                    }
                 } else if (key == "weighted") {
+                    if (eq != std::string::npos) {
+                        return bad("takes no value");
+                    }
                     table.weighted = true;
                 } else {
                     return fail("unknown table attribute '" + key +

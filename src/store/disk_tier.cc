@@ -6,8 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -17,7 +15,6 @@ namespace recstack {
 namespace {
 
 constexpr uint64_t kMagic = 0x52535431'50414745ull;  // "RST1PAGE"
-constexpr uint64_t kEmptyFrame = UINT64_MAX;
 
 /** Fixed-width header fields at the start of page 0. */
 struct FileHeader {
@@ -36,14 +33,6 @@ struct FileTableRecord {
     uint64_t firstKeyIndex = 0;
     uint64_t firstDataPage = 0;
 };
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 void
 pwriteAll(int fd, const void* buf, size_t n, off_t off)
@@ -219,8 +208,6 @@ DiskTier::Builder::finish()
 std::unique_ptr<DiskTier>
 DiskTier::open(const std::string& path, DiskTierConfig config)
 {
-    RECSTACK_CHECK(config.bufferPages >= 1,
-                   "disk tier needs at least one buffer page");
     auto tier = std::unique_ptr<DiskTier>(new DiskTier());
     tier->path_ = path;
     tier->config_ = config;
@@ -335,19 +322,7 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
     RECSTACK_CHECK(m != MAP_FAILED, "disk tier mmap failed (errno "
                                         << errno << ")");
     tier->map_ = static_cast<uint8_t*>(m);
-    tier->setupPool();
     return tier;
-}
-
-void
-DiskTier::setupPool()
-{
-    const size_t bytes = config_.bufferPages * config_.pageBytes;
-    void* p = nullptr;
-    RECSTACK_CHECK(::posix_memalign(&p, 4096, bytes) == 0,
-                   "disk tier buffer pool allocation failed");
-    pool_ = static_cast<uint8_t*>(p);
-    frames_.assign(config_.bufferPages, Frame{});
 }
 
 DiskTier::~DiskTier()
@@ -359,7 +334,6 @@ DiskTier::~DiskTier()
     if (fd_ >= 0) {
         ::close(fd_);
     }
-    std::free(pool_);
     if (!config_.keepFile && !path_.empty()) {
         ::unlink(path_.c_str());
     }
@@ -381,46 +355,6 @@ DiskTier::recordFor(uint64_t key, size_t ordinal) const
         }
     }
     return nullptr;
-}
-
-void
-DiskTier::loadPageLocked(uint64_t page, uint8_t* frame)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    std::memcpy(frame, map_ + page * config_.pageBytes, config_.pageBytes);
-    stats_.readSeconds += secondsSince(t0);
-    ++stats_.pageLoads;
-}
-
-size_t
-DiskTier::fetchPageLocked(uint64_t page)
-{
-    // The pool is small by design (tens of frames), so a linear scan
-    // beats a heap-allocated map and keeps this path allocation-free.
-    for (size_t i = 0; i < frames_.size(); ++i) {
-        if (frames_[i].page == page) {
-            frames_[i].referenced = true;
-            ++stats_.pageHits;
-            return i;
-        }
-    }
-    // CLOCK second chance over the frame ring.
-    for (;;) {
-        Frame& f = frames_[clockHand_];
-        if (f.page == kEmptyFrame || !f.referenced) {
-            const size_t idx = clockHand_;
-            clockHand_ = (clockHand_ + 1) % frames_.size();
-            if (f.page != kEmptyFrame) {
-                ++stats_.pageEvictions;
-            }
-            loadPageLocked(page, pool_ + idx * config_.pageBytes);
-            f.page = page;
-            f.referenced = true;
-            return idx;
-        }
-        f.referenced = false;
-        clockHand_ = (clockHand_ + 1) % frames_.size();
-    }
 }
 
 std::optional<DiskTier::RowLocation>
@@ -450,8 +384,7 @@ DiskTier::readRowIndexed(uint64_t key, size_t ordinal, float* dst)
         return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    const size_t frame = fetchPageLocked(loc->page);
-    std::memcpy(dst, pool_ + frame * config_.pageBytes + loc->offset,
+    std::memcpy(dst, map_ + loc->page * config_.pageBytes + loc->offset,
                 loc->bytes);
     ++stats_.rowReads;
     stats_.bytesRead += loc->bytes;
@@ -477,18 +410,9 @@ DiskTier::writeRow(uint64_t key, const float* src)
     if (!loc) {
         return false;
     }
-    const uint64_t page = loc->page;
     std::lock_guard<std::mutex> lock(mu_);
-    std::memcpy(map_ + page * config_.pageBytes + loc->offset, src,
+    std::memcpy(map_ + loc->page * config_.pageBytes + loc->offset, src,
                 loc->bytes);
-    // Refresh any pooled copy so readers never see the old page.
-    for (Frame& f : frames_) {
-        if (f.page == page) {
-            std::memcpy(pool_ + (&f - frames_.data()) * config_.pageBytes +
-                            loc->offset,
-                        src, loc->bytes);
-        }
-    }
     ++stats_.rowWrites;
     return true;
 }
@@ -528,7 +452,6 @@ DiskTier::stats() const
     DiskTierStats s = stats_;
     s.numDataPages = numDataPages_;
     s.fileBytes = fileBytes_;
-    s.frameBytes = config_.bufferPages * config_.pageBytes;
     s.spline = index_->stats();
     return s;
 }

@@ -6,10 +6,9 @@
  * Persistent page-based far tier of the embedding store.
  *
  * Production embedding tables outgrow DRAM; the EmbedDB-style answer
- * is a single preallocated file of fixed-size pages, a bounded page
- * buffer pool, and a learned index locating a key's page — no
- * dynamic allocation anywhere on the lookup path. DiskTier is that
- * design:
+ * is a single preallocated file of fixed-size pages and a learned
+ * index locating a key's page — no dynamic allocation anywhere on the
+ * lookup path. DiskTier is that design:
  *
  *  - **Page file layout**: page 0 is the fixed header (five uint64
  *    words: magic, page size, table count, key count, data-page
@@ -27,17 +26,16 @@
  *    key to its global ordinal, which per-table records turn into
  *    (page, slot). A binary-search reference path is always
  *    available (readRowBinarySearch) and is verified equivalent.
- *  - **Page buffer pool**: `bufferPages` frames in one aligned
- *    preallocated slab, CLOCK second-chance replacement, a linear
- *    frame map (the pool is small by design). A pool hit costs a
- *    frame scan + memcpy; a miss copies the page from an mmap of the
- *    file, so the kernel page cache backs cold pages. Row writes go
- *    through the same mapping. Load time is **measured** wall
- *    clock, not modeled: DiskTierStats::readSeconds is real I/O.
+ *  - **Reads from the mapping**: the whole file is mmap'ed once; a
+ *    row read copies the row's bytes straight out of the mapping, so
+ *    the kernel page cache backs cold pages and no page is copied
+ *    into a user-space pool first. Row writes go through the same
+ *    mapping.
  *
- * Thread safety: one internal mutex serializes pool and stats
- * access; EmbeddingStore shards acquire it after their own shard
- * lock (strict shard → tier order, no inverse).
+ * Thread safety: one internal mutex serializes row reads, row writes
+ * and stats; EmbeddingStore shards acquire it after their own shard
+ * lock (strict shard → tier order, no inverse). A row's readers and
+ * its writer hold the same shard lock, so no reader sees a torn row.
  */
 
 #include <cstddef>
@@ -58,9 +56,6 @@ struct DiskTierConfig {
     /// be a power of two >= 512, the page-file format's rule that
     /// DiskTier::open checks in every header it reads.
     size_t pageBytes = 4096;
-    /// Bounded buffer pool capacity in frames (CLOCK replacement);
-    /// at least one.
-    size_t bufferPages = 64;
     /// Keep the page file on destruction (crash/reopen tests); by
     /// default the tier unlinks its file.
     bool keepFile = false;
@@ -73,13 +68,13 @@ struct DiskTierStats {
     uint64_t rowReads = 0;       ///< readRow calls served
     uint64_t rowWrites = 0;      ///< writeRow calls served
     uint64_t bytesRead = 0;      ///< payload bytes returned
-    uint64_t pageHits = 0;       ///< served from the buffer pool
-    uint64_t pageLoads = 0;      ///< pool misses -> file reads
-    uint64_t pageEvictions = 0;  ///< CLOCK victims
-    double readSeconds = 0.0;    ///< wall clock inside page loads
+    /// pageHits and pageLoads are always 0: rows are read straight
+    /// from the mapping, with no page pool to hit or load. They stay
+    /// because perfbench/src/store_disk.cc still reads them.
+    uint64_t pageHits = 0;
+    uint64_t pageLoads = 0;
     uint64_t numDataPages = 0;
     uint64_t fileBytes = 0;
-    uint64_t frameBytes = 0;     ///< resident buffer pool slab
     SplineIndexStats spline;
 };
 
@@ -132,9 +127,8 @@ class DiskTier
     };
 
     /**
-     * Reopen an existing page file (e.g. after a crash). Panics when
-     * config.bufferPages is 0; with a diagnostic naming the path and
-     * the header field when the page size is not a power of two >= 512
+     * Reopen an existing page file (e.g. after a crash). Panics with
+     * a diagnostic naming the path and the header field when the page size is not a power of two >= 512
      * or the data, key and table pages the header claims do not fit in
      * the file; and naming the path, the table and the record field
      * when a table's rows do not fit a page, its data region leaves
@@ -152,7 +146,7 @@ class DiskTier
     /**
      * Copy the payload of (table, row) key into dst (rowBytes(key's
      * table) bytes). Returns false when the key is not stored. No
-     * heap allocation; the page comes from the buffer pool.
+     * heap allocation; the bytes come straight from the mapping.
      */
     bool readRow(uint64_t key, float* dst);
 
@@ -160,9 +154,8 @@ class DiskTier
     bool readRowBinarySearch(uint64_t key, float* dst);
 
     /**
-     * Write a row payload through to the file (and refresh any
-     * pooled copy of its page). Returns false when the key is not
-     * stored. Durable w.r.t. reopen after the destructor runs.
+     * Write a row payload through to the file's mapping. Returns
+     * false when the key is not stored. Durable w.r.t. reopen after the destructor runs.
      */
     bool writeRow(uint64_t key, const float* src);
 
@@ -186,14 +179,9 @@ class DiskTier
         uint64_t firstKeyIndex = 0;
         uint64_t firstDataPage = 0;  ///< absolute page number
     };
-    struct Frame {
-        uint64_t page = UINT64_MAX;  ///< UINT64_MAX = empty
-        bool referenced = false;
-    };
 
     DiskTier() = default;
 
-    void setupPool();
     /// Where a stored row lives: page, byte offset in it, row bytes.
     struct RowLocation {
         uint64_t page = 0;
@@ -204,10 +192,6 @@ class DiskTier
     const TableRecord* recordFor(uint64_t key, size_t ordinal) const;
     /// The row of the key at spline @c ordinal; nullopt when absent.
     std::optional<RowLocation> locate(uint64_t key, size_t ordinal) const;
-    /// Frame index holding `page`, loading it if needed. Pool mutex
-    /// must be held.
-    size_t fetchPageLocked(uint64_t page);
-    void loadPageLocked(uint64_t page, uint8_t* frame);
     bool readRowIndexed(uint64_t key, size_t ordinal, float* dst);
 
     std::string path_;
@@ -220,10 +204,7 @@ class DiskTier
     std::vector<TableRecord> tables_;
     std::unique_ptr<SplineIndex> index_;
 
-    mutable std::mutex mu_;      ///< pool + stats
-    std::vector<Frame> frames_;
-    uint8_t* pool_ = nullptr;    ///< aligned slab, bufferPages frames
-    size_t clockHand_ = 0;
+    mutable std::mutex mu_;      ///< row reads, row writes + stats
     DiskTierStats stats_;
 
     friend class Builder;

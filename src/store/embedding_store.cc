@@ -135,7 +135,6 @@ ShardCounters::accumulate(const ShardCounters& other)
     prefetchedRows += other.prefetchedRows;
     promotedRows += other.promotedRows;
     demotedRows += other.demotedRows;
-    promotionRejects += other.promotionRejects;
     bytesFromCache += other.bytesFromCache;
     bytesFromNear += other.bytesFromNear;
     bytesFromFar += other.bytesFromFar;
@@ -183,14 +182,6 @@ EmbeddingStore::EmbeddingStore(StoreConfig config)
         auto shard = std::make_unique<Shard>();
         shard->cache = std::make_unique<RowCache>(
             config_.policy, config_.cacheBytesPerShard);
-        if (diskTierActive()) {
-            // Promotion targets use CLOCK: evicting (demoting) a
-            // promoted row is free — the disk copy is authoritative.
-            shard->promoted = std::make_unique<RowCache>(
-                CachePolicy::kClock,
-                config_.disk.promotedBytesPerShard);
-            shard->sketch = std::make_unique<FrequencySketch>();
-        }
         shards_.push_back(std::move(shard));
     }
 }
@@ -364,12 +355,6 @@ EmbeddingStore::ensureDiskReady()
         for (auto& shard : shards_) {
             shard->scratch.resize(static_cast<size_t>(maxDim_));
         }
-        if (diskTier_ != nullptr) {
-            // The existing prefetch thread doubles as the
-            // promotion/demotion worker.
-            std::lock_guard<std::mutex> lock(prefetchMu_);
-            startPrefetchThreadLocked();
-        }
         diskFinalized_.store(true, std::memory_order_release);
     });
 }
@@ -407,25 +392,16 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
     RECSTACK_CHECK(t.info.materialized,
                    "lookup on declared-only store table '"
                        << t.info.name << "'");
-    const double near_cost =
-        fetchCost(kNearLatencySeconds, kNearBandwidthGBs, row_bytes);
     if (row < t.info.nearRows) {
         return charge(t.data.data<float>() + row * t.info.dim,
-                      c.nearFetches, c.bytesFromNear, near_cost, true);
+                      c.nearFetches, c.bytesFromNear,
+                      fetchCost(kNearLatencySeconds, kNearBandwidthGBs,
+                                row_bytes),
+                      true);
     }
     if (diskTierActive()) {
-        // Promoted slab: a DRAM copy of a hot disk row. Charged as a
-        // near fetch — it is the near tier for disk-resident rows.
-        // Filling shard.cache from prom mutates only that cache, so
-        // prom stays valid for the caller. The hit counts in the
-        // sketch, so a promoted row keeps its rating against the
-        // candidates that would displace it.
-        const float* prom = shard.promoted->find(key);
-        if (prom != nullptr) {
-            shard.sketch->increment(key);
-            return charge(prom, c.nearFetches, c.bytesFromNear,
-                          near_cost, true);
-        }
+        // The row is copied straight out of the page file's mapping;
+        // the row cache fill below is its only DRAM copy.
         RECSTACK_CHECK(diskTier_ != nullptr,
                        "disk fetch before the tier was finalized");
         const auto t0 = std::chrono::steady_clock::now();
@@ -439,9 +415,6 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
         c.bytesFromDisk += row_bytes;
         c.diskSeconds += dt;
         ++shard.diskCosts[diskCostBucket(dt)];
-        if (config_.disk.promoteThreshold > 0) {
-            admitLocked(shard, key, row_bytes);
-        }
         shard.cache->insert(key, shard.scratch.data(), row_bytes,
                             &c.evictions);
         return shard.scratch.data();
@@ -453,32 +426,6 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
                   fetchCost(kFarLatencySeconds, kFarBandwidthGBs,
                             row_bytes),
                   true);
-}
-
-void
-EmbeddingStore::admitLocked(Shard& shard, uint64_t key,
-                            uint64_t row_bytes)
-{
-    const uint32_t est = shard.sketch->increment(key);
-    if (est < config_.disk.promoteThreshold) {
-        return;
-    }
-    // TinyLFU admission: a full slab takes the row only when the
-    // sketch rates it hotter than the entry the slab evicts next, so
-    // a cold row cannot push a hot one back to disk.
-    const RowCache& slab = *shard.promoted;
-    uint64_t victim = 0;
-    if (slab.bytesUsed() + row_bytes > slab.capacityBytes() &&
-        !(slab.peekVictim(&victim) &&
-          est > shard.sketch->estimate(victim))) {
-        ++shard.counters.promotionRejects;
-        return;
-    }
-    if (shard.promoRingSize < kPromoRingSlots) {
-        shard.promoRing[shard.promoRingSize++] = key;
-        promoPending_.store(true, std::memory_order_release);
-        prefetchCv_.notify_one();
-    }
 }
 
 void
@@ -505,7 +452,6 @@ EmbeddingStore::update(int table, int64_t row, const float* values)
                            diskTier_->writeRow(key, values),
                        "disk write-through failed for row "
                            << row << " of '" << t.info.name << "'");
-        shard.promoted->refresh(key, values, row_bytes);
     } else {
         std::memcpy(t.data.data<float>() + row * t.info.dim, values,
                     row_bytes);
@@ -534,14 +480,10 @@ EmbeddingStore::warmRow(int table, int64_t row)
         if (diskTier_ == nullptr || shard.scratch.empty()) {
             return;  // tier not finalized yet; demand path will
         }
-        const float* prom = shard.promoted->find(key);
-        if (prom != nullptr) {
-            src = prom;
-        } else if (diskTier_->readRow(key, shard.scratch.data())) {
-            src = shard.scratch.data();
-        } else {
+        if (!diskTier_->readRow(key, shard.scratch.data())) {
             return;
         }
+        src = shard.scratch.data();
     } else {
         src = t.data.data<float>() + row * t.info.dim;
     }
@@ -571,98 +513,28 @@ EmbeddingStore::prefetchAsync(int table, std::vector<int64_t> indices)
 }
 
 void
-EmbeddingStore::servicePromotions()
-{
-    // Clear the pending flag BEFORE draining the rings: a push that
-    // races with the drain re-raises it, so nothing is ever lost.
-    promoPending_.store(false, std::memory_order_relaxed);
-    std::array<uint64_t, kPromoRingSlots> pending;
-    for (auto& shard_ptr : shards_) {
-        Shard& shard = *shard_ptr;
-        size_t n = 0;
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            n = shard.promoRingSize;
-            std::copy_n(shard.promoRing.begin(), n, pending.begin());
-            shard.promoRingSize = 0;
-        }
-        for (size_t i = 0; i < n; ++i) {
-            const uint64_t key = pending[i];
-            const Table& t = tableAt(static_cast<int>(key >> 40));
-            const size_t row_bytes =
-                static_cast<size_t>(t.info.dim) * sizeof(float);
-            std::lock_guard<std::mutex> lock(shard.mu);
-            // A residency test: no slab payload is read after insert.
-            if (shard.promoted->find(key) != nullptr) {
-                continue;  // already promoted
-            }
-            if (!diskTier_->readRow(key, shard.scratch.data())) {
-                continue;
-            }
-            // CLOCK evictions of the slab are the demotions; the
-            // disk copy is authoritative, so nothing is written.
-            shard.promoted->insert(key, shard.scratch.data(),
-                                   row_bytes,
-                                   &shard.counters.demotedRows);
-            ++shard.counters.promotedRows;
-        }
-    }
-}
-
-void
 EmbeddingStore::prefetchLoop()
 {
-    using namespace std::chrono_literals;
     for (;;) {
         PrefetchTask task;
-        bool has_task = false;
-        bool do_promo = false;
         {
             std::unique_lock<std::mutex> lock(prefetchMu_);
-            const auto ready = [this] {
-                return prefetchStop_ || !prefetchQueue_.empty() ||
-                       (diskTierActive() &&
-                        promoPending_.load(
-                            std::memory_order_acquire));
-            };
-            if (diskTierActive()) {
-                // Timed wait: promotion work can arrive without a
-                // reliably-paired notify (the demand path signals
-                // outside this mutex), so sweep periodically.
-                prefetchCv_.wait_for(lock, 50ms, ready);
-            } else {
-                prefetchCv_.wait(lock, ready);
-            }
-            if (prefetchStop_ && prefetchQueue_.empty()) {
+            prefetchCv_.wait(lock, [this] {
+                return prefetchStop_ || !prefetchQueue_.empty();
+            });
+            if (prefetchQueue_.empty()) {
                 return;  // stop requested with nothing pending
             }
-            if (!prefetchQueue_.empty()) {
-                task = std::move(prefetchQueue_.front());
-                prefetchQueue_.pop_front();
-                prefetchBusy_ = true;
-                has_task = true;
-            }
-            if (diskTierActive() &&
-                promoPending_.load(std::memory_order_acquire)) {
-                promoBusy_ = true;
-                do_promo = true;
-            }
-            if (!has_task && !do_promo) {
-                continue;  // timed out with nothing to do
-            }
+            task = std::move(prefetchQueue_.front());
+            prefetchQueue_.pop_front();
+            prefetchBusy_ = true;
         }
-        if (has_task) {
-            for (int64_t row : task.indices) {
-                warmRow(task.table, row);
-            }
-        }
-        if (do_promo) {
-            servicePromotions();
+        for (int64_t row : task.indices) {
+            warmRow(task.table, row);
         }
         {
             std::lock_guard<std::mutex> lock(prefetchMu_);
             prefetchBusy_ = false;
-            promoBusy_ = false;
         }
         prefetchIdleCv_.notify_all();
     }
@@ -673,9 +545,7 @@ EmbeddingStore::drainPrefetch()
 {
     std::unique_lock<std::mutex> lock(prefetchMu_);
     prefetchIdleCv_.wait(lock, [this] {
-        return prefetchQueue_.empty() && !prefetchBusy_ &&
-               !promoBusy_ &&
-               !promoPending_.load(std::memory_order_acquire);
+        return prefetchQueue_.empty() && !prefetchBusy_;
     });
 }
 
@@ -752,19 +622,6 @@ EmbeddingStore::cacheCapacityBytes() const
 }
 
 uint64_t
-EmbeddingStore::promotedBytesUsed() const
-{
-    uint64_t n = 0;
-    for (const auto& shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        if (shard->promoted != nullptr) {
-            n += shard->promoted->bytesUsed();
-        }
-    }
-    return n;
-}
-
-uint64_t
 EmbeddingStore::diskFileBytes() const
 {
     return diskTier_ != nullptr ? diskTier_->stats().fileBytes : 0;
@@ -773,11 +630,7 @@ EmbeddingStore::diskFileBytes() const
 uint64_t
 EmbeddingStore::residentBytes() const
 {
-    uint64_t n = tableBytes() + cacheBytesUsed() + promotedBytesUsed();
-    if (diskTier_ != nullptr) {
-        n += diskTier_->stats().frameBytes;
-    }
-    return n;
+    return tableBytes() + cacheBytesUsed();
 }
 
 double
@@ -820,10 +673,6 @@ exportStoreStats(const StoreStats& stats)
     reg.counter("store.far_fetches").add(stats.total.farFetches);
     reg.counter("store.disk_fetches").add(stats.total.diskFetches);
     reg.counter("store.evictions").add(stats.total.evictions);
-    reg.counter("store.promoted_rows").add(stats.total.promotedRows);
-    reg.counter("store.demoted_rows").add(stats.total.demotedRows);
-    reg.counter("store.promotion_rejects")
-        .add(stats.total.promotionRejects);
     reg.counter("store.bytes_from_disk")
         .add(stats.total.bytesFromDisk);
     reg.gauge("store.cache_bytes_used")

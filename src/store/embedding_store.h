@@ -27,20 +27,15 @@
  *        (store/disk_tier.h) indexed by a radix-spline learned index
  *        (store/spline_index.h) and dropped from DRAM, so tables
  *        larger than the configured near tier actually serve from
- *        disk. Fetch time is measured wall clock, not modeled. Each
- *        shard counts demand accesses to its disk rows in a
- *        count-min sketch (store/frequency_sketch.h); a disk fetch
- *        whose row is estimated hot enough, and hotter than the
- *        row the per-shard promoted DRAM slab would evict next, is
- *        queued for the background promotion loop (the prefetch
- *        thread), which copies it into the slab (TinyLFU-style
- *        admission). The slab's CLOCK evictions are the demotions;
- *        the disk copy is authoritative, so demotion never writes.
+ *        disk. Fetch time is measured wall clock, not modeled. A
+ *        disk fetch copies the row straight out of the page file's
+ *        mapping and fills the shard's hot-row cache, the only DRAM
+ *        copy of a disk row.
  *  - forEachRow resolves a lookup stream to row payloads, in order,
  *    and hands each to the caller under its shard lock. The store
  *    never pools or copies: the embedding ops (ops/embedding.cc) run
  *    the one pooling and copy loop for dense and store-backed tables
- *    alike, and cached, near, promoted and disk copies are all
+ *    alike, and cached, near and disk copies are all
  *    verbatim row payloads, so results are bit-identical to reading
  *    a dense Workspace blob.
  *  - prefetchAsync warms the cache with the next batch's indices on a
@@ -52,7 +47,6 @@
  * (default: a fresh temp dir removed with the store).
  */
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <condition_variable>
@@ -66,7 +60,6 @@
 
 #include "obs/span.h"
 #include "store/disk_tier.h"
-#include "store/frequency_sketch.h"
 #include "store/row_cache.h"
 #include "store/spline_index.h"
 #include "tensor/tensor.h"
@@ -84,19 +77,12 @@ const char* farTierKindName(FarTierKind kind);
 
 /**
  * Disk far-tier knobs (used when StoreConfig::farTier == kDisk): the
- * page file's own DiskTierConfig plus where it lives and how rows
- * are promoted off it.
+ * page file's own DiskTierConfig plus where it lives.
  */
 struct DiskTierOptions : DiskTierConfig {
     /// Page-file directory; "" resolves RECSTACK_STORE_DIR, then a
     /// fresh mkdtemp dir owned (and removed) by the store.
     std::string dir;
-    /// Per-shard DRAM budget for rows promoted off the disk tier.
-    size_t promotedBytesPerShard = 256u << 10;
-    /// Estimated demand accesses (disk fetches plus promoted-slab
-    /// hits, in the sketch's current window) a disk row needs before
-    /// it may be promoted (0 disables promotion).
-    uint32_t promoteThreshold = 4;
 };
 
 /// Tier cost model: a per-row fetch pays the tier's latency plus
@@ -133,18 +119,17 @@ struct ShardCounters {
     uint64_t lookups = 0;        ///< demand row reads
     uint64_t hits = 0;           ///< served from the hot-row cache
     uint64_t nearFetches = 0;    ///< misses served by the near tier
-                                 ///  (incl. the promoted DRAM slab)
     uint64_t farFetches = 0;     ///< misses served by the far tier
                                  ///  (simulated kind only)
     uint64_t diskFetches = 0;    ///< misses served by the disk tier
     uint64_t evictions = 0;
     uint64_t updates = 0;
     uint64_t prefetchedRows = 0; ///< rows warmed by prefetch, not demand
-    uint64_t promotedRows = 0;   ///< disk rows promoted to the slab
-    uint64_t demotedRows = 0;    ///< slab CLOCK evictions (demotions)
-    uint64_t promotionRejects = 0; ///< hot disk rows not admitted: the
-                                   ///  slab was full and its victim
-                                   ///  was at least as hot
+    /// promotedRows and demotedRows are always 0: the store has no
+    /// promoted slab. They stay because perfbench/src/store_disk.cc
+    /// reads them and the accounting digest tests mix them in.
+    uint64_t promotedRows = 0;
+    uint64_t demotedRows = 0;
     uint64_t bytesFromCache = 0;
     uint64_t bytesFromNear = 0;
     uint64_t bytesFromFar = 0;
@@ -192,8 +177,8 @@ struct StoreStats {
  * Re-export a StoreStats snapshot's totals into the global
  * MetricsRegistry (store.lookups / store.hits / store.near_fetches /
  * store.far_fetches / store.disk_fetches / store.evictions /
- * store.promoted_rows / store.demoted_rows / store.promotion_rejects
- * counters plus the store.cache_bytes_used and store.disk_seconds
+ * store.bytes_from_disk counters plus the store.cache_bytes_used and
+ * store.disk_seconds
  * gauges), so store health shows up in the same snapshot as
  * executor/queue/serving metrics. Counters are cumulative across
  * calls; reset the registry before a measured run.
@@ -243,8 +228,8 @@ class EmbeddingStore
     /**
      * Ordered row visit, the store's half of every lookup kernel:
      * for each p in [lo, hi), ascending, calls fn(p, row) with the
-     * verbatim payload of row indices[p] (cache copy, backing row,
-     * promoted slab or disk read) and charges one demand read. fn
+     * verbatim payload of row indices[p] (cache copy, backing row or
+     * disk read) and charges one demand read. fn
      * runs under that row's shard lock: it must consume the row
      * before returning and must not call back into the store. One
      * `store.rows` span covers the call.
@@ -266,7 +251,7 @@ class EmbeddingStore
 
     /**
      * Write one row through to the backing table (DRAM or disk page)
-     * and refresh any cached/promoted copy, so no reader ever
+     * and refresh any cached copy, so no reader ever
      * observes the stale payload.
      */
     void update(int table, int64_t row, const float* values);
@@ -279,10 +264,7 @@ class EmbeddingStore
      */
     void prefetchAsync(int table, std::vector<int64_t> indices);
 
-    /**
-     * Block until the async prefetch queue — and, under a disk far
-     * tier, any pending promotions — is fully drained.
-     */
+    /** Block until the async prefetch queue is fully drained. */
     void drainPrefetch();
 
     StoreStats stats() const;
@@ -298,14 +280,9 @@ class EmbeddingStore
     uint64_t cacheBytesUsed() const;
     /** Total cache capacity across shards. */
     uint64_t cacheCapacityBytes() const;
-    /** Bytes held by the per-shard promoted DRAM slabs (disk tier). */
-    uint64_t promotedBytesUsed() const;
     /** Size of the disk tier's page file (0 when inactive). */
     uint64_t diskFileBytes() const;
-    /**
-     * The store's whole DRAM footprint: near tables + caches +
-     * promoted slabs + the disk tier's buffer-pool frames.
-     */
+    /** The store's whole DRAM footprint: near tables + caches. */
     uint64_t residentBytes() const;
 
     /**
@@ -344,10 +321,6 @@ class EmbeddingStore
     static size_t rowShard(int table, int64_t row, size_t num_shards);
 
   private:
-    /// Bounded pending-promotion ring per shard (drop-new when full;
-    /// a dropped key re-queues on its next demand fetch).
-    static constexpr size_t kPromoRingSlots = 256;
-
     struct Table {
         TableInfo info;
         Tensor data;
@@ -355,18 +328,11 @@ class EmbeddingStore
     struct Shard {
         mutable std::mutex mu;
         std::unique_ptr<RowCache> cache;
-        /// Disk-tier promoted slab (null under kSimulated).
-        std::unique_ptr<RowCache> promoted;
         ShardCounters counters;
         std::map<double, uint64_t> costs;
         std::map<double, uint64_t> diskCosts;
         /// Preallocated disk-read row buffer (guarded by mu).
         std::vector<float> scratch;
-        /// Demand accesses to disk rows, the admission filter
-        /// (null under kSimulated; guarded by mu).
-        std::unique_ptr<FrequencySketch> sketch;
-        std::array<uint64_t, kPromoRingSlots> promoRing{};
-        size_t promoRingSize = 0;
     };
     struct PrefetchTask {
         int table = 0;
@@ -380,21 +346,16 @@ class EmbeddingStore
     const Table& tableAt(int table) const;
     Table& tableAt(int table);
     size_t shardOf(int table, int64_t row) const;
-    /// Returns the row payload (cache copy, backing row, promoted
-    /// slab, or per-shard scratch filled from disk), valid while the
+    /// Returns the row payload (cache copy, backing row, or per-shard
+    /// scratch filled from disk), valid while the
     /// shard lock is held; charges stats for a demand read.
     const float* fetchRowLocked(const Table& t, int table, int64_t row,
                                 Shard& shard);
-    /// Count a demand disk fetch of key in the shard's sketch and
-    /// queue the key for promotion when admission takes it.
-    void admitLocked(Shard& shard, uint64_t key, uint64_t row_bytes);
     void warmRow(int table, int64_t row);
     void prefetchLoop();
-    /// Finalize the disk builder into a servable tier + start the
-    /// promotion-capable background thread. Idempotent; called from
-    /// every lookup entry point.
+    /// Finalize the disk builder into a servable tier. Idempotent;
+    /// called from every lookup entry point.
     void ensureDiskReady();
-    void servicePromotions();
     void startPrefetchThreadLocked();
 
     StoreConfig config_;
@@ -409,7 +370,6 @@ class EmbeddingStore
     bool ownsDiskDir_ = false;
     std::once_flag diskOnce_;
     std::atomic<bool> diskFinalized_{false};
-    std::atomic<bool> promoPending_{false};
     int64_t maxDim_ = 0;
 
     std::mutex prefetchMu_;
@@ -418,7 +378,6 @@ class EmbeddingStore
     std::deque<PrefetchTask> prefetchQueue_;
     std::thread prefetchThread_;
     bool prefetchBusy_ = false;
-    bool promoBusy_ = false;
     bool prefetchStop_ = false;
 };
 

@@ -85,13 +85,6 @@ class RowCache
     /** Drop a key if cached. */
     void erase(uint64_t key);
 
-    /**
-     * The key the next eviction looks at first — the entry under the
-     * CLOCK hand, before any second chance, or the LRU tail — without
-     * changing any state. Returns false when the cache is empty.
-     */
-    bool peekVictim(uint64_t* key) const;
-
     size_t bytesUsed() const { return used_; }
     size_t capacityBytes() const { return capacity_; }
     size_t entries() const { return live_; }

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "core/characterizer.h"
 #include "graph/executor.h"
@@ -81,6 +83,44 @@ TEST(CustomConfig, RejectsBadSyntax)
         EXPECT_FALSE(parseCustomModelConfig(in, &config, &error))
             << text;
         EXPECT_NE(error.find("line"), std::string::npos) << error;
+    }
+}
+
+TEST(CustomConfig, RejectsTrailingJunk)
+{
+    const std::pair<const char*, const char*> cases[] = {
+        {"table rows=12x dim=4 lookups=1",
+         "table attribute 'rows' needs a whole number, got 'rows=12x'"},
+        {"table rows=10 dim=4.5 lookups=1",
+         "table attribute 'dim' needs a whole number, got 'dim=4.5'"},
+        {"table rows=10 dim=4 lookups=",
+         "table attribute 'lookups' needs a whole number, got 'lookups='"},
+        {"table rows=10 dim=4 lookups=1 zipf=abc",
+         "table attribute 'zipf' needs a finite number >= 0, got "
+         "'zipf=abc'"},
+        {"table rows=10 dim=4 lookups=1 zipf=0.9x",
+         "table attribute 'zipf' needs a finite number >= 0, got "
+         "'zipf=0.9x'"},
+        {"table rows=10 dim=4 lookups=1 zipf=inf",
+         "table attribute 'zipf' needs a finite number >= 0, got "
+         "'zipf=inf'"},
+        {"table rows=10 dim=4 lookups=1 zipf=-0.5",
+         "table attribute 'zipf' needs a finite number >= 0, got "
+         "'zipf=-0.5'"},
+        {"table rows=10 dim=4 lookups=1 weighted=no",
+         "table attribute 'weighted' takes no value, got 'weighted=no'"},
+        {"dense 16 17", "unexpected '17' after the dense dimension"},
+        {"dense 16x", "bad dense dimension '16x'"},
+        {"name My Ranker", "unexpected 'Ranker' after the model name"},
+        {"bottom 64 32x", "bad bottom widths"},
+    };
+    for (const auto& [line, message] : cases) {
+        // The bad line is line 2, after a comment.
+        std::istringstream in(std::string("# junk test\n") + line + "\n");
+        CustomModelConfig config;
+        std::string error;
+        EXPECT_FALSE(parseCustomModelConfig(in, &config, &error)) << line;
+        EXPECT_EQ(error, std::string(message) + " at line 2") << line;
     }
 }
 

@@ -625,13 +625,6 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
             static_cast<unsigned long long>(stats.total.bytesFromDisk),
             stats.diskCostPercentile(0.99), stats.total.diskSeconds);
         std::printf(
-            "  \"promotedRows\": %llu,\n  \"demotedRows\": %llu,\n"
-            "  \"promotionRejects\": %llu,\n",
-            static_cast<unsigned long long>(stats.total.promotedRows),
-            static_cast<unsigned long long>(stats.total.demotedRows),
-            static_cast<unsigned long long>(
-                stats.total.promotionRejects));
-        std::printf(
             "  \"spline\": {\"keys\": %zu, \"segments\": %zu, "
             "\"maxErrorBound\": %zu, \"maxErrorObserved\": %zu, "
             "\"indexBytes\": %zu},\n",
@@ -723,23 +716,12 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     if (stats.diskTierActive) {
         std::printf("spline index: %zu keys, %zu segments, error "
                     "bound %zu (observed %zu), %zu KB; page file %llu "
-                    "KB, %llu page loads, %llu pool hits; promoted "
-                    "%llu rows, demoted %llu, rejected %llu\n",
+                    "KB\n",
                     spline.numKeys, spline.numSegments,
                     spline.maxErrorBound, spline.maxErrorObserved,
                     spline.indexBytes >> 10,
                     static_cast<unsigned long long>(
-                        store.diskFileBytes() >> 10),
-                    static_cast<unsigned long long>(
-                        stats.diskTier.pageLoads),
-                    static_cast<unsigned long long>(
-                        stats.diskTier.pageHits),
-                    static_cast<unsigned long long>(
-                        stats.total.promotedRows),
-                    static_cast<unsigned long long>(
-                        stats.total.demotedRows),
-                    static_cast<unsigned long long>(
-                        stats.total.promotionRejects));
+                        store.diskFileBytes() >> 10));
     }
 
     std::printf("lookup cost: p50 %s, p99 %s; modeled fetch time %s; "

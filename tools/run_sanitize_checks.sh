@@ -52,15 +52,13 @@
 # and conservation tests run with the GPU lane's under `serving`.
 #
 # The `disk` label covers the persistent far-tier suites: DiskTier
-# hands out payloads copied from a shared page buffer pool under its
-# own mutex while the promotion loop runs on the prefetch thread
-# (TSan: shard lock -> tier lock ordering, the promoPending flag).
-# Each shard's admission sketch (store/frequency_sketch.h) is state
-# guarded by the shard lock: the demand path counts and reads it
-# under that lock, and the promotion thread never touches it. Page
-# frames, mmap windows and per-shard scratch rows are all
-# fixed-size regions an off-by-one row/page computation would
-# overrun (ASan).
+# copies rows straight out of one shared mapping of the page file that
+# write-through updates write into. Demand reads, prefetch warming and
+# updates of a row all hold its shard lock and then the tier mutex
+# (TSan: shard lock -> tier lock ordering, and the torn-row test that
+# rewrites one disk row while another thread reads it). The mapping
+# and per-shard scratch rows are fixed-size regions an off-by-one
+# row/page computation would overrun (ASan).
 #
 # The `uarch` label (ASan pass only) covers the microarchitecture
 # simulator's cache, cache-hierarchy and CPU-model suites. Each cache
