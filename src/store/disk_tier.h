@@ -128,9 +128,9 @@ class DiskTier
 
     /**
      * Reopen an existing page file (e.g. after a crash). Panics with
-     * a diagnostic naming the path and the header field when the page size is not a power of two >= 512
-     * or the data, key and table pages the header claims do not fit in
-     * the file; and naming the path, the table and the record field
+     * a diagnostic naming the path and the header field when the page
+     * size is not a power of two >= 512 or the data, key and table
+     * pages the header claims do not fit in the file; and naming the path, the table and the record field
      * when a table's rows do not fit a page, its data region leaves
      * the data pages, its key range leaves the key array, or its id
      * repeats an earlier record.
@@ -155,7 +155,8 @@ class DiskTier
 
     /**
      * Write a row payload through to the file's mapping. Returns
-     * false when the key is not stored. Durable w.r.t. reopen after the destructor runs.
+     * false when the key is not stored. Durable w.r.t. reopen after
+     * the destructor runs.
      */
     bool writeRow(uint64_t key, const float* src);
 

@@ -333,14 +333,6 @@ EmbeddingStore::shardOf(int table, int64_t row) const
 }
 
 void
-EmbeddingStore::startPrefetchThreadLocked()
-{
-    if (!prefetchThread_.joinable()) {
-        prefetchThread_ = std::thread([this] { prefetchLoop(); });
-    }
-}
-
-void
 EmbeddingStore::ensureDiskReady()
 {
     if (!diskTierActive() ||
@@ -506,7 +498,9 @@ EmbeddingStore::prefetchAsync(int table, std::vector<int64_t> indices)
     indices.erase(std::unique(indices.begin(), indices.end()),
                   indices.end());
     std::unique_lock<std::mutex> lock(prefetchMu_);
-    startPrefetchThreadLocked();
+    if (!prefetchThread_.joinable()) {
+        prefetchThread_ = std::thread([this] { prefetchLoop(); });
+    }
     prefetchQueue_.push_back(PrefetchTask{table, std::move(indices)});
     lock.unlock();
     prefetchCv_.notify_one();

@@ -156,7 +156,7 @@ struct StoreStats {
     std::map<double, uint64_t> diskSecondsHistogram;
     /// Whether the snapshot came from a store with a live disk tier.
     bool diskTierActive = false;
-    /// Page/pool/index counters of the disk tier (zero when
+    /// Row, file and index counters of the disk tier (zero when
     /// inactive or not yet touched).
     DiskTierStats diskTier;
 
@@ -178,8 +178,7 @@ struct StoreStats {
  * MetricsRegistry (store.lookups / store.hits / store.near_fetches /
  * store.far_fetches / store.disk_fetches / store.evictions /
  * store.bytes_from_disk counters plus the store.cache_bytes_used and
- * store.disk_seconds
- * gauges), so store health shows up in the same snapshot as
+ * store.disk_seconds gauges), so store health shows up in the same snapshot as
  * executor/queue/serving metrics. Counters are cumulative across
  * calls; reset the registry before a measured run.
  */
@@ -229,10 +228,10 @@ class EmbeddingStore
      * Ordered row visit, the store's half of every lookup kernel:
      * for each p in [lo, hi), ascending, calls fn(p, row) with the
      * verbatim payload of row indices[p] (cache copy, backing row or
-     * disk read) and charges one demand read. fn
-     * runs under that row's shard lock: it must consume the row
-     * before returning and must not call back into the store. One
-     * `store.rows` span covers the call.
+     * disk read) and charges one demand read. fn runs under that
+     * row's shard lock: it must consume the row before returning and
+     * must not call back into the store. One `store.rows` span covers
+     * the call.
      */
     template <class Fn>
     void forEachRow(int table, const int64_t* indices, int64_t lo,
@@ -251,8 +250,8 @@ class EmbeddingStore
 
     /**
      * Write one row through to the backing table (DRAM or disk page)
-     * and refresh any cached copy, so no reader ever
-     * observes the stale payload.
+     * and refresh any cached copy, so no reader ever observes the
+     * stale payload.
      */
     void update(int table, int64_t row, const float* values);
 
@@ -347,8 +346,8 @@ class EmbeddingStore
     Table& tableAt(int table);
     size_t shardOf(int table, int64_t row) const;
     /// Returns the row payload (cache copy, backing row, or per-shard
-    /// scratch filled from disk), valid while the
-    /// shard lock is held; charges stats for a demand read.
+    /// scratch filled from disk), valid while the shard lock is held;
+    /// charges stats for a demand read.
     const float* fetchRowLocked(const Table& t, int table, int64_t row,
                                 Shard& shard);
     void warmRow(int table, int64_t row);
@@ -356,7 +355,6 @@ class EmbeddingStore
     /// Finalize the disk builder into a servable tier. Idempotent;
     /// called from every lookup entry point.
     void ensureDiskReady();
-    void startPrefetchThreadLocked();
 
     StoreConfig config_;
     std::vector<Table> tables_;
