@@ -711,29 +711,35 @@ TEST_F(DiskFixture, UpdatesNeverTearADiskRowUnderConcurrentReads)
     store->update(0, row, values.data());
 
     // The writer keeps rewriting the row, each time to a new uniform
-    // value, for as long as the reader reads it.
-    constexpr int kReads = 20000;
+    // value, until the reads stop; the reads go on until the writer
+    // has made kMinWrites of its writes, so the two always overlap.
+    constexpr int64_t kReads = 20000;
+    constexpr int kMinWrites = 1000;
+    std::atomic<int> writes{0};
     std::atomic<bool> done{false};
     std::thread writer([&] {
         std::vector<float> v(static_cast<size_t>(dim));
         for (int i = 1; !done.load(std::memory_order_acquire); ++i) {
             std::fill(v.begin(), v.end(), static_cast<float>(i));
             store->update(0, row, v.data());
+            writes.fetch_add(1, std::memory_order_release);
         }
     });
+    int64_t reads = 0;
     int64_t torn = 0;
-    for (int i = 0; i < kReads; ++i) {
+    while (reads < kReads ||
+           writes.load(std::memory_order_acquire) < kMinWrites) {
         store->forEachRow(0, &row, 0, 1, [&](int64_t, const float* r) {
             torn += std::any_of(r, r + dim,
                                 [&](float x) { return x != r[0]; });
         });
+        ++reads;
     }
     done.store(true, std::memory_order_release);
     writer.join();
-    EXPECT_EQ(torn, 0) << "of " << kReads << " reads";
-    const StoreStats stats = store->stats();
-    EXPECT_EQ(stats.total.diskFetches, static_cast<uint64_t>(kReads));
-    EXPECT_GT(stats.total.updates, 1u);
+    EXPECT_EQ(torn, 0) << "of " << reads << " reads";
+    EXPECT_EQ(store->stats().total.diskFetches,
+              static_cast<uint64_t>(reads));
 }
 
 TEST_F(DiskFixture, ConcurrentLookupsUpdatesAndPrefetch)
