@@ -4,6 +4,8 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "models/builder_util.h"
@@ -49,6 +51,7 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
     };
 
     *config = CustomModelConfig{};
+    std::map<std::string, int> first_line;  // name/dense/bottom/top
     std::string line;
     int line_no = 0;
     while (std::getline(in, line)) {
@@ -66,6 +69,14 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
             " at line " + std::to_string(line_no);
         std::string extra;  // a token past a one-value keyword
 
+        if (keyword != "table") {
+            const auto [it, first] = first_line.emplace(keyword, line_no);
+            if (!first) {
+                return fail("repeated '" + keyword +
+                            "' line (first at line " +
+                            std::to_string(it->second) + ")" + at_line);
+            }
+        }
         if (keyword == "name") {
             if (!(iss >> config->name)) {
                 return fail("missing model name" + at_line);
@@ -96,6 +107,7 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
             }
         } else if (keyword == "table") {
             CustomModelConfig::Table table;
+            std::set<std::string> seen;
             std::string token;
             while (iss >> token) {
                 const size_t eq = token.find('=');
@@ -108,6 +120,9 @@ parseCustomModelConfig(std::istream& in, CustomModelConfig* config,
                     return fail("table attribute '" + key + "' " + want +
                                 ", got '" + token + "'" + at_line);
                 };
+                if (!seen.insert(key).second) {
+                    return bad("is repeated");
+                }
                 if (key == "rows" || key == "dim" || key == "lookups") {
                     int64_t* field = key == "rows"  ? &table.rows
                                      : key == "dim" ? &table.dim

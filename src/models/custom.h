@@ -16,7 +16,9 @@
  *     top 1024 512 1
  *
  * `dense`, `bottom`, at least one `table` and `top` are required.
- * Tables may differ in geometry (unlike the stock RM models).
+ * Tables may differ in geometry (unlike the stock RM models). Every
+ * line but `table` appears at most once, and so does each attribute
+ * within a `table` line.
  */
 
 #include <iosfwd>

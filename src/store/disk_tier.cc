@@ -357,62 +357,46 @@ DiskTier::recordFor(uint64_t key, size_t ordinal) const
     return nullptr;
 }
 
-std::optional<DiskTier::RowLocation>
+std::pair<uint8_t*, size_t>
 DiskTier::locate(uint64_t key, size_t ordinal) const
 {
     if (ordinal == SplineIndex::kNotFound) {
-        return std::nullopt;
+        return {nullptr, 0};
     }
     const TableRecord* rec = recordFor(key, ordinal);
     if (rec == nullptr) {
-        return std::nullopt;
+        return {nullptr, 0};
     }
     const size_t row_bytes =
         static_cast<size_t>(rec->dim) * sizeof(float);
     const uint64_t rows_per_page = config_.pageBytes / row_bytes;
     const uint64_t k = ordinal - rec->firstKeyIndex;
-    return RowLocation{rec->firstDataPage + k / rows_per_page,
-                       static_cast<size_t>(k % rows_per_page) * row_bytes,
-                       row_bytes};
+    const uint64_t page = rec->firstDataPage + k / rows_per_page;
+    return {map_ + page * config_.pageBytes +
+                static_cast<size_t>(k % rows_per_page) * row_bytes,
+            row_bytes};
 }
 
-bool
-DiskTier::readRowIndexed(uint64_t key, size_t ordinal, float* dst)
+const float*
+DiskTier::rowAddress(uint64_t key, KeySearch search) const
 {
-    const std::optional<RowLocation> loc = locate(key, ordinal);
-    if (!loc) {
-        return false;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    std::memcpy(dst, map_ + loc->page * config_.pageBytes + loc->offset,
-                loc->bytes);
-    ++stats_.rowReads;
-    stats_.bytesRead += loc->bytes;
-    return true;
-}
-
-bool
-DiskTier::readRow(uint64_t key, float* dst)
-{
-    return readRowIndexed(key, index_->find(key), dst);
-}
-
-bool
-DiskTier::readRowBinarySearch(uint64_t key, float* dst)
-{
-    return readRowIndexed(key, index_->findBinarySearch(key), dst);
+    const size_t ordinal = search == KeySearch::kSpline
+                               ? index_->find(key)
+                               : index_->findBinarySearch(key);
+    // Rows never span pages and row bytes are whole floats, so the
+    // address is float-aligned.
+    return reinterpret_cast<const float*>(locate(key, ordinal).first);
 }
 
 bool
 DiskTier::writeRow(uint64_t key, const float* src)
 {
-    const std::optional<RowLocation> loc = locate(key, index_->find(key));
-    if (!loc) {
+    const auto [dst, bytes] = locate(key, index_->find(key));
+    if (dst == nullptr) {
         return false;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    std::memcpy(map_ + loc->page * config_.pageBytes + loc->offset, src,
-                loc->bytes);
+    std::memcpy(dst, src, bytes);
     ++stats_.rowWrites;
     return true;
 }

@@ -25,25 +25,29 @@
  *  - **Learned index**: a radix-spline (store/spline_index.h) maps a
  *    key to its global ordinal, which per-table records turn into
  *    (page, slot). A binary-search reference path is always
- *    available (readRowBinarySearch) and is verified equivalent.
- *  - **Reads from the mapping**: the whole file is mmap'ed once; a
- *    row read copies the row's bytes straight out of the mapping, so
- *    the kernel page cache backs cold pages and no page is copied
- *    into a user-space pool first. Row writes go through the same
- *    mapping.
+ *    available (rowAddress with KeySearch::kBinary) and is verified
+ *    equivalent.
+ *  - **Reads from the mapping**: the whole file is mmap'ed once and
+ *    rowAddress hands out a row's address inside the mapping, so the
+ *    kernel page cache backs cold pages and no page is copied into a
+ *    user-space pool first. Row writes go through the same mapping.
  *
- * Thread safety: one internal mutex serializes row reads, row writes
- * and stats; EmbeddingStore shards acquire it after their own shard
- * lock (strict shard → tier order, no inverse). A row's readers and
- * its writer hold the same shard lock, so no reader sees a torn row.
+ * Thread safety: rowAddress is lock-free; it reads only the index and
+ * table records, which are fixed at open. The address it returns stays
+ * valid for the tier's lifetime, but its pointee changes under
+ * writeRow: reading it needs the lock that serializes writeRow for
+ * that row. For EmbeddingStore that is the row's shard lock, which
+ * demand reads, prefetch warming and updates all hold, so no reader
+ * sees a torn row. An internal mutex, taken after the shard lock,
+ * serializes writeRow and the stats.
  */
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "store/spline_index.h"
@@ -65,9 +69,7 @@ struct DiskTierConfig {
 
 /** Counters of one disk tier (measured, not modeled). */
 struct DiskTierStats {
-    uint64_t rowReads = 0;       ///< readRow calls served
     uint64_t rowWrites = 0;      ///< writeRow calls served
-    uint64_t bytesRead = 0;      ///< payload bytes returned
     /// pageHits and pageLoads are always 0: rows are read straight
     /// from the mapping, with no page pool to hit or load. They stay
     /// because perfbench/src/store_disk.cc still reads them.
@@ -143,15 +145,18 @@ class DiskTier
     DiskTier(const DiskTier&) = delete;
     DiskTier& operator=(const DiskTier&) = delete;
 
-    /**
-     * Copy the payload of (table, row) key into dst (rowBytes(key's
-     * table) bytes). Returns false when the key is not stored. No
-     * heap allocation; the bytes come straight from the mapping.
-     */
-    bool readRow(uint64_t key, float* dst);
+    /// Which index resolves a key: the learned spline, or the binary
+    /// search it is cross-checked against.
+    enum class KeySearch { kSpline, kBinary };
 
-    /** readRow through the binary-search reference index. */
-    bool readRowBinarySearch(uint64_t key, float* dst);
+    /**
+     * Address of the payload of (table, row) key in the page file's
+     * mapping (tableDim(table) floats), or nullptr when the key is not
+     * stored. Lock-free and allocation-free; reading the pointee needs
+     * the lock that serializes writeRow for this row (file comment).
+     */
+    const float* rowAddress(uint64_t key,
+                            KeySearch search = KeySearch::kSpline) const;
 
     /**
      * Write a row payload through to the file's mapping. Returns
@@ -183,17 +188,10 @@ class DiskTier
 
     DiskTier() = default;
 
-    /// Where a stored row lives: page, byte offset in it, row bytes.
-    struct RowLocation {
-        uint64_t page = 0;
-        size_t offset = 0;
-        size_t bytes = 0;
-    };
-
     const TableRecord* recordFor(uint64_t key, size_t ordinal) const;
-    /// The row of the key at spline @c ordinal; nullopt when absent.
-    std::optional<RowLocation> locate(uint64_t key, size_t ordinal) const;
-    bool readRowIndexed(uint64_t key, size_t ordinal, float* dst);
+    /// The mapped row of the key at index @c ordinal and its byte
+    /// count; {nullptr, 0} when absent.
+    std::pair<uint8_t*, size_t> locate(uint64_t key, size_t ordinal) const;
 
     std::string path_;
     DiskTierConfig config_;
@@ -205,7 +203,7 @@ class DiskTier
     std::vector<TableRecord> tables_;
     std::unique_ptr<SplineIndex> index_;
 
-    mutable std::mutex mu_;      ///< row reads, row writes + stats
+    mutable std::mutex mu_;      ///< row writes + stats
     DiskTierStats stats_;
 
     friend class Builder;

@@ -18,14 +18,6 @@
 namespace recstack {
 namespace {
 
-/** 64-bit (table, row) cache key; rows stay far below 2^40. */
-uint64_t
-rowKey(int table, int64_t row)
-{
-    return (static_cast<uint64_t>(table) << 40) |
-           static_cast<uint64_t>(row);
-}
-
 double
 fetchCost(double latency_s, double bandwidth_gbs, uint64_t bytes)
 {
@@ -353,7 +345,7 @@ EmbeddingStore::ensureDiskReady()
 
 const float*
 EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
-                               Shard& shard)
+                               Shard& shard, const float* mapped)
 {
     const uint64_t row_bytes =
         static_cast<uint64_t>(t.info.dim) * sizeof(float);
@@ -392,17 +384,16 @@ EmbeddingStore::fetchRowLocked(const Table& t, int table, int64_t row,
                       true);
     }
     if (diskTierActive()) {
-        // The row is copied straight out of the page file's mapping;
-        // the row cache fill below is its only DRAM copy.
-        RECSTACK_CHECK(diskTier_ != nullptr,
-                       "disk fetch before the tier was finalized");
+        // The row is copied straight out of the page file's mapping,
+        // from the address forEachRow resolved ahead of the lock; the
+        // row cache fill below is its only DRAM copy. The shard lock
+        // keeps update from rewriting the row during the copy.
+        RECSTACK_CHECK(mapped != nullptr,
+                       "row " << row << " of table '" << t.info.name
+                              << "' missing from the disk tier");
         const auto t0 = std::chrono::steady_clock::now();
-        const bool ok =
-            diskTier_->readRow(key, shard.scratch.data());
+        std::memcpy(shard.scratch.data(), mapped, row_bytes);
         const double dt = secondsSince(t0);
-        RECSTACK_CHECK(ok, "row " << row << " of table '"
-                                  << t.info.name
-                                  << "' missing from the disk tier");
         ++c.diskFetches;
         c.bytesFromDisk += row_bytes;
         c.diskSeconds += dt;
@@ -469,13 +460,12 @@ EmbeddingStore::warmRow(int table, int64_t row)
     }
     const float* src = nullptr;
     if (diskTierActive() && row >= t.info.nearRows) {
-        if (diskTier_ == nullptr || shard.scratch.empty()) {
-            return;  // tier not finalized yet; demand path will
+        // Cached straight from the mapping: the shard lock held here
+        // is the one update takes to rewrite the row.
+        src = diskTier_ != nullptr ? diskTier_->rowAddress(key) : nullptr;
+        if (src == nullptr) {
+            return;  // not in the page file
         }
-        if (!diskTier_->readRow(key, shard.scratch.data())) {
-            return;
-        }
-        src = shard.scratch.data();
     } else {
         src = t.data.data<float>() + row * t.info.dim;
     }

@@ -124,6 +124,44 @@ TEST(CustomConfig, RejectsTrailingJunk)
     }
 }
 
+TEST(CustomConfig, RejectsRepeatedKeys)
+{
+    // Each config's bad line is line 3.
+    const std::pair<const char*, const char*> cases[] = {
+        {"# repeats\ntable rows=16 dim=4 lookups=1\n"
+         "table rows=10 rows=20 dim=4 lookups=1\n",
+         "table attribute 'rows' is repeated, got 'rows=20' at line 3"},
+        {"# repeats\n\ntable rows=16 dim=4 dim=8 lookups=2\n",
+         "table attribute 'dim' is repeated, got 'dim=8' at line 3"},
+        {"# repeats\n\ntable rows=16 dim=4 lookups=2 lookups=2\n",
+         "table attribute 'lookups' is repeated, got 'lookups=2' at line 3"},
+        {"# repeats\n\ntable rows=16 dim=4 lookups=1 zipf=1 zipf=0.5\n",
+         "table attribute 'zipf' is repeated, got 'zipf=0.5' at line 3"},
+        {"# repeats\n\ntable rows=16 weighted dim=4 lookups=1 weighted\n",
+         "table attribute 'weighted' is repeated, got 'weighted' at line 3"},
+        {"# repeats\nname A\nname B\n",
+         "repeated 'name' line (first at line 2) at line 3"},
+        {"name A\ndense 4\ndense 4\n",
+         "repeated 'dense' line (first at line 2) at line 3"},
+        {"bottom 8\ndense 4\nbottom 8 4\n",
+         "repeated 'bottom' line (first at line 1) at line 3"},
+        {"# repeats\ntop 1\ntop 4 1\n",
+         "repeated 'top' line (first at line 2) at line 3"},
+    };
+    for (const auto& [text, message] : cases) {
+        std::istringstream in(text);
+        CustomModelConfig config;
+        std::string error;
+        EXPECT_FALSE(parseCustomModelConfig(in, &config, &error)) << text;
+        EXPECT_EQ(error, message) << text;
+    }
+    // Two table lines are two tables, not a repeat.
+    const CustomModelConfig c = parse(
+        "dense 4\nbottom 8\ntable rows=16 dim=4 lookups=2\n"
+        "table rows=16 dim=4 lookups=2\ntop 1\n");
+    EXPECT_EQ(c.tables.size(), 2u);
+}
+
 TEST(CustomConfig, CommentsAndBlankLinesIgnored)
 {
     const CustomModelConfig c = parse(

@@ -46,7 +46,16 @@ class DiskFixture : public ::testing::Test
   protected:
     void SetUp() override
     {
-        std::string tmpl = "/tmp/recstack_disk_test.XXXXXX";
+        // The fixture's death tests (the corrupt page-file cases) are
+        // single-threaded. The fast style forks the child at the
+        // assertion, where the threadsafe style of the sanitizer
+        // builds would re-run the whole test in it: a second mkdtemp
+        // that no TearDown removes once the child dies.
+        ::testing::GTEST_FLAG(death_test_style) = "fast";
+        std::string tmpl =
+            (std::filesystem::temp_directory_path() /
+             "recstack_disk_test.XXXXXX")
+                .string();
         std::vector<char> buf(tmpl.begin(), tmpl.end());
         buf.push_back('\0');
         ASSERT_NE(::mkdtemp(buf.data()), nullptr);
@@ -397,34 +406,33 @@ TEST_F(DiskFixture, RoundTripFromMapping)
     EXPECT_FALSE(tier->contains(uint64_t{1} << 40));  // table 1 absent
     EXPECT_FALSE(tier->contains((uint64_t{3} << 40) | 5));
 
-    std::vector<float> got(8);
+    EXPECT_EQ(tier->rowAddress(uint64_t{1} << 40), nullptr);
+    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 5), nullptr);
+    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 5,
+                               DiskTier::KeySearch::kBinary),
+              nullptr);
+
     for (int pass = 0; pass < 2; ++pass) {
         for (int64_t r = 0; r < 500; ++r) {
-            ASSERT_TRUE(tier->readRow(static_cast<uint64_t>(r),
-                                      got.data()));
+            const float* got = tier->rowAddress(static_cast<uint64_t>(r));
+            ASSERT_NE(got, nullptr) << "row " << r;
             for (int64_t d = 0; d < 8; ++d) {
-                ASSERT_EQ(got[static_cast<size_t>(d)],
-                          expectedCell(r, d))
-                    << "row " << r;
+                ASSERT_EQ(got[d], expectedCell(r, d)) << "row " << r;
             }
-            // Binary-search reference path returns the same bytes.
-            std::vector<float> ref(8);
-            ASSERT_TRUE(tier->readRowBinarySearch(
-                static_cast<uint64_t>(r), ref.data()));
-            ASSERT_EQ(std::memcmp(got.data(), ref.data(),
-                                  8 * sizeof(float)),
-                      0);
+            // The binary-search reference path finds the same row.
+            ASSERT_EQ(tier->rowAddress(static_cast<uint64_t>(r),
+                                       DiskTier::KeySearch::kBinary),
+                      got);
         }
         for (int64_t r = 10; r < 200; ++r) {
-            ASSERT_TRUE(tier->readRow((uint64_t{3} << 40) |
-                                          static_cast<uint64_t>(r),
-                                      got.data()));
+            const float* got = tier->rowAddress(
+                (uint64_t{3} << 40) | static_cast<uint64_t>(r));
+            ASSERT_NE(got, nullptr) << "row " << r;
             ASSERT_EQ(got[0], static_cast<float>(r) * 2.0f);
         }
     }
 
     const DiskTierStats stats = tier->stats();
-    EXPECT_GT(stats.rowReads, 0u);
     EXPECT_GT(stats.fileBytes, 0u);
     EXPECT_EQ(stats.spline.numKeys, 690u);
 }
@@ -455,17 +463,15 @@ TEST_F(DiskFixture, ReopenAfterCrashReverifies)
     auto reopened = DiskTier::open(path, cfg);
     ASSERT_NE(reopened, nullptr);
     EXPECT_EQ(reopened->index().stats().numKeys, 400u);
-    std::vector<float> got(8);
     for (int64_t r = 0; r < 400; ++r) {
-        ASSERT_TRUE(reopened->readRow(
-            (uint64_t{2} << 40) | static_cast<uint64_t>(r),
-            got.data()));
+        const float* got = reopened->rowAddress(
+            (uint64_t{2} << 40) | static_cast<uint64_t>(r));
+        ASSERT_NE(got, nullptr) << "row " << r;
         if (r == 123) {
             ASSERT_EQ(got[0], -7.5f) << "write lost across reopen";
         } else {
             for (int64_t d = 0; d < 8; ++d) {
-                ASSERT_EQ(got[static_cast<size_t>(d)],
-                          expectedCell(r, d))
+                ASSERT_EQ(got[d], expectedCell(r, d))
                     << "row " << r << " corrupted across reopen";
             }
         }
@@ -578,8 +584,10 @@ void
 openAndReadLastRow(const std::string& path)
 {
     std::unique_ptr<DiskTier> tier = DiskTier::open(path, keptConfig());
-    std::vector<float> row(1024);
-    tier->readRow((uint64_t{2} << 40) | 399, row.data());
+    const float* row = tier->rowAddress((uint64_t{2} << 40) | 399);
+    if (row != nullptr) {
+        std::vector<float> copy(row, row + 8);
+    }
 }
 
 TEST_F(DiskFixture, TableZeroDimIsRejected)
@@ -742,6 +750,59 @@ TEST_F(DiskFixture, UpdatesNeverTearADiskRowUnderConcurrentReads)
               static_cast<uint64_t>(reads));
 }
 
+TEST_F(DiskFixture, UpdatesNeverTearDiskRowsUnderLookaheadReads)
+{
+    // As above, but each read is one 64-lookup forEachRow call over
+    // the rows the writer rewrites, so the lookahead resolves and
+    // prefetches each row while the writer may be rewriting it. Only
+    // the copy under the shard lock may read the row's bytes.
+    const int64_t rows = 64;
+    const int64_t dim = 64;
+    StoreConfig cfg = diskStoreConfig(dir_);
+    cfg.cacheBytesPerShard = 0;
+    cfg.nearTierFraction = 0.0;
+    auto store = makeStore(rows, dim, cfg);
+    const int64_t written[] = {5, 22, 37, 60};  // one per shard
+    std::vector<float> values(static_cast<size_t>(dim), 0.0f);
+    for (int64_t row : written) {
+        store->update(0, row, values.data());
+    }
+    std::vector<int64_t> indices(64);
+    for (size_t i = 0; i < indices.size(); ++i) {
+        indices[i] = written[i % 4];
+    }
+
+    constexpr int64_t kReads = 2000;
+    constexpr int kMinWrites = 1000;
+    std::atomic<int> writes{0};
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+        std::vector<float> v(static_cast<size_t>(dim));
+        for (int i = 1; !done.load(std::memory_order_acquire); ++i) {
+            std::fill(v.begin(), v.end(), static_cast<float>(i));
+            store->update(0, written[i % 4], v.data());
+            writes.fetch_add(1, std::memory_order_release);
+        }
+    });
+    int64_t reads = 0;
+    int64_t torn = 0;
+    while (reads < kReads ||
+           writes.load(std::memory_order_acquire) < kMinWrites) {
+        store->forEachRow(0, indices.data(), 0, 64,
+                          [&](int64_t, const float* r) {
+                              torn += std::any_of(r, r + dim, [&](float x) {
+                                  return x != r[0];
+                              });
+                          });
+        ++reads;
+    }
+    done.store(true, std::memory_order_release);
+    writer.join();
+    EXPECT_EQ(torn, 0) << "of " << reads * 64 << " rows read";
+    EXPECT_EQ(store->stats().total.diskFetches,
+              static_cast<uint64_t>(reads * 64));
+}
+
 TEST_F(DiskFixture, ConcurrentLookupsUpdatesAndPrefetch)
 {
     // The TSan target: demand disk reads, write-through updates and
@@ -801,6 +862,105 @@ TEST_F(DiskFixture, ServingEngineRunsOnDiskBackedStore)
     cfg.storeConfig = diskStoreConfig(dir_);
     const EngineResult result = engine.run(cfg);
     EXPECT_GT(result.aggregate.samplesServed, 0u);
+}
+
+// --- The lookahead: every window edge against the dense table. -------
+
+/** Every counter of @c a and @c b but the measured disk seconds. */
+void
+expectSameCounters(const ShardCounters& a, const ShardCounters& b,
+                   const std::string& what)
+{
+    EXPECT_EQ(a.lookups, b.lookups) << what;
+    EXPECT_EQ(a.hits, b.hits) << what;
+    EXPECT_EQ(a.nearFetches, b.nearFetches) << what;
+    EXPECT_EQ(a.farFetches, b.farFetches) << what;
+    EXPECT_EQ(a.diskFetches, b.diskFetches) << what;
+    EXPECT_EQ(a.evictions, b.evictions) << what;
+    EXPECT_EQ(a.bytesFromCache, b.bytesFromCache) << what;
+    EXPECT_EQ(a.bytesFromNear, b.bytesFromNear) << what;
+    EXPECT_EQ(a.bytesFromDisk, b.bytesFromDisk) << what;
+    EXPECT_EQ(a.cacheBytesUsed, b.cacheBytesUsed) << what;
+    EXPECT_EQ(a.simSeconds, b.simSeconds) << what;
+}
+
+TEST_F(DiskFixture, LookaheadWindowsMatchDenseAndSingleLookups)
+{
+    // Windows [lo, lo + len) with len 0 to 17 straddle the lookahead
+    // of 8 on both sides; the stream repeats rows back to back and 8
+    // apart, where a repeat shares the earlier lookup's ring slot.
+    const int64_t rows = 64;
+    const int64_t dim = 12;  // 48-byte rows: some span two lines
+    Rng rng(17);
+    std::vector<int64_t> stream;
+    for (int i = 0; i < 40; ++i) {
+        if (i >= 8 && i % 5 == 0) {
+            stream.push_back(stream[static_cast<size_t>(i - 8)]);
+        } else if (i % 7 == 6) {
+            stream.push_back(stream.back());
+        } else {
+            stream.push_back(static_cast<int64_t>(
+                rng.nextBounded(static_cast<uint64_t>(rows))));
+        }
+    }
+    for (double near : {1.0, 0.5, 0.0}) {
+        for (size_t cache : {size_t{0}, size_t{256}}) {
+            const std::string what = "near " + std::to_string(near) +
+                                     ", cache " + std::to_string(cache);
+            StoreConfig cfg = diskStoreConfig(dir_);
+            cfg.nearTierFraction = near;
+            cfg.cacheBytesPerShard = cache;
+            auto windowed = makeStore(rows, dim, cfg);
+            auto single = makeStore(rows, dim, cfg);
+            for (int64_t lo : {0, 1, 5, 8, 13}) {
+                for (int64_t len = 0; len <= 17; ++len) {
+                    const int64_t hi = lo + len;
+                    std::vector<float> got(stream.size() * dim, -1.0f);
+                    int64_t next = lo;
+                    windowed->forEachRow(
+                        0, stream.data(), lo, hi,
+                        [&](int64_t p, const float* row) {
+                            EXPECT_EQ(p, next++) << what;
+                            std::memcpy(got.data() + p * dim, row,
+                                        dim * sizeof(float));
+                        });
+                    EXPECT_EQ(next, hi) << what;
+                    for (int64_t p = lo; p < hi; ++p) {
+                        single->forEachRow(0, stream.data(), p, p + 1,
+                                           [](int64_t, const float*) {});
+                        const int64_t r = stream[static_cast<size_t>(p)];
+                        for (int64_t d = 0; d < dim; ++d) {
+                            const float want = expectedCell(r, d);
+                            ASSERT_EQ(std::memcmp(&got[p * dim + d], &want,
+                                                  sizeof(float)),
+                                      0)
+                                << what << ", window [" << lo << ", "
+                                << hi << "), lookup " << p << " (row "
+                                << r << ")";
+                        }
+                    }
+                }
+            }
+            EXPECT_EQ(windowed->diskTier() != nullptr, near < 1.0);
+            const StoreStats a = windowed->stats();
+            const StoreStats b = single->stats();
+            ASSERT_EQ(a.perShard.size(), b.perShard.size());
+            for (size_t s = 0; s < a.perShard.size(); ++s) {
+                expectSameCounters(a.perShard[s], b.perShard[s],
+                                   what + ", shard " + std::to_string(s));
+            }
+            if (near < 1.0) {
+                EXPECT_GT(a.total.diskFetches, 0u) << what;
+            }
+            if (near > 0.0) {
+                EXPECT_GT(a.total.nearFetches, 0u) << what;
+            }
+            if (cache > 0) {
+                EXPECT_GT(a.total.hits, 0u) << what;
+                EXPECT_GT(a.total.evictions, 0u) << what;
+            }
+        }
+    }
 }
 
 // --- Env knob. -------------------------------------------------------

@@ -51,14 +51,16 @@
 # serving lane is the same AccelLane as the GPU one, so its routing
 # and conservation tests run with the GPU lane's under `serving`.
 #
-# The `disk` label covers the persistent far-tier suites: DiskTier
-# copies rows straight out of one shared mapping of the page file that
-# write-through updates write into. Demand reads, prefetch warming and
-# updates of a row all hold its shard lock and then the tier mutex
-# (TSan: shard lock -> tier lock ordering, and the torn-row test that
-# rewrites one disk row while another thread reads it). The mapping
-# and per-shard scratch rows are fixed-size regions an off-by-one
-# row/page computation would overrun (ASan).
+# The `disk` label covers the persistent far-tier suites: the store
+# reads rows straight out of one shared mapping of the page file that
+# write-through updates write into. A row's address is resolved and
+# prefetched ahead with no lock held, but demand reads, prefetch
+# warming and updates of a row read or write its bytes only under its
+# shard lock (TSan: the torn-row tests that rewrite disk rows while
+# another thread reads them, one lookup or 64 per call; updates still
+# take the tier mutex after the shard lock). The mapping and per-shard
+# scratch rows are fixed-size regions an off-by-one row/page
+# computation would overrun (ASan).
 #
 # The `uarch` label (ASan pass only) covers the microarchitecture
 # simulator's cache, cache-hierarchy and CPU-model suites. Each cache
@@ -84,13 +86,32 @@ cd "$(dirname "$0")/.."
 mode="${1:-all}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
+# Page-file directories of test_store_disk's fixture, one a line. Each
+# test removes its own, so a pass must not add any: a death-test child
+# that re-runs the fixture's SetUp and then dies would.
+test_dirs() {
+    compgen -G "${TMPDIR:-/tmp}/recstack_disk_test.*" | sort || true
+}
+
+line_count() {
+    grep -c . <<<"$1" || true
+}
+
 run_pass() {
     local sanitizer="$1" tree="$2" label="$3"
     echo "== ${sanitizer} pass: build ${tree}, ctest -L ${label} =="
     cmake -B "${tree}" -S . -DRECSTACK_SANITIZE="${sanitizer}" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
     cmake --build "${tree}" -j "${jobs}"
+    local before after
+    before="$(test_dirs)"
     ctest --test-dir "${tree}" -L "${label}" -j "${jobs}" --output-on-failure
+    after="$(test_dirs)"
+    if (( $(line_count "${after}") > $(line_count "${before}") )); then
+        echo "== ${sanitizer} pass left test directories behind:" >&2
+        comm -13 <(echo "${before}") <(echo "${after}") >&2
+        exit 1
+    fi
 }
 
 case "${mode}" in
