@@ -14,12 +14,11 @@
  * the demand hit-rate.
  *
  * A third sweep turns on the REAL far tier (store/disk_tier.h): cold
- * rows live in a page file behind a radix-spline learned index, fetch
+ * rows live in a page file addressed by per-table arithmetic, fetch
  * cost is measured wall clock, and a full model (RM2) is served with
  * near-tier DRAM far below one dense copy of its tables.
  */
 
-#include <chrono>
 #include <cinttypes>
 #include <cstring>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "models/model.h"
 #include "models/store_binding.h"
 #include "store/embedding_store.h"
-#include "store/spline_index.h"
 
 namespace recstack {
 namespace {
@@ -181,7 +179,7 @@ main()
     }
     std::printf("%s\n", shards.render().c_str());
 
-    // --- Sweep 3: the real disk far tier (page file + spline). ---
+    // --- Sweep 3: the real disk far tier (page file). ---
     TextTable disk({"cache", "hit rate", "disk fetches", "disk p99",
                     "resident"});
     std::vector<double> disk_hit;
@@ -222,62 +220,6 @@ main()
             disk_cap_monotone = false;
         }
     }
-
-    // --- Spline vs. binary search on the cold-key set. ---
-    // ~2M sparse keys with random gaps (no closed-form position, so
-    // the spline has real segments to fit); accumulate the found
-    // ordinals so the loop cannot be optimized away. Best of three
-    // trials per side.
-    const size_t kSplineKeys = 2'000'000;
-    std::vector<uint64_t> cold_keys;
-    cold_keys.reserve(kSplineKeys);
-    {
-        Rng rng(31);
-        uint64_t k = 1000;
-        for (size_t i = 0; i < kSplineKeys; ++i) {
-            k += 1 + rng.nextBounded(10007);
-            cold_keys.push_back(k);
-        }
-    }
-    const SplineIndex spline(cold_keys, {});
-    std::vector<uint64_t> probes = cold_keys;
-    {
-        Rng rng(7);
-        for (size_t i = probes.size(); i > 1; --i) {
-            std::swap(probes[i - 1],
-                      probes[rng.nextBounded(static_cast<uint64_t>(i))]);
-        }
-    }
-    uint64_t sink = 0;
-    double spline_s = 1e30;
-    double binary_s = 1e30;
-    for (int trial = 0; trial < 3; ++trial) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (uint64_t key : probes) {
-            sink += spline.find(key);
-        }
-        spline_s = std::min(
-            spline_s, std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-        t0 = std::chrono::steady_clock::now();
-        for (uint64_t key : probes) {
-            sink += spline.findBinarySearch(key);
-        }
-        binary_s = std::min(
-            binary_s, std::chrono::duration<double>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count());
-    }
-    const SplineIndexStats ss = spline.stats();
-    std::printf("spline index: %zu keys, %zu segments, err bound %zu "
-                "(observed %zu), %zu KB; lookup %.1f ns vs binary "
-                "search %.1f ns (sink %" PRIu64 ")\n\n",
-                ss.numKeys, ss.numSegments, ss.maxErrorBound,
-                ss.maxErrorObserved, ss.indexBytes >> 10,
-                1e9 * spline_s / static_cast<double>(probes.size()),
-                1e9 * binary_s / static_cast<double>(probes.size()),
-                sink);
 
     // --- A whole model served mostly from disk. ---
     bool model_from_disk = true;
@@ -395,9 +337,6 @@ main()
           "with the disk far tier live, demand hit rate still rises "
           "monotonically with cache capacity and cold rows really "
           "come off the page file");
-    checkHostTimed(spline_s <= binary_s * 1.10,
-                   "radix-spline lookup is at least as fast as binary "
-                   "search over the 2M-key cold set");
     check(model_bit_exact && model_from_disk,
           "a model whose tables exceed the near tier serves "
           "bit-exactly from disk with resident table DRAM below one "

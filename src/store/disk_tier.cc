@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -14,23 +13,26 @@
 namespace recstack {
 namespace {
 
-constexpr uint64_t kMagic = 0x52535431'50414745ull;  // "RST1PAGE"
+constexpr uint64_t kMagic = 0x52535432'50414745ull;  // "RST2PAGE"
+
+/// A (table, row) key holds the row in its low 40 bits.
+constexpr int kRowBits = 40;
+constexpr uint64_t kRowLimit = uint64_t{1} << kRowBits;
 
 /** Fixed-width header fields at the start of page 0. */
 struct FileHeader {
     uint64_t magic = kMagic;
     uint64_t pageBytes = 0;
     uint64_t numTables = 0;
-    uint64_t numKeys = 0;
     uint64_t numDataPages = 0;
 };
 
-/** Per-table record serialized right after the header fields. */
+/** Per-table record, on the pages after the data pages. */
 struct FileTableRecord {
     int64_t table = 0;
     int64_t dim = 0;
     uint64_t coldRows = 0;
-    uint64_t firstKeyIndex = 0;
+    uint64_t firstRow = 0;
     uint64_t firstDataPage = 0;
 };
 
@@ -105,7 +107,6 @@ DiskTier::Builder::beginTable(int table, int64_t dim)
     PendingTable t;
     t.table = table;
     t.dim = dim;
-    t.firstKeyIndex = keys_.size();
     t.firstDataPage = nextDataPage_;
     tables_.push_back(t);
 }
@@ -115,11 +116,19 @@ DiskTier::Builder::appendRow(int64_t row, const float* payload)
 {
     RECSTACK_CHECK(!tables_.empty(), "beginTable before appendRow");
     PendingTable& t = tables_.back();
-    const uint64_t key =
-        (static_cast<uint64_t>(t.table) << 40) |
-        static_cast<uint64_t>(row);
-    RECSTACK_CHECK(keys_.empty() || keys_.back() < key,
-                   "rows must be appended in ascending key order");
+    RECSTACK_CHECK(row >= 0 && static_cast<uint64_t>(row) < kRowLimit,
+                   "table " << t.table << ": row " << row
+                            << " does not fit the key's " << kRowBits
+                            << "-bit row field");
+    if (t.coldRows == 0) {
+        t.firstRow = static_cast<uint64_t>(row);
+    }
+    RECSTACK_CHECK(static_cast<uint64_t>(row) == t.firstRow + t.coldRows,
+                   "table " << t.table << ": row " << row
+                            << " does not follow row "
+                            << t.firstRow + t.coldRows - 1
+                            << "; a table's rows must be contiguous "
+                               "and ascending");
     const size_t row_bytes =
         static_cast<size_t>(t.dim) * sizeof(float);
     if (pageFill_ + row_bytes > config_.pageBytes) {
@@ -127,7 +136,6 @@ DiskTier::Builder::appendRow(int64_t row, const float* payload)
     }
     std::memcpy(pageBuf_.data() + pageFill_, payload, row_bytes);
     pageFill_ += row_bytes;
-    keys_.push_back(key);
     ++t.coldRows;
 }
 
@@ -152,29 +160,15 @@ DiskTier::Builder::finish()
     RECSTACK_CHECK(!finished_, "builder already finished");
     flushDataPage();
 
-    // Key pages land after the data region.
+    // Table records trail the data pages (their count is only known
+    // now, and a wide model can hold more tables than one page fits).
     const size_t pb = config_.pageBytes;
-    const uint64_t key_pages =
-        (keys_.size() * sizeof(uint64_t) + pb - 1) / pb;
-    for (uint64_t kp = 0; kp < key_pages; ++kp) {
-        std::memset(pageBuf_.data(), 0, pb);
-        const size_t first = kp * (pb / sizeof(uint64_t));
-        const size_t count = std::min(
-            pb / sizeof(uint64_t), keys_.size() - first);
-        std::memcpy(pageBuf_.data(), keys_.data() + first,
-                    count * sizeof(uint64_t));
-        pwriteAll(fd_, pageBuf_.data(), pb,
-                  static_cast<off_t>((1 + nextDataPage_ + kp) * pb));
-    }
-
-    // Table records trail the keys (their count is only known now,
-    // and a wide model can hold more tables than one page fits).
     std::vector<FileTableRecord> recs(tables_.size());
     for (size_t i = 0; i < tables_.size(); ++i) {
         recs[i].table = tables_[i].table;
         recs[i].dim = tables_[i].dim;
         recs[i].coldRows = tables_[i].coldRows;
-        recs[i].firstKeyIndex = tables_[i].firstKeyIndex;
+        recs[i].firstRow = tables_[i].firstRow;
         recs[i].firstDataPage = 1 + tables_[i].firstDataPage;
     }
     const size_t rec_bytes = recs.size() * sizeof(FileTableRecord);
@@ -183,15 +177,13 @@ DiskTier::Builder::finish()
         std::vector<uint8_t> rec_buf(rec_pages * pb, 0);
         std::memcpy(rec_buf.data(), recs.data(), rec_bytes);
         pwriteAll(fd_, rec_buf.data(), rec_pages * pb,
-                  static_cast<off_t>(
-                      (1 + nextDataPage_ + key_pages) * pb));
+                  static_cast<off_t>((1 + nextDataPage_) * pb));
     }
 
     // Header page last: a torn build leaves an invalid magic.
     FileHeader hdr;
     hdr.pageBytes = pb;
     hdr.numTables = tables_.size();
-    hdr.numKeys = keys_.size();
     hdr.numDataPages = nextDataPage_;
     std::memset(pageBuf_.data(), 0, pb);
     std::memcpy(pageBuf_.data(), &hdr, sizeof(hdr));
@@ -228,8 +220,8 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
                    "'" << path << "' is not a recstack page file");
 
     // Bound every header count by the file size before it sizes a
-    // vector or a read: header page, data pages, key pages, then the
-    // table records.
+    // vector or a read: header page, data pages, then the table
+    // records.
     const uint64_t pb = hdr.pageBytes;
     RECSTACK_CHECK(pb >= 512 && (pb & (pb - 1)) == 0,
                    "'" << path << "' header: pageBytes " << pb
@@ -240,37 +232,22 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
                        << hdr.numDataPages << " exceeds the file's "
                        << file_pages << " pages");
     const uint64_t tail_bytes = (file_pages - 1 - hdr.numDataPages) * pb;
-    RECSTACK_CHECK(hdr.numKeys <= tail_bytes / sizeof(uint64_t),
-                   "'" << path << "' header: numKeys " << hdr.numKeys
-                       << " does not fit in the file");
-    const uint64_t key_pages =
-        (hdr.numKeys * sizeof(uint64_t) + pb - 1) / pb;
-    RECSTACK_CHECK(hdr.numTables <= (tail_bytes - key_pages * pb) /
-                                        sizeof(FileTableRecord),
+    RECSTACK_CHECK(hdr.numTables <= tail_bytes / sizeof(FileTableRecord),
                    "'" << path << "' header: numTables " << hdr.numTables
                        << " does not fit in the file");
     tier->config_.pageBytes = pb;
     tier->numDataPages_ = hdr.numDataPages;
 
-    // Persisted key array -> learned index rebuilt on every open.
-    std::vector<uint64_t> keys(hdr.numKeys);
-    if (hdr.numKeys > 0) {
-        preadAll(tier->fd_, keys.data(),
-                 hdr.numKeys * sizeof(uint64_t),
-                 static_cast<off_t>((1 + hdr.numDataPages) * pb));
-    }
-
-    // Table records trail the key pages.
+    // Table records trail the data pages.
     std::vector<FileTableRecord> recs(hdr.numTables);
     if (hdr.numTables > 0) {
         preadAll(tier->fd_, recs.data(),
                  hdr.numTables * sizeof(FileTableRecord),
-                 static_cast<off_t>(
-                     (1 + hdr.numDataPages + key_pages) * pb));
+                 static_cast<off_t>((1 + hdr.numDataPages) * pb));
     }
     // Check each record against the header before a read trusts it:
     // its rows must fit a page, its data region must lie inside the
-    // data pages, and its key range inside the key array.
+    // data pages, and its row range inside the key's row field.
     const uint64_t data_end = 1 + hdr.numDataPages;
     tier->tables_.reserve(hdr.numTables);
     for (const FileTableRecord& rec : recs) {
@@ -296,12 +273,12 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
                                << " from firstDataPage "
                                << rec.firstDataPage << " overrun the "
                                << hdr.numDataPages << " data pages");
-        RECSTACK_CHECK(rec.coldRows <= hdr.numKeys &&
-                           rec.firstKeyIndex <=
-                               hdr.numKeys - rec.coldRows,
-                       where() << "firstKeyIndex " << rec.firstKeyIndex
+        RECSTACK_CHECK(rec.firstRow <= kRowLimit &&
+                           rec.coldRows <= kRowLimit - rec.firstRow,
+                       where() << "firstRow " << rec.firstRow
                                << " + coldRows " << rec.coldRows
-                               << " exceeds numKeys " << hdr.numKeys);
+                               << " passes the key's " << kRowBits
+                               << "-bit row field");
         for (const TableRecord& seen : tier->tables_) {
             RECSTACK_CHECK(seen.table != static_cast<int>(rec.table),
                            where() << "table id repeats an earlier record");
@@ -310,12 +287,10 @@ DiskTier::open(const std::string& path, DiskTierConfig config)
         t.table = static_cast<int>(rec.table);
         t.dim = rec.dim;
         t.coldRows = rec.coldRows;
-        t.firstKeyIndex = rec.firstKeyIndex;
+        t.firstRow = rec.firstRow;
         t.firstDataPage = rec.firstDataPage;
         tier->tables_.push_back(t);
     }
-    tier->index_ = std::make_unique<SplineIndex>(
-        std::move(keys), tier->config_.spline);
 
     void* m = ::mmap(nullptr, tier->fileBytes_, PROT_READ | PROT_WRITE,
                      MAP_SHARED, tier->fd_, 0);
@@ -340,17 +315,10 @@ DiskTier::~DiskTier()
 }
 
 const DiskTier::TableRecord*
-DiskTier::recordFor(uint64_t key, size_t ordinal) const
+DiskTier::recordFor(int table) const
 {
-    const int table = static_cast<int>(key >> 40);
     for (const TableRecord& t : tables_) {
         if (t.table == table) {
-            RECSTACK_CHECK(ordinal >= t.firstKeyIndex &&
-                               ordinal <
-                                   t.firstKeyIndex + t.coldRows,
-                           "spline ordinal " << ordinal
-                                             << " outside table "
-                                             << table << " region");
             return &t;
         }
     }
@@ -358,19 +326,18 @@ DiskTier::recordFor(uint64_t key, size_t ordinal) const
 }
 
 std::pair<uint8_t*, size_t>
-DiskTier::locate(uint64_t key, size_t ordinal) const
+DiskTier::locate(uint64_t key) const
 {
-    if (ordinal == SplineIndex::kNotFound) {
-        return {nullptr, 0};
-    }
-    const TableRecord* rec = recordFor(key, ordinal);
-    if (rec == nullptr) {
+    const TableRecord* rec = recordFor(static_cast<int>(key >> kRowBits));
+    const uint64_t row = key & (kRowLimit - 1);
+    if (rec == nullptr || row < rec->firstRow ||
+        row - rec->firstRow >= rec->coldRows) {
         return {nullptr, 0};
     }
     const size_t row_bytes =
         static_cast<size_t>(rec->dim) * sizeof(float);
     const uint64_t rows_per_page = config_.pageBytes / row_bytes;
-    const uint64_t k = ordinal - rec->firstKeyIndex;
+    const uint64_t k = row - rec->firstRow;
     const uint64_t page = rec->firstDataPage + k / rows_per_page;
     return {map_ + page * config_.pageBytes +
                 static_cast<size_t>(k % rows_per_page) * row_bytes,
@@ -378,20 +345,17 @@ DiskTier::locate(uint64_t key, size_t ordinal) const
 }
 
 const float*
-DiskTier::rowAddress(uint64_t key, KeySearch search) const
+DiskTier::rowAddress(uint64_t key) const
 {
-    const size_t ordinal = search == KeySearch::kSpline
-                               ? index_->find(key)
-                               : index_->findBinarySearch(key);
     // Rows never span pages and row bytes are whole floats, so the
     // address is float-aligned.
-    return reinterpret_cast<const float*>(locate(key, ordinal).first);
+    return reinterpret_cast<const float*>(locate(key).first);
 }
 
 bool
 DiskTier::writeRow(uint64_t key, const float* src)
 {
-    const auto [dst, bytes] = locate(key, index_->find(key));
+    const auto [dst, bytes] = locate(key);
     if (dst == nullptr) {
         return false;
     }
@@ -401,32 +365,18 @@ DiskTier::writeRow(uint64_t key, const float* src)
     return true;
 }
 
-bool
-DiskTier::contains(uint64_t key) const
-{
-    return index_->find(key) != SplineIndex::kNotFound;
-}
-
 int64_t
 DiskTier::tableDim(int table) const
 {
-    for (const TableRecord& t : tables_) {
-        if (t.table == table) {
-            return t.dim;
-        }
-    }
-    return 0;
+    const TableRecord* t = recordFor(table);
+    return t != nullptr ? t->dim : 0;
 }
 
 uint64_t
 DiskTier::tableRows(int table) const
 {
-    for (const TableRecord& t : tables_) {
-        if (t.table == table) {
-            return t.coldRows;
-        }
-    }
-    return 0;
+    const TableRecord* t = recordFor(table);
+    return t != nullptr ? t->coldRows : 0;
 }
 
 DiskTierStats
@@ -436,7 +386,6 @@ DiskTier::stats() const
     DiskTierStats s = stats_;
     s.numDataPages = numDataPages_;
     s.fileBytes = fileBytes_;
-    s.spline = index_->stats();
     return s;
 }
 

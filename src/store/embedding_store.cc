@@ -215,8 +215,8 @@ EmbeddingStore::registerTable(const std::string& name, TableInfo info,
         info.nearRows < info.rows) {
         RECSTACK_CHECK(!diskFinalized_.load(std::memory_order_acquire),
                        "disk-tier stores must receive every table "
-                       "before the first lookup (the learned index "
-                       "is built once); cannot add '"
+                       "before the first lookup (the page file is "
+                       "written once); cannot add '"
                            << name << "' now");
         if (diskBuilder_ == nullptr) {
             diskDir_ = resolveDiskDir(config_.disk.dir, &ownsDiskDir_);

@@ -24,10 +24,9 @@
  *        is charged modeled latency + bytes/bandwidth — fully
  *        deterministic, byte-identical to the pre-disk store.
  *      * kDisk: cold rows are REAL — written to a page-based file
- *        (store/disk_tier.h) indexed by a radix-spline learned index
- *        (store/spline_index.h) and dropped from DRAM, so tables
- *        larger than the configured near tier actually serve from
- *        disk. Fetch time is measured wall clock, not modeled. A
+ *        (store/disk_tier.h), addressed by page arithmetic on each
+ *        table's record, and dropped from DRAM, so tables larger
+ *        than the configured near tier actually serve from disk. Fetch time is measured wall clock, not modeled. A
  *        disk fetch copies the row straight out of the page file's
  *        mapping and fills the shard's hot-row cache, the only DRAM
  *        copy of a disk row.
@@ -62,7 +61,6 @@
 #include "obs/span.h"
 #include "store/disk_tier.h"
 #include "store/row_cache.h"
-#include "store/spline_index.h"
 #include "tensor/tensor.h"
 
 namespace recstack {
@@ -209,7 +207,7 @@ class EmbeddingStore
      * Returns the table id ops use for lookups. Under a disk far
      * tier, rows [nearRows, rows) are spilled to the page file and
      * only the near head stays in DRAM; every table must be added
-     * before the first lookup (the learned index is built once).
+     * before the first lookup (the page file is written once).
      */
     int addTable(const std::string& name, Tensor data);
 
@@ -237,8 +235,8 @@ class EmbeddingStore
      * On a table with disk rows, lookup p + kDiskLookahead is
      * resolved before lookup p is served: its address in the page
      * file's mapping is found outside any lock and its bytes are
-     * prefetched, so the index search and the cache misses of later
-     * fetches overlap the current one. The shard lock still orders
+     * prefetched, so the cache misses of later fetches overlap the
+     * current one. The shard lock still orders
      * every cache check, copy and counter exactly as the plain loop.
      */
     template <class Fn>
@@ -378,8 +376,8 @@ class EmbeddingStore
     size_t shardOf(int table, int64_t row) const;
 
     /// How many lookups ahead forEachRow resolves and prefetches disk
-    /// rows. Eight hides the index search and most of the miss of the
-    /// rows served next; sixteen measured no better.
+    /// rows. Eight hides most of the miss of the rows served next;
+    /// sixteen measured no better.
     static constexpr int64_t kDiskLookahead = 8;
 
     /// 64-bit (table, row) key of the row caches and the page file;

@@ -3,9 +3,8 @@
  * Tests of the persistent disk far tier: the three-way differential
  * (dense vs. simulated far tier vs. disk far tier must be
  * bit-identical across all eight models, batch sizes and intra-op
- * widths on both executors), spline-vs-binary-search property tests
- * over adversarial key sets, DiskTier reads from the page-file
- * mapping, the crash-consistency reopen path, write-through updates
+ * widths on both executors), DiskTier's row addressing and reads
+ * from the page-file mapping, the crash-consistency reopen path, write-through updates
  * (torn-row free under concurrent readers), and the page-file
  * directory env knob. Runs under `ctest -L disk` and both sanitizer
  * passes (`-L sanitize`).
@@ -35,7 +34,6 @@
 #include "serve/serving_node.h"
 #include "store/disk_tier.h"
 #include "store/embedding_store.h"
-#include "store/spline_index.h"
 
 namespace recstack {
 namespace {
@@ -162,7 +160,9 @@ class DiskDifferential
   protected:
     void SetUp() override
     {
-        std::string tmpl = "/tmp/recstack_disk_diff.XXXXXX";
+        std::string tmpl = (std::filesystem::temp_directory_path() /
+                            "recstack_disk_diff.XXXXXX")
+                               .string();
         std::vector<char> buf(tmpl.begin(), tmpl.end());
         buf.push_back('\0');
         ASSERT_NE(::mkdtemp(buf.data()), nullptr);
@@ -274,119 +274,22 @@ INSTANTIATE_TEST_SUITE_P(
         return name + "_b" + std::to_string(std::get<1>(info.param));
     });
 
-// --- Spline vs. binary search: exactness on adversarial key sets. -----
-
-void
-checkSplineExact(const std::vector<uint64_t>& keys,
-                 SplineIndexConfig cfg = {})
-{
-    const SplineIndex index(keys, cfg);
-    for (size_t i = 0; i < keys.size(); ++i) {
-        ASSERT_EQ(index.find(keys[i]), i) << "key " << keys[i];
-        ASSERT_EQ(index.findBinarySearch(keys[i]), i);
-    }
-    // Absent probes: neighbors of every present key, plus the ends.
-    for (size_t i = 0; i < keys.size(); i += 7) {
-        for (uint64_t probe : {keys[i] - 1, keys[i] + 1}) {
-            const size_t got = index.find(probe);
-            const size_t want = index.findBinarySearch(probe);
-            ASSERT_EQ(got, want) << "probe " << probe;
-        }
-    }
-    if (!keys.empty()) {
-        EXPECT_EQ(index.find(keys.front() - 1), SplineIndex::kNotFound);
-        EXPECT_EQ(index.find(keys.back() + 1), SplineIndex::kNotFound);
-    }
-    const SplineIndexStats s = index.stats();
-    EXPECT_EQ(s.numKeys, keys.size());
-    // The measured interpolation error respects the configured
-    // corridor (small slack for the corridor-restart boundary).
-    EXPECT_LE(s.maxErrorObserved, s.maxErrorBound + 2);
-}
-
-TEST(SplineIndex, PrimeStrideKeys)
-{
-    std::vector<uint64_t> keys;
-    for (uint64_t i = 0; i < 200000; ++i) {
-        keys.push_back(100 + i * 10007);
-    }
-    checkSplineExact(keys);
-}
-
-TEST(SplineIndex, DenseRunKeys)
-{
-    std::vector<uint64_t> keys;
-    for (uint64_t i = 0; i < 100000; ++i) {
-        keys.push_back(1000 + i);
-    }
-    checkSplineExact(keys);
-    // A perfectly linear set needs only one segment.
-    const SplineIndex index(keys, {});
-    EXPECT_EQ(index.stats().numSegments, 1u);
-}
-
-TEST(SplineIndex, SingleAndTinyKeySets)
-{
-    checkSplineExact({});
-    checkSplineExact({42});
-    checkSplineExact({42, 43});
-    checkSplineExact({0, UINT64_MAX / 2, UINT64_MAX - 1});
-    const SplineIndex empty({}, {});
-    EXPECT_EQ(empty.find(7), SplineIndex::kNotFound);
-}
-
-TEST(SplineIndex, StoreShapedClusters)
-{
-    // The store's real key distribution: per-table dense row runs
-    // separated by 2^40 gaps — the case a learned index must handle
-    // and simple arithmetic cannot.
-    std::vector<uint64_t> keys;
-    for (uint64_t table = 0; table < 24; ++table) {
-        const uint64_t rows = 500 + table * 377;
-        for (uint64_t r = 100; r < rows; ++r) {
-            keys.push_back((table << 40) | r);
-        }
-    }
-    checkSplineExact(keys);
-}
-
-TEST(SplineIndex, RandomSparseKeys)
-{
-    Rng rng(99);
-    std::vector<uint64_t> keys;
-    uint64_t k = 0;
-    for (int i = 0; i < 150000; ++i) {
-        k += 1 + rng.nextBounded(1u << 20);
-        keys.push_back(k);
-    }
-    for (size_t max_error : {4u, 32u, 256u}) {
-        SplineIndexConfig cfg;
-        cfg.maxError = max_error;
-        checkSplineExact(keys, cfg);
-    }
-    // A tighter corridor buys more segments.
-    SplineIndexConfig tight;
-    tight.maxError = 4;
-    SplineIndexConfig loose;
-    loose.maxError = 256;
-    EXPECT_GT(SplineIndex(keys, tight).stats().numSegments,
-              SplineIndex(keys, loose).stats().numSegments);
-}
-
 // --- DiskTier reads from the mapping. ---------------------------------
 
 TEST_F(DiskFixture, RoundTripFromMapping)
 {
+    // Table 0: 48-byte rows, ten to a 512-byte page with 32 bytes of
+    // padding at each page's tail. Table 3: 16-byte rows 10 to 199.
     DiskTierConfig cfg;
     cfg.pageBytes = 512;
     const std::string path = dir_ + "/tier.pages";
     std::unique_ptr<DiskTier> tier;
     {
         DiskTier::Builder builder(path, cfg);
-        builder.beginTable(0, 8);
+        builder.beginTable(0, 12);
         for (int64_t r = 0; r < 500; ++r) {
-            std::vector<float> row(8);
-            for (int64_t d = 0; d < 8; ++d) {
+            std::vector<float> row(12);
+            for (int64_t d = 0; d < 12; ++d) {
                 row[static_cast<size_t>(d)] = expectedCell(r, d);
             }
             builder.appendRow(r, row.data());
@@ -399,30 +302,42 @@ TEST_F(DiskFixture, RoundTripFromMapping)
         tier = builder.finish();
     }
     ASSERT_NE(tier, nullptr);
-    EXPECT_EQ(tier->tableDim(0), 8);
+    EXPECT_EQ(tier->tableDim(0), 12);
     EXPECT_EQ(tier->tableDim(3), 4);
+    EXPECT_EQ(tier->tableDim(1), 0);
     EXPECT_EQ(tier->tableRows(0), 500u);
     EXPECT_EQ(tier->tableRows(3), 190u);
-    EXPECT_FALSE(tier->contains(uint64_t{1} << 40));  // table 1 absent
-    EXPECT_FALSE(tier->contains((uint64_t{3} << 40) | 5));
 
-    EXPECT_EQ(tier->rowAddress(uint64_t{1} << 40), nullptr);
-    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 5), nullptr);
-    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 5,
-                               DiskTier::KeySearch::kBinary),
-              nullptr);
+    // Outside every table's [firstRow, firstRow + coldRows).
+    const uint64_t kLastRow = (uint64_t{1} << 40) - 1;
+    EXPECT_EQ(tier->rowAddress(uint64_t{500}), nullptr);
+    EXPECT_EQ(tier->rowAddress(kLastRow), nullptr);
+    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 9), nullptr);
+    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | 200), nullptr);
+    EXPECT_EQ(tier->rowAddress((uint64_t{3} << 40) | kLastRow), nullptr);
+    // Tables 1 and 2 lie between the present ids; 4 lies past them.
+    for (uint64_t absent : {1, 2, 4}) {
+        EXPECT_EQ(tier->rowAddress(absent << 40), nullptr) << absent;
+        EXPECT_EQ(tier->rowAddress((absent << 40) | 10), nullptr) << absent;
+    }
+    std::vector<float> unused(12, 0.0f);
+    EXPECT_FALSE(tier->writeRow((uint64_t{3} << 40) | 9, unused.data()));
+    EXPECT_FALSE(tier->writeRow(uint64_t{2} << 40, unused.data()));
 
+    const uint8_t* base =
+        reinterpret_cast<const uint8_t*>(tier->rowAddress(0));
+    ASSERT_NE(base, nullptr);
     for (int pass = 0; pass < 2; ++pass) {
         for (int64_t r = 0; r < 500; ++r) {
             const float* got = tier->rowAddress(static_cast<uint64_t>(r));
             ASSERT_NE(got, nullptr) << "row " << r;
-            for (int64_t d = 0; d < 8; ++d) {
+            for (int64_t d = 0; d < 12; ++d) {
                 ASSERT_EQ(got[d], expectedCell(r, d)) << "row " << r;
             }
-            // The binary-search reference path finds the same row.
-            ASSERT_EQ(tier->rowAddress(static_cast<uint64_t>(r),
-                                       DiskTier::KeySearch::kBinary),
-                      got);
+            // Page r / 10, slot r % 10: rows skip each page's padding.
+            ASSERT_EQ(reinterpret_cast<const uint8_t*>(got) - base,
+                      (r / 10) * 512 + (r % 10) * 48)
+                << "row " << r;
         }
         for (int64_t r = 10; r < 200; ++r) {
             const float* got = tier->rowAddress(
@@ -432,9 +347,26 @@ TEST_F(DiskFixture, RoundTripFromMapping)
         }
     }
 
+    // Header page, 50 + 6 data pages, one record page.
     const DiskTierStats stats = tier->stats();
-    EXPECT_GT(stats.fileBytes, 0u);
-    EXPECT_EQ(stats.spline.numKeys, 690u);
+    EXPECT_EQ(stats.numDataPages, 56u);
+    EXPECT_EQ(stats.fileBytes, 58u * 512u);
+    EXPECT_EQ(stats.rowWrites, 0u);
+}
+
+TEST_F(DiskFixture, AppendRowRejectsAGap)
+{
+    std::vector<float> row(8, 1.0f);
+    EXPECT_DEATH(
+        {
+            DiskTier::Builder builder(dir_ + "/gap.pages");
+            builder.beginTable(4, 8);
+            builder.appendRow(5, row.data());
+            builder.appendRow(6, row.data());
+            builder.appendRow(8, row.data());
+        },
+        "table 4: row 8 does not follow row 6; a table's rows must be "
+        "contiguous and ascending");
 }
 
 TEST_F(DiskFixture, ReopenAfterCrashReverifies)
@@ -462,7 +394,7 @@ TEST_F(DiskFixture, ReopenAfterCrashReverifies)
 
     auto reopened = DiskTier::open(path, cfg);
     ASSERT_NE(reopened, nullptr);
-    EXPECT_EQ(reopened->index().stats().numKeys, 400u);
+    EXPECT_EQ(reopened->tableRows(2), 400u);
     for (int64_t r = 0; r < 400; ++r) {
         const float* got = reopened->rowAddress(
             (uint64_t{2} << 40) | static_cast<uint64_t>(r));
@@ -515,7 +447,7 @@ buildPageFile(const std::string& dir, int num_tables = 1)
 
 /**
  * Overwrite one uint64 word of the header page (0 magic, 1 pageBytes,
- * 2 numTables, 3 numKeys, 4 numDataPages).
+ * 2 numTables, 3 numDataPages).
  */
 void
 patchHeaderWord(const std::string& path, int word, uint64_t value)
@@ -536,13 +468,21 @@ TEST_F(DiskFixture, HeaderZeroPageSizeIsRejected)
                  "corrupt.pages' header: pageBytes 0 ");
 }
 
-TEST_F(DiskFixture, HeaderHugeKeyCountIsRejected)
+TEST_F(DiskFixture, OldLayoutMagicIsRejected)
 {
     const std::string path = buildPageFile(dir_);
-    patchHeaderWord(path, 3, uint64_t{1} << 60);
+    patchHeaderWord(path, 0, 0x52535431'50414745ull);  // "RST1PAGE"
     EXPECT_DEATH(DiskTier::open(path, keptConfig()),
-                 "corrupt.pages' header: numKeys 1152921504606846976 "
-                 "does not fit");
+                 "corrupt.pages' is not a recstack page file");
+}
+
+TEST_F(DiskFixture, HeaderHugeTableCountIsRejected)
+{
+    const std::string path = buildPageFile(dir_);
+    patchHeaderWord(path, 2, uint64_t{1} << 60);
+    EXPECT_DEATH(DiskTier::open(path, keptConfig()),
+                 "corrupt.pages' header: numTables 1152921504606846976 "
+                 "does not fit in the file");
 }
 
 TEST_F(DiskFixture, FileTruncatedAfterHeaderIsRejected)
@@ -558,20 +498,18 @@ TEST_F(DiskFixture, FileTruncatedAfterHeaderIsRejected)
 
 /**
  * Overwrite one uint64 word of table record @c rec (0 table, 1 dim,
- * 2 coldRows, 3 firstKeyIndex, 4 firstDataPage). The records start on
- * the first page after the data and key pages.
+ * 2 coldRows, 3 firstRow, 4 firstDataPage). The records start on the
+ * first page after the data pages.
  */
 void
 patchRecordWord(const std::string& path, int rec, int word, uint64_t value)
 {
     const int fd = ::open(path.c_str(), O_RDWR);
     ASSERT_GE(fd, 0);
-    uint64_t hdr[5] = {};
+    uint64_t hdr[4] = {};
     ASSERT_EQ(::pread(fd, hdr, sizeof(hdr), 0),
               static_cast<ssize_t>(sizeof(hdr)));
-    const uint64_t pb = hdr[1];
-    const uint64_t key_pages = (hdr[3] * sizeof(uint64_t) + pb - 1) / pb;
-    const uint64_t off = (1 + hdr[4] + key_pages) * pb +
+    const uint64_t off = (1 + hdr[3]) * hdr[1] +
                          static_cast<uint64_t>(rec * 5 + word) *
                              sizeof(value);
     ASSERT_EQ(::pwrite(fd, &value, sizeof(value), static_cast<off_t>(off)),
@@ -626,13 +564,13 @@ TEST_F(DiskFixture, TableDataRegionOverrunIsRejected)
                  "firstDataPage 11 overrun the 13 data pages");
 }
 
-TEST_F(DiskFixture, TableKeyRangePastKeyCountIsRejected)
+TEST_F(DiskFixture, TableRowRangePastRowFieldIsRejected)
 {
     const std::string path = buildPageFile(dir_);
-    patchRecordWord(path, 0, 2, 401);
+    patchRecordWord(path, 0, 3, (uint64_t{1} << 40) - 399);
     EXPECT_DEATH(openAndReadLastRow(path),
-                 "corrupt.pages' table 2: firstKeyIndex 0 \\+ coldRows "
-                 "401 exceeds numKeys 400");
+                 "corrupt.pages' table 2: firstRow 1099511627377 \\+ "
+                 "coldRows 400 passes the key's 40-bit row field");
 }
 
 TEST_F(DiskFixture, DuplicateTableIdIsRejected)

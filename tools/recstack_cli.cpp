@@ -545,8 +545,8 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     cfg.numShards = 8;
     cfg.cacheBytesPerShard = 256u << 10;
     cfg.nearTierFraction = 0.5;
-    // Real disk far tier: cold rows in a page file behind the
-    // radix-spline index; RECSTACK_STORE_DIR picks the directory.
+    // Real disk far tier: cold rows in a page file, addressed by page
+    // arithmetic; RECSTACK_STORE_DIR picks the directory.
     cfg.farTier = FarTierKind::kDisk;
     const StoreBackedModel store_model(model, cfg);
     EmbeddingStore& store = store_model.store();
@@ -586,7 +586,6 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
                                   stats.total.bytesFromDisk) /
                   static_cast<double>(total_bytes)
             : 0.0;
-    const SplineIndexStats& spline = stats.diskTier.spline;
 
     if (json) {
         std::printf("{\n  \"model\": \"%s\",\n  \"batch\": %lld,\n",
@@ -624,12 +623,6 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
             static_cast<unsigned long long>(stats.total.diskFetches),
             static_cast<unsigned long long>(stats.total.bytesFromDisk),
             stats.diskCostPercentile(0.99), stats.total.diskSeconds);
-        std::printf(
-            "  \"spline\": {\"keys\": %zu, \"segments\": %zu, "
-            "\"maxErrorBound\": %zu, \"maxErrorObserved\": %zu, "
-            "\"indexBytes\": %zu},\n",
-            spline.numKeys, spline.numSegments, spline.maxErrorBound,
-            spline.maxErrorObserved, spline.indexBytes);
         std::printf("  \"diskFileBytes\": %llu,\n",
                     static_cast<unsigned long long>(
                         store.diskFileBytes()));
@@ -714,12 +707,7 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     std::printf("%s\n", tiers.render().c_str());
 
     if (stats.diskTierActive) {
-        std::printf("spline index: %zu keys, %zu segments, error "
-                    "bound %zu (observed %zu), %zu KB; page file %llu "
-                    "KB\n",
-                    spline.numKeys, spline.numSegments,
-                    spline.maxErrorBound, spline.maxErrorObserved,
-                    spline.indexBytes >> 10,
+        std::printf("page file %llu KB\n",
                     static_cast<unsigned long long>(
                         store.diskFileBytes() >> 10));
     }

@@ -86,11 +86,12 @@ cd "$(dirname "$0")/.."
 mode="${1:-all}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
-# Page-file directories of test_store_disk's fixture, one a line. Each
+# Page-file directories of test_store_disk's fixtures
+# (recstack_disk_test.* and recstack_disk_diff.*), one a line. Each
 # test removes its own, so a pass must not add any: a death-test child
 # that re-runs the fixture's SetUp and then dies would.
 test_dirs() {
-    compgen -G "${TMPDIR:-/tmp}/recstack_disk_test.*" | sort || true
+    compgen -G "${TMPDIR:-/tmp}/recstack_disk_*" | sort || true
 }
 
 line_count() {
