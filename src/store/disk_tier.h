@@ -33,9 +33,9 @@
  * valid for the tier's lifetime, but its pointee changes under
  * writeRow: reading it needs the lock that serializes writeRow for
  * that row. For EmbeddingStore that is the row's shard lock, which
- * demand reads, prefetch warming and updates all hold, so no reader
- * sees a torn row. An internal mutex, taken after the shard lock,
- * serializes writeRow and the stats.
+ * demand reads, warm-ups (EmbeddingStore::warm) and updates all
+ * hold, so no reader sees a torn row. An internal mutex, taken after
+ * the shard lock, serializes writeRow and the stats.
  */
 
 #include <cstddef>

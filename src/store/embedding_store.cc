@@ -180,14 +180,6 @@ EmbeddingStore::EmbeddingStore(StoreConfig config)
 
 EmbeddingStore::~EmbeddingStore()
 {
-    {
-        std::lock_guard<std::mutex> lock(prefetchMu_);
-        prefetchStop_ = true;
-    }
-    prefetchCv_.notify_all();
-    if (prefetchThread_.joinable()) {
-        prefetchThread_.join();
-    }
     diskTier_.reset();     // unlinks the page file (unless keepFile)
     diskBuilder_.reset();  // abandoned build unlinks too
     if (ownsDiskDir_) {
@@ -472,65 +464,23 @@ EmbeddingStore::warmRow(int table, int64_t row)
     shard.cache->insert(key, src, row_bytes,
                         &shard.counters.evictions);
     ++shard.counters.prefetchedRows;
-    // Prefetch fetch time is overlapped with compute, so it is not
-    // charged to demand simSeconds / the cost histogram.
+    // A warm-up is not a demand read, so it charges no simSeconds
+    // and no cost histogram entry.
 }
 
 void
-EmbeddingStore::prefetchAsync(int table, std::vector<int64_t> indices)
+EmbeddingStore::warm(int table, std::vector<int64_t> indices)
 {
-    tableAt(table);  // reject a bad id here, not on the prefetch thread
+    tableAt(table);
     ensureDiskReady();
-    // Coalesce duplicates before queueing: a batch's index stream
-    // repeats hot rows heavily, and each warmRow pays a shard-lock
-    // acquisition — warming a row once per task is enough.
+    // A batch's index stream repeats hot rows heavily, and each
+    // warmRow pays a shard-lock acquisition: warm each row once.
     std::sort(indices.begin(), indices.end());
     indices.erase(std::unique(indices.begin(), indices.end()),
                   indices.end());
-    std::unique_lock<std::mutex> lock(prefetchMu_);
-    if (!prefetchThread_.joinable()) {
-        prefetchThread_ = std::thread([this] { prefetchLoop(); });
+    for (int64_t row : indices) {
+        warmRow(table, row);
     }
-    prefetchQueue_.push_back(PrefetchTask{table, std::move(indices)});
-    lock.unlock();
-    prefetchCv_.notify_one();
-}
-
-void
-EmbeddingStore::prefetchLoop()
-{
-    for (;;) {
-        PrefetchTask task;
-        {
-            std::unique_lock<std::mutex> lock(prefetchMu_);
-            prefetchCv_.wait(lock, [this] {
-                return prefetchStop_ || !prefetchQueue_.empty();
-            });
-            if (prefetchQueue_.empty()) {
-                return;  // stop requested with nothing pending
-            }
-            task = std::move(prefetchQueue_.front());
-            prefetchQueue_.pop_front();
-            prefetchBusy_ = true;
-        }
-        for (int64_t row : task.indices) {
-            warmRow(task.table, row);
-        }
-        {
-            std::lock_guard<std::mutex> lock(prefetchMu_);
-            prefetchBusy_ = false;
-        }
-        prefetchIdleCv_.notify_all();
-    }
-}
-
-void
-EmbeddingStore::drainPrefetch()
-{
-    std::unique_lock<std::mutex> lock(prefetchMu_);
-    prefetchIdleCv_.wait(lock, [this] {
-        return prefetchQueue_.empty() && !prefetchBusy_;
-    });
 }
 
 StoreStats

@@ -26,7 +26,8 @@
  *      * kDisk: cold rows are REAL — written to a page-based file
  *        (store/disk_tier.h), addressed by page arithmetic on each
  *        table's record, and dropped from DRAM, so tables larger
- *        than the configured near tier actually serve from disk. Fetch time is measured wall clock, not modeled. A
+ *        than the configured near tier actually serve from disk.
+ *        Fetch time is measured wall clock, not modeled. A
  *        disk fetch copies the row straight out of the page file's
  *        mapping and fills the shard's hot-row cache, the only DRAM
  *        copy of a disk row.
@@ -37,10 +38,9 @@
  *    alike, and cached, near and disk copies are all
  *    verbatim row payloads, so results are bit-identical to reading
  *    a dense Workspace blob.
- *  - prefetchAsync warms the cache with the next batch's indices on a
- *    background thread (the classic double-buffered embedding
- *    prefetch), overlapping far-tier fetches with current-batch
- *    compute. Indices are deduplicated per task before queueing.
+ *  - warm copies a batch's distinct rows into the cache on the
+ *    calling thread, ahead of the demand reads, without charging
+ *    demand counters.
  *
  * Env knob: RECSTACK_STORE_DIR picks the page-file directory
  * (default: a fresh temp dir removed with the store).
@@ -49,13 +49,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/span.h"
@@ -123,7 +120,7 @@ struct ShardCounters {
     uint64_t diskFetches = 0;    ///< misses served by the disk tier
     uint64_t evictions = 0;
     uint64_t updates = 0;
-    uint64_t prefetchedRows = 0; ///< rows warmed by prefetch, not demand
+    uint64_t prefetchedRows = 0; ///< rows cached by warm, not demand
     /// promotedRows and demotedRows are always 0: the store has no
     /// promoted slab. They stay because perfbench/src/store_disk.cc
     /// reads them and the accounting digest tests mix them in.
@@ -155,8 +152,8 @@ struct StoreStats {
     std::map<double, uint64_t> diskSecondsHistogram;
     /// Whether the snapshot came from a store with a live disk tier.
     bool diskTierActive = false;
-    /// Row, file and index counters of the disk tier (zero when
-    /// inactive or not yet touched).
+    /// Row and file counters of the disk tier (zero when inactive or
+    /// not yet touched).
     DiskTierStats diskTier;
 
     double hitRate() const { return total.hitRate(); }
@@ -285,15 +282,19 @@ class EmbeddingStore
     void update(int table, int64_t row, const float* values);
 
     /**
-     * Queue the next batch's indices for cache warming on the
-     * background prefetch thread (started lazily). Duplicate indices
-     * are coalesced per task before queueing, so warm traffic never
-     * pays repeated shard-lock acquisitions for the same row.
+     * Cache the distinct rows of @c indices on the calling thread,
+     * so the demand reads that follow hit. Duplicates are coalesced
+     * first, so each row pays one shard-lock acquisition. Warmed
+     * rows charge prefetchedRows only, no demand counter or cost.
      */
-    void prefetchAsync(int table, std::vector<int64_t> indices);
+    void warm(int table, std::vector<int64_t> indices);
 
-    /** Block until the async prefetch queue is fully drained. */
-    void drainPrefetch();
+    /**
+     * No-op: warm runs on the caller's thread, so there is nothing
+     * to wait for. It stays because perfbench/src/store_disk.cc
+     * calls it, and feature changes leave perfbench/ as it is.
+     */
+    void drainPrefetch() {}
 
     StoreStats stats() const;
     void resetStats();
@@ -362,10 +363,6 @@ class EmbeddingStore
         /// Preallocated disk-read row buffer (guarded by mu).
         std::vector<float> scratch;
     };
-    struct PrefetchTask {
-        int table = 0;
-        std::vector<int64_t> indices;
-    };
 
     int registerTable(const std::string& name, TableInfo info,
                       Tensor data);
@@ -418,7 +415,6 @@ class EmbeddingStore
     const float* fetchRowLocked(const Table& t, int table, int64_t row,
                                 Shard& shard, const float* mapped);
     void warmRow(int table, int64_t row);
-    void prefetchLoop();
     /// Finalize the disk builder into a servable tier. Idempotent;
     /// called from every lookup entry point.
     void ensureDiskReady();
@@ -436,14 +432,6 @@ class EmbeddingStore
     std::once_flag diskOnce_;
     std::atomic<bool> diskFinalized_{false};
     int64_t maxDim_ = 0;
-
-    std::mutex prefetchMu_;
-    std::condition_variable prefetchCv_;
-    std::condition_variable prefetchIdleCv_;
-    std::deque<PrefetchTask> prefetchQueue_;
-    std::thread prefetchThread_;
-    bool prefetchBusy_ = false;
-    bool prefetchStop_ = false;
 };
 
 }  // namespace recstack

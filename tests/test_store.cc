@@ -3,7 +3,7 @@
  * Unit tests of the sharded embedding parameter store: cache-policy
  * math against the analytical Zipf expectation, adversarial scan
  * behaviour, update/eviction liveness, shard accounting, the tier
- * cost model, and the async prefetch path. The concurrency cases run
+ * cost model, and the synchronous warm-up. The concurrency cases run
  * under -DRECSTACK_SANITIZE=thread via `ctest -L sanitize`.
  */
 
@@ -387,9 +387,9 @@ TEST(StoreDeathTest, UpdateRejectsTableIdOutOfRange)
                  "table id 1 out of range");
 }
 
-// --- Prefetch. --------------------------------------------------------
+// --- Warm-up. ----------------------------------------------------------
 
-TEST(StorePrefetch, AsyncPrefetchCoalescesDuplicateIndices)
+TEST(StorePrefetch, WarmCoalescesDuplicateIndices)
 {
     const int64_t dim = 8;
     StoreConfig cfg;
@@ -398,14 +398,13 @@ TEST(StorePrefetch, AsyncPrefetchCoalescesDuplicateIndices)
     auto store = makeStore(256, dim, cfg);
 
     // A heavily repeated index stream (the shape of a Zipf head)
-    // must warm each distinct row exactly once per task.
+    // must warm each distinct row exactly once per call.
     std::vector<int64_t> indices = {5, 5, 5, 7, 9, 7, 5, 9, 11};
-    store->prefetchAsync(0, indices);
-    store->drainPrefetch();
+    store->warm(0, indices);
     EXPECT_EQ(store->stats().total.prefetchedRows, 4u);
 }
 
-TEST(StorePrefetch, AsyncPrefetchTurnsDemandMissesIntoHits)
+TEST(StorePrefetch, WarmTurnsDemandMissesIntoHits)
 {
     const int64_t rows = 8192;
     const int64_t dim = 16;
@@ -419,10 +418,9 @@ TEST(StorePrefetch, AsyncPrefetchTurnsDemandMissesIntoHits)
     std::vector<int64_t> indices(2048);
     fillZipfIndices(zipf, rng, indices.data(),
                     static_cast<int64_t>(indices.size()));
-    store->prefetchAsync(0, indices);
-    store->drainPrefetch();
+    store->warm(0, indices);
 
-    // Prefetch warmed the cache without charging demand counters.
+    // The warm-up filled the cache without charging demand counters.
     StoreStats stats = store->stats();
     EXPECT_EQ(stats.total.lookups, 0u);
     EXPECT_GT(stats.total.prefetchedRows, 0u);
@@ -686,7 +684,7 @@ TEST(StoreConcurrency, ParallelLookupsUpdatesAndPrefetch)
             std::vector<float> row(static_cast<size_t>(dim), 1.5f);
             for (int b = 0; b < kBatchesPerThread; ++b) {
                 fillZipfIndices(zipf, rng, indices.data(), kPerBatch);
-                store->prefetchAsync(0, indices);
+                store->warm(0, indices);
                 sumRows(*store, indices.data(), kPerBatch, out.data());
                 store->update(
                     0,
@@ -699,7 +697,6 @@ TEST(StoreConcurrency, ParallelLookupsUpdatesAndPrefetch)
     for (std::thread& t : threads) {
         t.join();
     }
-    store->drainPrefetch();
 
     const StoreStats stats = store->stats();
     EXPECT_EQ(stats.total.lookups,

@@ -620,6 +620,63 @@ TEST_F(DiskFixture, WholeTableServesFromDiskBitExact)
               static_cast<uint64_t>(rows * dim) * sizeof(float));
 }
 
+TEST_F(DiskFixture, WarmedDiskRowsServeAsHitsBitExact)
+{
+    // warm's disk branch caches a row straight from the mapping; the
+    // demand reads that follow must then be all hits, touch the disk
+    // tier not at all, and return the dense payload bit for bit.
+    const int64_t rows = 3000;
+    const int64_t dim = 12;
+    StoreConfig cfg = diskStoreConfig(dir_);
+    cfg.nearTierFraction = 0.25;
+    cfg.cacheBytesPerShard = 64u << 10;  // the whole batch fits
+    auto store = makeStore(rows, dim, cfg);
+    const int64_t near_rows = store->tableInfo(0).nearRows;
+
+    // Mostly cold rows, with repeats (warm coalesces them).
+    const int64_t n = 512;
+    std::vector<int64_t> indices(static_cast<size_t>(n));
+    Rng rng(31);
+    for (int64_t& row : indices) {
+        row = static_cast<int64_t>(
+            rng.nextBounded(static_cast<uint64_t>(rows)));
+    }
+    std::vector<int64_t> distinct = indices;
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    const auto cold = std::count_if(
+        distinct.begin(), distinct.end(),
+        [&](int64_t r) { return r >= near_rows; });
+    ASSERT_GT(cold * 2, static_cast<std::ptrdiff_t>(distinct.size()))
+        << "the batch must be mostly disk rows";
+    ASSERT_LT(distinct.size(), indices.size())
+        << "the batch must repeat rows";
+
+    store->warm(0, indices);
+    StoreStats stats = store->stats();
+    EXPECT_EQ(stats.total.prefetchedRows, distinct.size());
+    EXPECT_EQ(stats.total.lookups, 0u);
+
+    std::vector<float> out(static_cast<size_t>(n * dim));
+    copyRows(*store, indices.data(), 0, n, out.data());
+    stats = store->stats();
+    EXPECT_EQ(stats.total.lookups, static_cast<uint64_t>(n));
+    EXPECT_EQ(stats.total.hits, stats.total.lookups);
+    EXPECT_EQ(stats.total.diskFetches, 0u);
+    std::vector<float> dense(static_cast<size_t>(dim));
+    for (int64_t p = 0; p < n; ++p) {
+        const int64_t r = indices[static_cast<size_t>(p)];
+        for (int64_t d = 0; d < dim; ++d) {
+            dense[static_cast<size_t>(d)] = expectedCell(r, d);
+        }
+        ASSERT_EQ(std::memcmp(out.data() + p * dim, dense.data(),
+                              static_cast<size_t>(dim) * sizeof(float)),
+                  0)
+            << "lookup " << p << " (row " << r << ")";
+    }
+}
+
 TEST_F(DiskFixture, UpdateWritesThroughToDisk)
 {
     const int64_t rows = 1000;
@@ -744,7 +801,7 @@ TEST_F(DiskFixture, UpdatesNeverTearDiskRowsUnderLookaheadReads)
 TEST_F(DiskFixture, ConcurrentLookupsUpdatesAndPrefetch)
 {
     // The TSan target: demand disk reads, write-through updates and
-    // async prefetch warming, all at once.
+    // warm-ups from four threads, all at once.
     const int64_t rows = 2048;
     const int64_t dim = 16;
     StoreConfig cfg = diskStoreConfig(dir_);
@@ -761,11 +818,17 @@ TEST_F(DiskFixture, ConcurrentLookupsUpdatesAndPrefetch)
             const ZipfSampler zipf(static_cast<uint64_t>(rows), 0.7);
             Rng rng(200 + static_cast<uint64_t>(t));
             std::vector<int64_t> indices(128);
+            std::vector<int64_t> next(128);
             std::vector<float> out(static_cast<size_t>(dim));
             std::vector<float> row(static_cast<size_t>(dim), 2.5f);
+            fillZipfIndices(zipf, rng, next.data(), 128);
             for (int b = 0; b < 40; ++b) {
-                fillZipfIndices(zipf, rng, indices.data(), 128);
-                store->prefetchAsync(0, indices);
+                // Warm the next batch, then read this one: a batch
+                // warmed right before its own reads would be all
+                // hits, and the demand reads must reach the disk.
+                indices.swap(next);
+                fillZipfIndices(zipf, rng, next.data(), 128);
+                store->warm(0, next);
                 sumRows(*store, indices.data(), 128, out.data());
                 store->update(
                     0,
@@ -778,7 +841,6 @@ TEST_F(DiskFixture, ConcurrentLookupsUpdatesAndPrefetch)
     for (std::thread& t : threads) {
         t.join();
     }
-    store->drainPrefetch();
     const StoreStats stats = store->stats();
     EXPECT_EQ(stats.total.lookups, 4u * 40u * 128u);
     EXPECT_GT(stats.total.diskFetches, 0u);

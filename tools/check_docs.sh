@@ -41,7 +41,13 @@
 #      bench/CMakeLists.txt, so a deleted or merged bench cannot
 #      linger in them. Glob stems (`bench_ablate_*`,
 #      `bench_ablate_{dsb,...}`) are skipped, and file names
-#      (`bench_util.h`) are check 7's job.
+#      (`bench_util.h`) are check 7's job;
+#  10. every code span in README.md, DESIGN.md or docs/*.md that opens
+#      with a qualified name (`Name::member`) or a call (`name(`,
+#      `Name::member(`) names an identifier that still occurs as a
+#      word under src/ (the last `::` component is the one checked),
+#      so a deleted or renamed function or member cannot linger in
+#      them.
 #
 # Usage: tools/check_docs.sh   (run from anywhere; cds to repo root)
 set -euo pipefail
@@ -217,6 +223,25 @@ while IFS= read -r name; do
         err "docs name bench binary ${name}, which is not a target in bench/CMakeLists.txt"
     fi
 done <<<"$bench_names"
+
+# -- 10. qualified and call names in docs exist under src/ --------
+spans=$(grep -ohE '`[^`]+`' README.md DESIGN.md docs/*.md || true)
+code_names=$(
+    {
+        grep -oE '^`[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+' \
+            <<<"$spans" || true
+        grep -oE '^`[A-Za-z_][A-Za-z0-9_:]*\(' <<<"$spans" || true
+    } | tr -d '`(' | sort -u
+)
+if [ -z "$code_names" ]; then
+    err "found no qualified or call names in the docs; check 10's pattern is stale"
+fi
+while IFS= read -r name; do
+    [ -z "$name" ] && continue
+    if ! grep -rqw -- "${name##*::}" src; then
+        err "docs name \`${name}\`, whose identifier ${name##*::} no longer occurs under src/"
+    fi
+done <<<"$code_names"
 
 if [ "$fail" -ne 0 ]; then
     exit 1

@@ -5,7 +5,8 @@
 #   tsan  — RECSTACK_SANITIZE=thread build, `ctest -L 'sanitize|store|disk|serving|obs|sched|simd|fleet|pim'`:
 #           the concurrency suites (thread pool, serving engine,
 #           parallel kernels, plan-vs-interpreted equivalence, the
-#           sharded embedding store's lock/prefetch machinery).
+#           sharded embedding store's shard locks, taken by
+#           lookups, warm-ups and updates from many threads).
 #   asan  — RECSTACK_SANITIZE=address build, `ctest -L 'plan|store|disk|serving|obs|sched|simd|fleet|pim|uarch|synth'`:
 #           the compiled-net planner/arena suites plus the embedding
 #           store. Arena aliasing assigns overlapping
@@ -54,8 +55,8 @@
 # The `disk` label covers the persistent far-tier suites: the store
 # reads rows straight out of one shared mapping of the page file that
 # write-through updates write into. A row's address is resolved and
-# prefetched ahead with no lock held, but demand reads, prefetch
-# warming and updates of a row read or write its bytes only under its
+# prefetched ahead with no lock held, but demand reads, warm-ups
+# and updates of a row read or write its bytes only under its
 # shard lock (TSan: the torn-row tests that rewrite disk rows while
 # another thread reads them, one lookup or 64 per call; updates still
 # take the tier mutex after the shard lock). The mapping and per-shard
