@@ -471,7 +471,7 @@ EmbeddingStore::warmRow(int table, int64_t row)
 void
 EmbeddingStore::warm(int table, std::vector<int64_t> indices)
 {
-    tableAt(table);
+    tableAt(table);  // a bad id dies here even when indices is empty
     ensureDiskReady();
     // A batch's index stream repeats hot rows heavily, and each
     // warmRow pays a shard-lock acquisition: warm each row once.
