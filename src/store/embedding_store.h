@@ -132,7 +132,10 @@ struct ShardCounters {
     uint64_t bytesFromDisk = 0;
     uint64_t cacheBytesUsed = 0; ///< snapshot at stats() time
     double simSeconds = 0.0;     ///< modeled fetch time, demand reads
-    double diskSeconds = 0.0;    ///< MEASURED wall clock in disk reads
+    /// Estimated wall clock in disk reads: each timed fetch (one in
+    /// EmbeddingStore::kDiskTimingStride) counts its duration times
+    /// the stride.
+    double diskSeconds = 0.0;
 
     void accumulate(const ShardCounters& other);
     /** Cache hit fraction; defined as 0.0 when lookups == 0. */
@@ -147,8 +150,9 @@ struct StoreStats {
     /// domain is tiny (one cost per tier per table) so percentiles
     /// are exact.
     std::map<double, uint64_t> costHistogram;
-    /// Measured per-row disk fetch seconds, bucketed to powers of
-    /// two of a nanosecond so the map stays small.
+    /// Measured seconds of the timed disk fetches only, one sample
+    /// each, bucketed up to powers of two of a second so the map
+    /// stays small.
     std::map<double, uint64_t> diskSecondsHistogram;
     /// Whether the snapshot came from a store with a live disk tier.
     bool diskTierActive = false;
@@ -163,8 +167,10 @@ struct StoreStats {
      */
     double costPercentile(double p) const;
     /**
-     * p-th percentile of MEASURED per-row disk fetch seconds (bucket
-     * upper bounds). Returns 0.0 when no disk fetch happened.
+     * p-th percentile of the timed disk fetches' measured seconds
+     * (bucket upper bounds), a sample of one fetch in
+     * EmbeddingStore::kDiskTimingStride per shard. Returns 0.0 when
+     * no disk fetch happened.
      */
     double diskCostPercentile(double p) const;
 };
@@ -349,6 +355,15 @@ class EmbeddingStore
      */
     static size_t rowShard(int table, int64_t row, size_t num_shards);
 
+    /// How many lookups ahead forEachRow resolves and prefetches disk
+    /// rows. Eight hides most of the miss of the rows served next;
+    /// sixteen measured no better.
+    static constexpr int64_t kDiskLookahead = 8;
+    /// A shard times one disk fetch in this many: those whose
+    /// diskFetches count before the fetch is a multiple of it, so
+    /// the first is always timed.
+    static constexpr uint64_t kDiskTimingStride = 64;
+
   private:
     struct Table {
         TableInfo info;
@@ -371,11 +386,6 @@ class EmbeddingStore
     const Table& tableAt(int table) const;
     Table& tableAt(int table);
     size_t shardOf(int table, int64_t row) const;
-
-    /// How many lookups ahead forEachRow resolves and prefetches disk
-    /// rows. Eight hides most of the miss of the rows served next;
-    /// sixteen measured no better.
-    static constexpr int64_t kDiskLookahead = 8;
 
     /// 64-bit (table, row) key of the row caches and the page file;
     /// rows stay far below 2^40.

@@ -620,6 +620,61 @@ TEST_F(DiskFixture, WholeTableServesFromDiskBitExact)
               static_cast<uint64_t>(rows * dim) * sizeof(float));
 }
 
+TEST_F(DiskFixture, DiskTimingSamplesOneFetchPerStride)
+{
+    // Each shard times the disk fetches its diskFetches count reaches
+    // at a multiple of the stride, from its first: the histogram holds
+    // one sample per timed fetch, and a lone fetch still reports disk
+    // time. Fetches run from this thread, so the counts repeat.
+    constexpr uint64_t kStride = EmbeddingStore::kDiskTimingStride;
+    const int64_t rows = 3000;
+    const int64_t dim = 12;
+    StoreConfig cfg = diskStoreConfig(dir_);
+    cfg.nearTierFraction = 0.0;  // every row is disk-resident
+    cfg.cacheBytesPerShard = 0;  // so every lookup is a disk fetch
+
+    const auto samples = [](const StoreStats& stats) {
+        uint64_t n = 0;
+        for (const auto& [seconds, count] : stats.diskSecondsHistogram) {
+            n += count;
+        }
+        return n;
+    };
+
+    auto store = makeStore(rows, dim, cfg);
+    std::vector<int64_t> indices(static_cast<size_t>(rows));
+    for (int64_t i = 0; i < rows; ++i) {
+        indices[static_cast<size_t>(i)] = i;
+    }
+    std::vector<float> out(static_cast<size_t>(rows * dim));
+    copyRows(*store, indices.data(), 0, rows, out.data());
+    StoreStats stats = store->stats();
+    EXPECT_EQ(stats.total.diskFetches, static_cast<uint64_t>(rows));
+    uint64_t timed = 0;
+    for (const ShardCounters& c : stats.perShard) {
+        EXPECT_GT(c.diskFetches, kStride);
+        timed += (c.diskFetches + kStride - 1) / kStride;
+    }
+    EXPECT_EQ(samples(stats), timed);
+    EXPECT_GT(stats.total.diskSeconds, 0.0);
+
+    // resetStats restarts the count, so the next fetch is timed.
+    store->resetStats();
+    copyRows(*store, indices.data(), 0, 1, out.data());
+    stats = store->stats();
+    EXPECT_EQ(stats.total.diskFetches, 1u);
+    EXPECT_EQ(samples(stats), 1u);
+    EXPECT_GT(stats.total.diskSeconds, 0.0);
+
+    auto lone = makeStore(rows, dim, cfg);
+    copyRows(*lone, indices.data(), 0, 1, out.data());
+    stats = lone->stats();
+    EXPECT_EQ(stats.total.diskFetches, 1u);
+    EXPECT_EQ(samples(stats), 1u);
+    EXPECT_GT(stats.total.diskSeconds, 0.0);
+    EXPECT_GT(stats.diskCostPercentile(0.5), 0.0);
+}
+
 TEST_F(DiskFixture, WarmedDiskRowsServeAsHitsBitExact)
 {
     // warm's disk branch caches a row straight from the mapping; the

@@ -685,7 +685,8 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     std::printf("%s\n", shards.render().c_str());
 
     // Per-tier breakdown: cache and near costs are modeled, the disk
-    // column is measured wall clock off the page file.
+    // column is wall clock off the page file, sampled: each shard
+    // times one disk fetch in EmbeddingStore::kDiskTimingStride.
     TextTable tiers({"tier", "rows", "bytes", "p99 cost"});
     tiers.addRow({"cache", std::to_string(stats.total.hits),
                   std::to_string(stats.total.bytesFromCache),
@@ -702,7 +703,7 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
                             : stats.total.bytesFromFar),
          stats.diskTierActive
              ? TextTable::fmtSeconds(stats.diskCostPercentile(0.99)) +
-                   " (measured)"
+                   " (sampled)"
              : TextTable::fmtSeconds(stats.costPercentile(0.99))});
     std::printf("%s\n", tiers.render().c_str());
 
@@ -713,11 +714,13 @@ cmdStore(const std::string& model_name, int64_t batch, bool json)
     }
 
     std::printf("lookup cost: p50 %s, p99 %s; modeled fetch time %s; "
-                "measured disk time %s\n",
+                "disk time %s (estimated from 1 fetch in %llu)\n",
                 TextTable::fmtSeconds(stats.costPercentile(0.50)).c_str(),
                 TextTable::fmtSeconds(stats.costPercentile(0.99)).c_str(),
                 TextTable::fmtSeconds(stats.total.simSeconds).c_str(),
-                TextTable::fmtSeconds(stats.total.diskSeconds).c_str());
+                TextTable::fmtSeconds(stats.total.diskSeconds).c_str(),
+                static_cast<unsigned long long>(
+                    EmbeddingStore::kDiskTimingStride));
     std::printf("cache-filtered table traffic: %s of lookup bytes "
                 "reach DRAM/far memory (rest served by hot-row "
                 "caches)\n",
