@@ -179,7 +179,7 @@ main()
     std::printf("%s\n", shards.render().c_str());
 
     // --- Sweep 3: the real disk far tier (page file). ---
-    // "disk p99" is over the timed fetches only, one in
+    // The p99 is over the timed fetches only, one in
     // EmbeddingStore::kDiskTimingStride per shard.
     TextTable disk({"cache", "hit rate", "disk fetches",
                     "sampled disk p99", "resident"});

@@ -27,7 +27,8 @@
  *        (store/disk_tier.h), addressed by page arithmetic on each
  *        table's record, and dropped from DRAM, so tables larger
  *        than the configured near tier actually serve from disk.
- *        Fetch time is measured wall clock, not modeled. A
+ *        Fetch time is wall clock timed on one disk fetch in
+ *        kDiskTimingStride per shard, not modeled. A
  *        disk fetch copies the row straight out of the page file's
  *        mapping and fills the shard's hot-row cache, the only DRAM
  *        copy of a disk row.
@@ -65,7 +66,7 @@ namespace recstack {
 /** What backs the far tier of an EmbeddingStore. */
 enum class FarTierKind {
     kSimulated,  ///< cold rows in DRAM, cost modeled (deterministic)
-    kDisk,       ///< cold rows in a page file, cost measured
+    kDisk,       ///< cold rows in a page file, cost sampled
 };
 
 /** Printable far-tier name ("simulated" / "disk"). */
